@@ -17,7 +17,6 @@ are the distinct label sets actually observed, never the power set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -48,18 +47,30 @@ def set_weight(p, q) -> float:
     qs = q.as_set() if isinstance(q, LabelValue) else frozenset(q)
     if not ps or not qs:
         raise ValidationError("set_weight requires non-empty sets")
-    inter = ps & qs
-    if not inter:
-        return 1.0
-    # exact rational arithmetic so anchor weights like 2/3 come out bit-exact
-    jaccard = Fraction(len(inter), len(ps | qs))
-    if ps == qs:
-        m = Fraction(1)
-    elif ps <= qs or qs <= ps:
-        m = Fraction(2, 3)
-    else:
-        m = Fraction(1, 3)
-    return float(1 - jaccard * m)
+    # M = m3 / 3; one division of exact integers rounds anchors like 2/3 correctly
+    inter = len(ps & qs)
+    union = len(ps | qs)
+    m3 = 1 + (inter == min(len(ps), len(qs))) + (inter == max(len(ps), len(qs)))
+    return (3 * union - inter * m3) / (3 * union)
+
+
+def _set_weights(cats: Sequence[LabelValue]) -> np.ndarray:
+    """set_weight for every pair of `cats`, as a matrix, in the same closed form.
+
+    w = (3 * union - inter * m3) / (3 * union), with M = m3 / 3 and m3 = 3 for
+    identical sets, 2 for a proper subset, 1 otherwise (disjoint sets have
+    inter = 0, so w = 1 whatever m3 is).  Numerator and denominator are exact
+    integers, so the one float division rounds exactly as set_weight does.
+    """
+    column = {c: j for j, c in enumerate(sorted({c for lab in cats for c in lab.indices}))}
+    member = np.zeros((len(cats), len(column)), dtype=np.int64)
+    for row, lab in enumerate(cats):
+        member[row, [column[c] for c in lab.indices]] = 1
+    size = member.sum(axis=1)
+    inter = member @ member.T
+    union = size[:, None] + size[None, :] - inter
+    m3 = 1 + (inter == np.minimum.outer(size, size)) + (inter == np.maximum.outer(size, size))
+    return (3 * union - inter * m3) / (3 * union)
 
 
 @dataclass(frozen=True)
@@ -95,21 +106,47 @@ class AgreementReport:
     mean_kappa: float | None = None
 
 
+def _encode(*columns: Sequence[LabelValue]):
+    """One code table for several label columns.
+
+    Returns the distinct labels sorted in LabelValue order and, per column, an
+    int array of codes into them.  Labels are keyed by their `indices` tuple,
+    which hashes in C.
+    """
+    table = {lab.indices: lab for col in columns for lab in col}
+    keys = sorted(table)
+    code = {key: i for i, key in enumerate(keys)}
+    return ([table[key] for key in keys],
+            [np.array([code[lab.indices] for lab in col], dtype=np.intp) for col in columns])
+
+
 def _tabulate(a: Sequence[LabelValue], b: Sequence[LabelValue]):
     if len(a) != len(b):
         raise ValidationError(f"annotator lengths differ: {len(a)} vs {len(b)}")
-    n = len(a)
-    if n < 2:
+    if len(a) < 2:
         raise ValidationError("need at least 2 items to measure agreement")
-    cats = sorted(set(a) | set(b))
-    index = {lab: i for i, lab in enumerate(cats)}
-    observed = np.zeros((len(cats), len(cats)))
-    for la, lb in zip(a, b):
-        observed[index[la], index[lb]] += 1.0
+    cats, (ca, cb) = _encode(a, b)
+    return cats, ca, cb
+
+
+def _kappa_codes(ca: np.ndarray, cb: np.ndarray, cats: Sequence[LabelValue],
+                 weights: np.ndarray, weighted_flag: bool) -> AgreementReport:
+    """Kappa of two aligned code arrays into `cats` (sorted in LabelValue order).
+
+    Only the codes either side uses become categories, with `weights`
+    restricted to them, so K, the matrix layout and every float operation are
+    those of tabulating the two label lists directly.
+    """
+    n = len(ca)
+    used, inv = np.unique(np.concatenate((ca, cb)), return_inverse=True)
+    k = len(used)
+    cats = [cats[u] for u in used]
+    weights = weights[np.ix_(used, used)]
+    observed = np.bincount(inv[:n] * k + inv[n:], minlength=k * k).reshape(k, k).astype(float)
     marg_a = observed.sum(axis=1) / n
     marg_b = observed.sum(axis=0) / n
     expected = n * np.outer(marg_a, marg_b)
-    return cats, observed, expected, n
+    return _finish(cats, observed, expected, weights, n, weighted_flag)
 
 
 def _finish(cats, observed, expected, weights, n, weighted_flag) -> AgreementReport:
@@ -140,9 +177,8 @@ def cohen_kappa(a: Sequence[LabelValue], b: Sequence[LabelValue],
             raise ValidationError("cohen_kappa takes single labels; use weighted_kappa for sets")
         if spec is not None:
             spec.validate_label(lab)
-    cats, observed, expected, n = _tabulate(a, b)
-    weights = 1.0 - np.eye(len(cats))
-    return _finish(cats, observed, expected, weights, n, weighted_flag=False)
+    cats, ca, cb = _tabulate(a, b)
+    return _kappa_codes(ca, cb, cats, 1.0 - np.eye(len(cats)), weighted_flag=False)
 
 
 def weighted_kappa(a: Sequence[LabelValue], b: Sequence[LabelValue],
@@ -155,13 +191,8 @@ def weighted_kappa(a: Sequence[LabelValue], b: Sequence[LabelValue],
     if spec is not None:
         for lab in list(a) + list(b):
             spec.validate_label(lab)
-    cats, observed, expected, n = _tabulate(a, b)
-    k = len(cats)
-    weights = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            weights[i, j] = weights[j, i] = set_weight(cats[i], cats[j])
-    return _finish(cats, observed, expected, weights, n, weighted_flag=True)
+    cats, ca, cb = _tabulate(a, b)
+    return _kappa_codes(ca, cb, cats, _set_weights(cats), weighted_flag=True)
 
 
 def kappa_for_kind(a: Sequence[LabelValue], b: Sequence[LabelValue],

@@ -281,14 +281,31 @@ class Dataset:
         return {item: [lab for _, lab in sorted(pairs)] for item, pairs in grouped.items()}
 
 
-def _record_from_obj(obj: Mapping, spec: TaskSpec, where: str) -> AnnotationRecord:
+def _record_from_obj(obj: Mapping, spec: TaskSpec, where: str,
+                     sources: dict, labels: dict) -> AnnotationRecord:
+    """One record; `sources` and `labels` intern SourceIds and LabelValues across a file.
+
+    A lookup that misses (or cannot hash) parses exactly as an uncached
+    record would, and only successful parses are stored, so a bad record
+    fails on its own line with its own message.
+    """
     try:
-        source = SourceId(role=Role(obj["source"]["role"]), name=obj["source"]["name"])
-        labels = LabelValue.from_names(obj["labels"], spec)
+        try:
+            source = sources[obj["source"]["role"], obj["source"]["name"]]
+        except (KeyError, TypeError):
+            source = SourceId(role=Role(obj["source"]["role"]), name=obj["source"]["name"])
+            if isinstance(source.name, str):
+                sources[source.role, source.name] = source
+        try:
+            label = labels[tuple(obj["labels"])]
+        except (KeyError, TypeError):
+            # from_names only takes len() of and iterates the list, as tuple() does
+            label = LabelValue.from_names(obj["labels"], spec)
+            labels[tuple(obj["labels"])] = label
         return AnnotationRecord(
             item_id=obj["item_id"],
             source=source,
-            labels=labels,
+            labels=label,
             run_index=int(obj.get("run", 0)),
         )
     except (KeyError, TypeError, ValueError, ValidationError) as exc:
@@ -299,6 +316,8 @@ def load_dataset(path, spec: TaskSpec) -> Dataset:
     """Read annotations from JSONL (any task) or CSV (single-label tasks only)."""
     path = str(path)
     records = []
+    sources: dict = {}
+    labels: dict = {}
     if path.endswith(".csv"):
         if spec.kind is TaskKind.MULTILABEL:
             raise ValidationError("CSV ingestion supports single-label tasks only")
@@ -314,7 +333,7 @@ def load_dataset(path, spec: TaskSpec) -> Dataset:
                     "run": row["run"],
                     "labels": [row["label"]],
                 }
-                records.append(_record_from_obj(obj, spec, f"{path}:{lineno}"))
+                records.append(_record_from_obj(obj, spec, f"{path}:{lineno}", sources, labels))
     else:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -325,7 +344,7 @@ def load_dataset(path, spec: TaskSpec) -> Dataset:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ValidationError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
-                records.append(_record_from_obj(obj, spec, f"{path}:{lineno}"))
+                records.append(_record_from_obj(obj, spec, f"{path}:{lineno}", sources, labels))
     return Dataset(spec=spec, records=tuple(records))
 
 

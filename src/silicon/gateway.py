@@ -12,6 +12,7 @@ a missing key is an error rather than a network call.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -146,7 +147,9 @@ class PromptConfig:
             raise ValidationError("temperature must be >= 0")
 
 
+@functools.lru_cache(maxsize=None)
 def _template(name: str) -> str:
+    """A bundled prompt template, read once per process."""
     return (resources.files("silicon.templates") / name).read_text(encoding="utf-8").rstrip("\n")
 
 

@@ -3,7 +3,8 @@
 Items where the focal model's self-consistency (FSD) falls strictly below a
 threshold tau are escalated: auxiliary models vote together with the focal
 label and the majority wins.  tau = 0 keeps every focal label untouched;
-tau = 1 routes everything, i.e. a plain majority vote over all models.
+tau = 1 routes every item whose focal runs are not unanimous (fsd < 1), so
+unanimous items keep the focal label even at tau = 1.
 Raising tau can only grow the routed set, so the routed fraction q(tau) is
 monotone non-decreasing.  Thresholds in the middle of the unit interval
 (roughly 0.3 to 0.7) tend to buy most of the agreement gain at a fraction of

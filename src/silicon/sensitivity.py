@@ -15,8 +15,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .agreement import kappa_for_kind
-from .core import LabelValue, TaskKind, ValidationError
+from .agreement import _encode, _kappa_codes, _set_weights, kappa_for_kind
+from .core import LabelValue, TaskKind, ValidationError, _rng_from_seed
 
 __all__ = ["MixConfig", "AlphaGap", "mix_baseline", "sensitivity_curve"]
 
@@ -46,6 +46,17 @@ class AlphaGap:
     gaps: tuple[float, ...]
 
 
+def _swap_positions(n: int, alpha: float, seed: int) -> np.ndarray:
+    """The round(alpha * n) positions, of n sorted items, that a mix hands to the crowd."""
+    return _rng_from_seed(seed).choice(n, size=int(round(alpha * n)), replace=False)
+
+
+def _check_crowd(items, crowd) -> None:
+    missing = [i for i in items if i not in crowd]
+    if missing:
+        raise ValidationError(f"crowd labels missing for items: {missing[:5]!r}")
+
+
 def mix_baseline(
     expert: Mapping[str, LabelValue],
     crowd: Mapping[str, LabelValue],
@@ -63,15 +74,9 @@ def mix_baseline(
     items = sorted(expert)
     if not items:
         raise ValidationError("empty reference")
-    missing = [i for i in items if i not in crowd]
-    if missing:
-        raise ValidationError(f"crowd labels missing for items: {missing[:5]!r}")
-    n = len(items)
-    m = int(round(alpha * n))
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    swapped = rng.choice(n, size=m, replace=False)
+    _check_crowd(items, crowd)
     mixed = {i: expert[i] for i in items}
-    for idx in swapped:
+    for idx in _swap_positions(len(items), alpha, seed):
         item = items[int(idx)]
         mixed[item] = crowd[item]
     return mixed
@@ -93,23 +98,36 @@ def sensitivity_curve(
 
     Items are the intersection of llm and expert coverage; crowd must cover
     them all.  Replicate r of alpha index a uses a seed derived from
-    (cfg.seed, a, r), so curves are bit-reproducible.
+    (cfg.seed, a, r), so curves are bit-reproducible.  The three label
+    columns are encoded once; each replicate swaps in crowd codes at the
+    positions mix_baseline would draw and takes kappa on the codes, which
+    gives exactly the numbers of kappa_for_kind on the mixed labels.
     """
     items = sorted(set(llm) & set(expert))
     if len(items) < 2:
         raise ValidationError("need at least 2 items shared by llm and expert")
-    expert_common = {i: expert[i] for i in items}
     llm_labels = [llm[i] for i in items]
-    kappa_ref = kappa_for_kind(llm_labels, [expert_common[i] for i in items], kind).kappa
+    expert_labels = [expert[i] for i in items]
+    kappa_ref = kappa_for_kind(llm_labels, expert_labels, kind).kappa
+    _check_crowd(items, crowd)
+
+    multilabel = kind is TaskKind.MULTILABEL
+    cats, (llm_codes, expert_codes, crowd_codes) = _encode(
+        llm_labels, expert_labels, [crowd[i] for i in items])
+    weights = _set_weights(cats) if multilabel else 1.0 - np.eye(len(cats))
+    # cohen_kappa rejects set labels; only the crowd's have not been through it
+    is_set = None if multilabel else np.array([len(lab.indices) != 1 for lab in cats])
 
     out = []
     for a_idx, alpha in enumerate(cfg.alphas):
         gaps = []
         for rep in range(cfg.replicates):
-            mixed = mix_baseline(
-                expert_common, crowd, alpha, _replicate_seed(cfg.seed, a_idx, rep)
-            )
-            kappa_mixed = kappa_for_kind(llm_labels, [mixed[i] for i in items], kind).kappa
+            mixed = expert_codes.copy()
+            swapped = _swap_positions(len(items), alpha, _replicate_seed(cfg.seed, a_idx, rep))
+            mixed[swapped] = crowd_codes[swapped]
+            if is_set is not None and is_set[mixed].any():
+                raise ValidationError("cohen_kappa takes single labels; use weighted_kappa for sets")
+            kappa_mixed = _kappa_codes(llm_codes, mixed, cats, weights, multilabel).kappa
             gaps.append(abs(kappa_ref - kappa_mixed))
         out.append(AlphaGap(
             alpha=alpha,

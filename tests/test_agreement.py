@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from silicon.agreement import (
+    _set_weights,
     cohen_kappa,
     mean_pairwise_kappa,
     set_weight,
@@ -74,6 +77,37 @@ def random_set(rng, k=6, max_size=4):
     return LabelValue.of(rng.choice(k, size=size, replace=False))
 
 
+def fraction_weight(p, q):
+    """set_weight in exact rational arithmetic, rounded to a float once at the end."""
+    p, q = frozenset(p), frozenset(q)
+    inter = p & q
+    if not inter:
+        return 1.0
+    if p == q:
+        m = Fraction(1)
+    elif p < q or q < p:
+        m = Fraction(2, 3)
+    else:
+        m = Fraction(1, 3)
+    return float(1 - Fraction(len(inter), len(p | q)) * m)
+
+
+def loop_tabulation(a, b, weight):
+    """Contingency table and weights built by dict lookup and += 1.0, per pair."""
+    cats = sorted(set(a) | set(b))
+    index = {lab: i for i, lab in enumerate(cats)}
+    observed = np.zeros((len(cats), len(cats)))
+    for la, lb in zip(a, b):
+        observed[index[la], index[lb]] += 1.0
+    n = len(a)
+    expected = n * np.outer(observed.sum(axis=1) / n, observed.sum(axis=0) / n)
+    weights = np.zeros((len(cats), len(cats)))
+    for i in range(len(cats)):
+        for j in range(i + 1, len(cats)):
+            weights[i, j] = weights[j, i] = weight(cats[i].indices, cats[j].indices)
+    return tuple(cats), observed, expected, weights
+
+
 # ----------------------------------------------------------------- weights
 
 class TestSetWeight:
@@ -93,6 +127,14 @@ class TestSetWeight:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             set_weight(frozenset(), S(0))
+
+    def test_matrix_equals_set_weight_on_every_subset_pair(self):
+        # all 63 non-empty subsets of 6 categories; equality is exact, not approx
+        sets = [LabelValue.of(c for c in range(6) if mask >> c & 1) for mask in range(1, 64)]
+        matrix = _set_weights(sets)
+        for i, p in enumerate(sets):
+            for j, q in enumerate(sets):
+                assert matrix[i, j] == set_weight(p, q) == fraction_weight(p.indices, q.indices)
 
     def test_axioms_randomized(self):
         rng = np.random.default_rng(2024)
@@ -178,6 +220,26 @@ class TestWeightedKappa:
             b = [random_set(rng, k=4, max_size=3) for _ in range(n)]
             rep = weighted_kappa(a, b)
             assert rep.kappa == pytest.approx(weighted_kappa_oracle(a, b), abs=1e-12)
+
+    def test_tables_equal_loop_tabulation_exactly(self):
+        rng = np.random.default_rng(77)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            a = [random_set(rng, k=6, max_size=4) for _ in range(n)]
+            b = [random_set(rng, k=6, max_size=4) for _ in range(n)]
+            single_a, single_b = random_single_dataset(rng)
+            for rep, (a_, b_, weight) in (
+                (weighted_kappa(a, b), (a, b, fraction_weight)),
+                (cohen_kappa(single_a, single_b), (single_a, single_b, lambda p, q: 1.0)),
+            ):
+                cats, observed, expected, weights = loop_tabulation(a_, b_, weight)
+                assert rep.categories == cats
+                assert np.array_equal(rep.observed, observed)
+                assert np.array_equal(rep.expected, expected)
+                assert np.array_equal(rep.weights, weights)
+                den = float((weights * expected).sum())
+                if den > 0.0:
+                    assert rep.kappa == 1.0 - float((weights * observed).sum()) / den
 
     def test_partial_credit_beats_atomic_on_subset_disagreement(self):
         # one subset-relation disagreement; atomic treats it as total

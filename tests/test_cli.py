@@ -1,10 +1,12 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from silicon import cli
+from silicon import __version__, cli
 from silicon.gateway import REPLAY_ENV
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -64,6 +66,15 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             cli.run(["--version"])
         assert exc.value.code == 0
+
+    def test_module_entry_point(self):
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        done = subprocess.run([sys.executable, "-m", "silicon.cli", "--version"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0
+        assert done.stdout.strip() == __version__
 
 
 class TestAgreement:

@@ -149,6 +149,42 @@ class TestDatasetIO:
         with pytest.raises(ValidationError):
             load_dataset(path, MULTI)
 
+    def test_interned_labels_still_fail_on_their_own_line(self, tmp_path):
+        def line(labels, role="expert", item="i"):
+            return json.dumps({"item_id": item, "source": {"role": role, "name": "e"},
+                               "run": 0, "labels": labels}) + "\n"
+
+        path = tmp_path / "bad.jsonl"
+        good = line(["alpha", "beta"], item="i1") + line(["alpha", "beta"], item="i2")
+        cases = [
+            (MULTI, line(["alpha", "omega"]), "omega"),
+            (MULTI, line(["alpha", "beta"], role="boss"), "boss"),
+            (MULTI, line("alpha"), "unknown label 'a'"),
+            (MULTI, line([["alpha"]]), "unknown label"),
+            (SINGLE, line(["alpha", "beta"]), "exactly one label"),
+        ]
+        for spec, bad, message in cases:
+            first = good if spec is MULTI else line(["alpha"], item="i1") + line(["beta"], item="i2")
+            path.write_text(first + bad)
+            with pytest.raises(ValidationError, match="bad.jsonl:3") as exc:
+                load_dataset(path, spec)
+            assert message in str(exc.value)
+
+    def test_repeated_label_lists_give_equal_labels(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        rows = [("i1", ["beta", "alpha"]), ("i2", ["alpha", "beta"]), ("i3", ["alpha", "beta"]),
+                ("i4", ["gamma"])]
+        path.write_text("".join(
+            json.dumps({"item_id": item, "source": {"role": role, "name": "n"},
+                        "run": 0, "labels": labels}) + "\n"
+            for role in ("expert", "crowd") for item, labels in rows))
+        ds = load_dataset(path, MULTI)
+        assert [rec.labels for rec in ds.records] == [
+            LabelValue.of([0, 1]), LabelValue.of([0, 1]), LabelValue.of([0, 1]), LabelValue.of([2]),
+        ] * 2
+        assert [rec.source for rec in ds.records] == (
+            [SourceId(Role.EXPERT, "n")] * 4 + [SourceId(Role.CROWD, "n")] * 4)
+
 
 def _vote_count_oracle(label_sets, n_categories):
     """Independent per-category counting used to freeze expected votes."""

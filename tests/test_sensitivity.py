@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from silicon.agreement import cohen_kappa
+from silicon.agreement import cohen_kappa, kappa_for_kind
 from silicon.core import LabelValue, TaskKind, ValidationError
-from silicon.sensitivity import MixConfig, mix_baseline, sensitivity_curve
+from silicon.sensitivity import MixConfig, _replicate_seed, mix_baseline, sensitivity_curve
 
 
 def S(i):
@@ -102,3 +102,80 @@ class TestSensitivityCurve:
         with pytest.raises(ValidationError):
             sensitivity_curve({"a": S(0)}, {"b": S(0)}, {"b": S(0)},
                               MixConfig(alphas=(0.5,)), TaskKind.MULTICLASS)
+
+
+def curve_oracle(llm, expert, crowd, cfg, kind):
+    """Per-replicate gaps the direct way: mix_baseline, then kappa_for_kind on labels."""
+    items = sorted(set(llm) & set(expert))
+    expert_common = {i: expert[i] for i in items}
+    llm_labels = [llm[i] for i in items]
+    kappa_ref = kappa_for_kind(llm_labels, [expert[i] for i in items], kind).kappa
+    gaps = []
+    for a_idx, alpha in enumerate(cfg.alphas):
+        row = []
+        for rep in range(cfg.replicates):
+            mixed = mix_baseline(expert_common, crowd, alpha, _replicate_seed(cfg.seed, a_idx, rep))
+            row.append(abs(kappa_ref - kappa_for_kind(
+                llm_labels, [mixed[i] for i in items], kind).kappa))
+        gaps.append(tuple(row))
+    return gaps
+
+
+def make_set_maps(n=60, seed=0):
+    """llm and expert use subsets of categories 0-3; the crowd also uses 4 and 5."""
+    rng = np.random.default_rng(seed)
+    items = [f"i{j}" for j in range(n)]
+
+    def draw(k):
+        return LabelValue.of(rng.choice(k, size=int(rng.integers(1, 4)), replace=False))
+
+    expert = {i: draw(4) for i in items}
+    crowd = {i: (expert[i] if rng.random() < 0.5 else draw(6)) for i in items}
+    llm = {i: (expert[i] if rng.random() < 0.6 else draw(4)) for i in items}
+    return llm, expert, crowd, items
+
+
+class TestCurveMatchesDirectOracle:
+    CFG = MixConfig(alphas=(0.0, 0.1, 0.35, 0.5, 0.9, 1.0), replicates=6, seed=4)
+
+    def check(self, llm, expert, crowd, kind):
+        curve = sensitivity_curve(llm, expert, crowd, self.CFG, kind)
+        assert [point.gaps for point in curve] == curve_oracle(llm, expert, crowd, self.CFG, kind)
+
+    def test_single_label_with_crowd_only_categories(self):
+        llm, expert, crowd, items = make_maps(n=50, seed=8)
+        rng = np.random.default_rng(1)
+        for i in items[::4]:
+            crowd[i] = S(int(rng.integers(3, 5)))   # categories neither llm nor expert uses
+        llm["only-llm"] = S(0)                      # outside the shared items
+        crowd["only-crowd"] = S(4)
+        self.check(llm, expert, crowd, TaskKind.MULTICLASS)
+
+    def test_multilabel_with_crowd_only_sets(self):
+        for seed in range(3):
+            llm, expert, crowd, _ = make_set_maps(seed=seed)
+            self.check(llm, expert, crowd, TaskKind.MULTILABEL)
+
+    def test_reference_on_one_category_takes_degenerate_path(self):
+        items = [f"i{j}" for j in range(30)]
+        for kind, one, other in ((TaskKind.MULTICLASS, S(0), S(1)),
+                                 (TaskKind.MULTILABEL, LabelValue.of([0, 2]), LabelValue.of([2]))):
+            llm = {i: one for i in items}
+            expert = {i: one for i in items}
+            crowd = {i: (other if j % 10 == 0 else one) for j, i in enumerate(items)}
+            assert kappa_for_kind(list(llm.values()), list(expert.values()), kind).degenerate
+            self.check(llm, expert, crowd, kind)
+
+    def test_crowd_labels_missing(self):
+        llm, expert, crowd, items = make_maps()
+        del crowd[items[3]]
+        with pytest.raises(ValidationError, match="crowd labels missing"):
+            sensitivity_curve(llm, expert, crowd, self.CFG, TaskKind.MULTICLASS)
+
+    def test_crowd_set_label_rejected_for_single_label_kind_once_mixed_in(self):
+        llm, expert, crowd, items = make_maps()
+        crowd[items[0]] = LabelValue.of([0, 1])
+        only_zero = MixConfig(alphas=(0.0,), replicates=2, seed=0)
+        assert sensitivity_curve(llm, expert, crowd, only_zero, TaskKind.MULTICLASS)[0].mean_gap == 0.0
+        with pytest.raises(ValidationError, match="single labels"):
+            sensitivity_curve(llm, expert, crowd, MixConfig(alphas=(1.0,)), TaskKind.MULTICLASS)
