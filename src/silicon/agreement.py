@@ -16,7 +16,7 @@ are the distinct label sets actually observed, never the power set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -146,24 +146,13 @@ def _kappa_codes(ca: np.ndarray, cb: np.ndarray, cats: Sequence[LabelValue],
     marg_a = observed.sum(axis=1) / n
     marg_b = observed.sum(axis=0) / n
     expected = n * np.outer(marg_a, marg_b)
-    return _finish(cats, observed, expected, weights, n, weighted_flag)
-
-
-def _finish(cats, observed, expected, weights, n, weighted_flag) -> AgreementReport:
     num = float((weights * observed).sum())
     den = float((weights * expected).sum())
-    p_o = 1.0 - num / n
-    p_e = 1.0 - den / n
-    if den <= 0.0:
-        # all mass on one category for both annotators: chance agreement is total
-        kappa = 1.0 if num <= 0.0 else 0.0
-        return AgreementReport(
-            kappa=kappa, p_o=p_o, p_e=p_e, n_items=n, degenerate=True,
-            weighted=weighted_flag, categories=tuple(cats),
-            observed=observed, expected=expected, weights=weights,
-        )
+    # den <= 0: all mass on one category for both annotators, so chance agreement is total
+    degenerate = den <= 0.0
     return AgreementReport(
-        kappa=1.0 - num / den, p_o=p_o, p_e=p_e, n_items=n,
+        kappa=(1.0 if num <= 0.0 else 0.0) if degenerate else 1.0 - num / den,
+        p_o=1.0 - num / n, p_e=1.0 - den / n, n_items=n, degenerate=degenerate,
         weighted=weighted_flag, categories=tuple(cats),
         observed=observed, expected=expected, weights=weights,
     )
@@ -233,14 +222,7 @@ def mean_pairwise_kappa(
         pairs.append(PairKappa(na, nb, rep.kappa, len(common)))
     mean = float(np.mean([p.kappa for p in pairs]))
     if len(pairs) == 1:
-        rep = pair_reports[0]
-        return AgreementReport(
-            kappa=rep.kappa, p_o=rep.p_o, p_e=rep.p_e, n_items=rep.n_items,
-            degenerate=rep.degenerate, weighted=rep.weighted,
-            categories=rep.categories, observed=rep.observed,
-            expected=rep.expected, weights=rep.weights,
-            pairwise=tuple(pairs), mean_kappa=mean,
-        )
+        return replace(pair_reports[0], pairwise=tuple(pairs), mean_kappa=mean)
     n_union = len({i for m in sources.values() for i in m})
     return AgreementReport(
         kappa=mean, p_o=float("nan"), p_e=float("nan"), n_items=n_union,

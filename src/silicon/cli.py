@@ -24,7 +24,6 @@ from .core import (
     Dataset,
     Role,
     SiliconError,
-    SourceId,
     TaskSpec,
     TieRule,
     ValidationError,
@@ -488,8 +487,6 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--task", help="task spec JSON")
     common.add_argument("--seed", type=int, default=None, help="seed for any randomized step")
-    common.add_argument("--replay", action="store_true",
-                        help="answer from the response cache only; any miss is an error")
 
     parser = _Parser(prog="silicon", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -518,6 +515,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--prompt", required=True, help="prompt config JSON")
     p.add_argument("--cache", required=True, help="response cache JSONL")
     p.add_argument("--out", required=True, help="annotation JSONL path")
+    p.add_argument("--replay", action="store_true",
+                   help="answer from the response cache only; any miss is an error")
     p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("fsd", parents=[common],

@@ -60,7 +60,7 @@ class TieRule(str, Enum):
     """How vote ties are broken.
 
     KEEP_FOCAL only makes sense where a focal annotator exists (routing);
-    majority_vote rejects it.
+    majority_vote rejects it unless given a focal label.
     """
 
     LOWEST_INDEX = "lowest-index"
@@ -362,7 +362,8 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def _rng_from_seed(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    """Philox generator for an int seed or a SeedSequence (an int is hashed through one)."""
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def _pick(candidates: list, tie_rule: TieRule, seed, what: str):
@@ -383,6 +384,7 @@ def majority_vote(
     spec: TaskSpec,
     tie_rule: TieRule = TieRule.LOWEST_INDEX,
     seed: int | None = None,
+    focal: LabelValue | None = None,
 ) -> LabelValue:
     """Aggregate one item's labels across annotators.
 
@@ -392,19 +394,28 @@ def majority_vote(
     excludes them, error raises, random-seeded flips a seeded coin per
     category.  If nothing reaches a strict majority the vote falls back to the
     max-count categories (unique argmax wins outright, otherwise tie_rule).
+
+    keep-focal needs the `focal` label (routing passes the focal model's): tied
+    modes keep it when it is among them (else the lowest index wins),
+    exact-half categories follow it, and an empty strict majority keeps it whole.
     """
     if len(labels) == 0:
         raise ValidationError("majority_vote needs at least one label")
-    if tie_rule is TieRule.KEEP_FOCAL:
-        raise ValidationError("keep-focal applies to routing votes, not plain majorities")
+    keep_focal = tie_rule is TieRule.KEEP_FOCAL
+    if keep_focal and focal is None:
+        raise ValidationError("keep-focal needs a focal label; plain majorities have none")
     for lab in labels:
         spec.validate_label(lab)
+    if focal is not None:
+        spec.validate_label(focal)
 
     n = len(labels)
     if spec.kind is not TaskKind.MULTILABEL:
         counts = Counter(lab.index for lab in labels)
         best = max(counts.values())
         cands = sorted(k for k, c in counts.items() if c == best)
+        if keep_focal and focal.index in cands:
+            return focal
         return LabelValue.single(_pick(cands, tie_rule, seed, "modal labels"))
 
     counts = Counter()
@@ -413,9 +424,11 @@ def majority_vote(
     included = {k for k, c in counts.items() if 2 * c > n}
     tied = sorted(k for k, c in counts.items() if 2 * c == n)
     if tied:
-        if tie_rule is TieRule.ERROR:
+        if keep_focal:
+            included.update(k for k in tied if k in focal.indices)
+        elif tie_rule is TieRule.ERROR:
             raise ValidationError(f"per-category ties at exactly half: {tied!r}")
-        if tie_rule is TieRule.RANDOM_SEEDED:
+        elif tie_rule is TieRule.RANDOM_SEEDED:
             if seed is None:
                 raise ValidationError("tie_rule=random-seeded requires a seed")
             rng = _rng_from_seed(seed)
@@ -423,6 +436,8 @@ def majority_vote(
                 if rng.integers(2) == 1:
                     included.add(k)
     if not included:
+        if keep_focal:
+            return focal
         best = max(counts.values())
         cands = sorted(k for k, c in counts.items() if c == best)
         included = {_pick(cands, tie_rule, seed, "max-count categories")}

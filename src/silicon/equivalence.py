@@ -221,19 +221,15 @@ def _irls(x: np.ndarray, y: np.ndarray):
     return beta, converged, it
 
 
-def _cluster_sandwich(x, y, beta, cluster_sizes, correction: str) -> np.ndarray:
+def _cluster_sandwich(x, y, beta, n_clusters: int, correction: str) -> np.ndarray:
     mu = 1.0 / (1.0 + np.exp(-(x @ beta)))
     w = mu * (1.0 - mu)
     bread = np.linalg.inv((x.T * w) @ x)
     resid = (y - mu)[:, None] * x
-    meat = np.zeros((x.shape[1], x.shape[1]))
-    start = 0
-    for size in cluster_sizes:
-        g = resid[start:start + size].sum(axis=0)
-        meat += np.outer(g, g)
-        start += size
+    # clusters are equal-sized consecutive row blocks: one score sum per cluster
+    g = resid.reshape(n_clusters, -1, x.shape[1]).sum(axis=1)
+    meat = g.T @ g
     if correction == "CR1":
-        n_clusters = len(cluster_sizes)
         n_obs, n_par = x.shape
         meat *= (n_clusters / (n_clusters - 1)) * ((n_obs - 1) / (n_obs - n_par))
     elif correction != "CR0":
@@ -314,7 +310,7 @@ def fit_equivalence(
         for col in range(1, j):
             x[model_of == col, col] = 1.0
         beta, converged, n_iter = _irls(x, y)
-        cov = _cluster_sandwich(x, y, beta, [j] * n_items, correction)
+        cov = _cluster_sandwich(x, y, beta, n_items, correction)
         ses = np.sqrt(np.diag(cov))
         intercept, intercept_se = float(beta[0]), float(ses[0])
         for col in range(1, j):

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, _rng_from_seed
 
 __all__ = ["SimConfig", "SimResult", "ContrastReport", "simulate", "contrast", "load_sim_config"]
 
@@ -137,10 +137,7 @@ class SimResult:
 
 
 def _streams(seed: int, count: int = 4) -> list[np.random.Generator]:
-    return [
-        np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(k,))))
-        for k in range(count)
-    ]
+    return [_rng_from_seed(s) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
 def _draw_rows(rows: np.ndarray, picks: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -13,12 +13,11 @@ the auxiliary cost; sweep() measures the actual trade-off.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .agreement import AgreementReport, kappa_for_kind
-from .core import LabelValue, TaskKind, TaskSpec, TieRule, ValidationError, _pick, _rng_from_seed
+from .agreement import kappa_for_kind
+from .core import LabelValue, TaskSpec, TieRule, ValidationError, majority_vote
 
 __all__ = ["RoutingPlan", "RoutingResult", "SweepPoint", "route", "sweep"]
 
@@ -56,47 +55,6 @@ class SweepPoint:
     degenerate: bool = False
 
 
-def _vote_single(votes: Sequence[LabelValue], focal_label: LabelValue,
-                 tie_rule: TieRule, seed) -> LabelValue:
-    counts = Counter(lab.index for lab in votes)
-    best = max(counts.values())
-    cands = sorted(k for k, c in counts.items() if c == best)
-    if len(cands) == 1:
-        return LabelValue.single(cands[0])
-    if tie_rule is TieRule.KEEP_FOCAL:
-        if focal_label.index in cands:
-            return focal_label
-        return LabelValue.single(cands[0])
-    return LabelValue.single(_pick(cands, tie_rule, seed, "modal labels"))
-
-
-def _vote_multilabel(votes: Sequence[LabelValue], focal_label: LabelValue,
-                     tie_rule: TieRule, seed) -> LabelValue:
-    n = len(votes)
-    counts = Counter()
-    for lab in votes:
-        counts.update(lab.indices)
-    included = {k for k, c in counts.items() if 2 * c > n}
-    tied = sorted(k for k, c in counts.items() if 2 * c == n)
-    if tied:
-        if tie_rule is TieRule.KEEP_FOCAL:
-            included |= {k for k in tied if k in focal_label.indices}
-        elif tie_rule is TieRule.ERROR:
-            raise ValidationError(f"per-category ties at exactly half: {tied!r}")
-        elif tie_rule is TieRule.RANDOM_SEEDED:
-            if seed is None:
-                raise ValidationError("tie_rule=random-seeded requires a seed")
-            rng = _rng_from_seed(seed)
-            included |= {k for k in tied if rng.integers(2) == 1}
-    if not included:
-        if tie_rule is TieRule.KEEP_FOCAL:
-            return focal_label
-        best = max(counts.values())
-        cands = sorted(k for k, c in counts.items() if c == best)
-        included = {_pick(cands, tie_rule, seed, "max-count categories")}
-    return LabelValue.of(included)
-
-
 def route(
     plan: RoutingPlan,
     focal_labels: Mapping[str, LabelValue],
@@ -107,11 +65,11 @@ def route(
 ) -> RoutingResult:
     """Escalate low-confidence items (fsd < plan.tau, strictly) to a model vote.
 
-    Votes are the focal label plus one label per auxiliary.  Single-label
-    ties keep the focal label when it is among the modal candidates (default),
-    or follow the plan's tie rule.  Multilabel votes include a category on a
-    strict majority; exact-half ties follow the focal's choice under
-    keep-focal, and an empty strict-majority set keeps the focal label whole.
+    Votes are the focal label plus one label per auxiliary, aggregated by
+    core.majority_vote under the plan's tie rule with the focal label as the
+    keep-focal fallback (the default): single-label ties keep the focal label
+    when it is among the modal candidates; multilabel exact-half categories
+    follow the focal's choice, and an empty strict majority keeps it whole.
     """
     missing_aux = [name for name in plan.auxiliaries if name not in aux_labels]
     if missing_aux:
@@ -132,12 +90,7 @@ def route(
             if item not in aux_labels[name]:
                 raise ValidationError(f"auxiliary {name!r} lacks a label for item {item!r}")
             votes.append(aux_labels[name][item])
-        for lab in votes:
-            spec.validate_label(lab)
-        if spec.kind is TaskKind.MULTILABEL:
-            final[item] = _vote_multilabel(votes, focal_label, plan.tie_rule, seed)
-        else:
-            final[item] = _vote_single(votes, focal_label, plan.tie_rule, seed)
+        final[item] = majority_vote(votes, spec, plan.tie_rule, seed, focal=focal_label)
         routed.add(item)
     return RoutingResult(final=final, routed=frozenset(routed), tau=plan.tau)
 
@@ -155,25 +108,32 @@ def sweep(
     """Agreement-vs-reference and routed fraction at each threshold.
 
     Items are restricted to those present in both focal_labels and reference.
-    The plan's own tau is ignored; each sweep point re-routes at its tau.
+    The plan's own tau is ignored.  An item's vote does not depend on tau, so
+    items are routed once, at the largest tau; each point then takes the voted
+    label where fsd < tau and the focal label elsewhere, exactly as route()
+    at that tau would.
     """
     items = [i for i in focal_labels if i in reference]
     if len(items) < 2:
         raise ValidationError("sweep needs at least 2 items shared with the reference")
+    plans = [replace(plan, tau=float(tau)) for tau in taus]
+    if not plans:
+        return []
     focal = {i: focal_labels[i] for i in items}
+    top = route(max(plans, key=lambda p: p.tau), focal, fsd, aux_labels, spec, seed)
+    ref = [reference[i] for i in items]
     points = []
-    for tau in taus:
-        result = route(replace(plan, tau=float(tau)), focal, fsd, aux_labels, spec, seed)
-        rep: AgreementReport = kappa_for_kind(
-            [result.final[i] for i in items],
-            [reference[i] for i in items],
-            spec.kind,
+    for p in plans:
+        routed = [fsd[i] < p.tau for i in items]
+        rep = kappa_for_kind(
+            [top.final[i] if r else focal[i] for i, r in zip(items, routed)], ref, spec.kind,
         )
+        n_routed = sum(routed)
         points.append(SweepPoint(
-            tau=float(tau),
+            tau=p.tau,
             kappa=rep.kappa,
-            q=len(result.routed) / len(items),
-            n_routed=len(result.routed),
+            q=n_routed / len(items),
+            n_routed=n_routed,
             degenerate=rep.degenerate,
         ))
     return points

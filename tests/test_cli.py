@@ -62,6 +62,12 @@ class TestUsage:
     def test_unknown_flag(self):
         assert cli.run(["agreement", "--nope"]) == 1
 
+    def test_replay_only_on_annotate(self, tmp_path, capsys):
+        args = ["fsd", "--runs", str(tmp_path / "runs.jsonl"), "--out", str(tmp_path / "o")]
+        assert cli.run(args + ["--replay"]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_version_exits_zero(self):
         with pytest.raises(SystemExit) as exc:
             cli.run(["--version"])

@@ -230,6 +230,18 @@ class TestMajorityVoteSingle:
         with pytest.raises(ValidationError):
             majority_vote([LabelValue.single(0)], SINGLE, tie_rule=TieRule.KEEP_FOCAL)
 
+    def test_keep_focal_tie(self):
+        votes = [LabelValue.single(2), LabelValue.single(1), LabelValue.single(0)]
+        keep = TieRule.KEEP_FOCAL
+        assert majority_vote(votes, SINGLE, keep, focal=LabelValue.single(2)).index == 2
+        # a focal label outside the modes does not win; the lowest mode does
+        votes = [LabelValue.single(2), LabelValue.single(1), LabelValue.single(2),
+                 LabelValue.single(1)]
+        assert majority_vote(votes, SINGLE, keep, focal=LabelValue.single(0)).index == 1
+        # without a tie the mode wins whatever the focal label
+        votes = [LabelValue.single(1), LabelValue.single(1), LabelValue.single(0)]
+        assert majority_vote(votes, SINGLE, keep, focal=LabelValue.single(0)).index == 1
+
 
 class TestMajorityVoteMultilabel:
     def test_strict_per_category_majority(self):
@@ -256,6 +268,21 @@ class TestMajorityVoteMultilabel:
             for s in range(32)
         }
         assert outcomes == {LabelValue.of([0]), LabelValue.of([0, 1])}
+
+    def test_exact_half_tie_keep_focal(self):
+        votes = [LabelValue.of([0, 1]), LabelValue.of([1, 2])]
+        # 1 is a strict majority; 0 and 2 sit at exactly half and follow the focal
+        for focal, want in (([0, 1], [0, 1]), ([1, 2], [1, 2]), ([3], [1]), ([0, 2], [0, 1, 2])):
+            got = majority_vote(votes, MULTI, TieRule.KEEP_FOCAL, focal=LabelValue.of(focal))
+            assert got == LabelValue.of(want)
+
+    def test_empty_majority_keep_focal(self):
+        votes = [LabelValue.of([0]), LabelValue.of([1]), LabelValue.of([2])]
+        # nothing reaches a strict majority: the focal label is kept whole,
+        # even one no voter chose
+        for focal in ([1], [2, 3]):
+            got = majority_vote(votes, MULTI, TieRule.KEEP_FOCAL, focal=LabelValue.of(focal))
+            assert got == LabelValue.of(focal)
 
     def test_empty_majority_falls_back_to_argmax(self):
         votes = [LabelValue.of([0]), LabelValue.of([1]), LabelValue.of([2])]

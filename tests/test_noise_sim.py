@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from silicon.core import ValidationError
-from silicon.noise_sim import SimConfig, contrast, simulate
+from silicon.noise_sim import SimConfig, _streams, contrast, simulate
 
 
 def uniform_cfg(k=4, e=0.2, coupling=0.0, n=100_000, seed=0, diag=0.7):
@@ -64,6 +64,19 @@ class TestConstants:
         assert r.chance_rate == 0.0
         assert r.reference_agreement == r.truth_agreement
         assert r.identity_residual == 0.0
+
+
+class TestStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123456789, 2**63 + 5])
+    def test_streams_are_the_spawned_philox_streams(self, seed):
+        # stream k is Philox keyed by SeedSequence(entropy=seed, spawn_key=(k,))
+        streams = _streams(seed)
+        assert len(streams) == 4
+        for k, got in enumerate(streams):
+            want = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(entropy=seed, spawn_key=(k,))))
+            assert np.array_equal(got.random(64), want.random(64))
+            assert np.array_equal(got.integers(0, 1000, 64), want.integers(0, 1000, 64))
 
 
 class TestSimulate:

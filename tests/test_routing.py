@@ -1,9 +1,10 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from silicon.agreement import cohen_kappa
+from silicon.agreement import cohen_kappa, kappa_for_kind
 from silicon.core import LabelValue, TaskKind, TaskSpec, TieRule, ValidationError
 from silicon.routing import RoutingPlan, route, sweep
 
@@ -38,6 +39,12 @@ def random_case(rng, n=200):
     }
     reference = {i: S(int(rng.integers(0, 3))) for i in items}
     return items, focal, fsd, aux, reference
+
+
+def random_label(rng, spec):
+    if spec.kind is TaskKind.MULTILABEL:
+        return LabelValue.of(rng.choice(3, size=int(rng.integers(1, 3)), replace=False))
+    return S(int(rng.integers(0, 3)))
 
 
 class TestPlanValidation:
@@ -163,6 +170,39 @@ class TestSweep:
         want = cohen_kappa([routed.final[i] for i in items],
                            [reference[i] for i in items]).kappa
         assert points[0].kappa == want
+
+    @pytest.mark.parametrize("spec", [SPEC, MSPEC], ids=["multiclass", "multilabel"])
+    @pytest.mark.parametrize("tie_rule", [TieRule.KEEP_FOCAL, TieRule.LOWEST_INDEX,
+                                          TieRule.RANDOM_SEEDED])
+    def test_every_point_equals_route_at_its_tau(self, spec, tie_rule):
+        # three auxiliaries make four voters: modal ties, exact-half categories
+        # and empty strict majorities all occur
+        rng = np.random.default_rng(14)
+        items = [f"i{j}" for j in range(150)]
+        focal = {i: random_label(rng, spec) for i in items}
+        fsd = {i: float(rng.integers(0, 11)) / 10.0 for i in items}
+        aux = {name: {i: random_label(rng, spec) for i in items} for name in ("x", "y", "z")}
+        shared = items[:140]  # the rest have no reference label
+        reference = {i: random_label(rng, spec) for i in shared}
+        plan = RoutingPlan(focal="f", auxiliaries=("x", "y", "z"), tau=0.0, tie_rule=tie_rule)
+        taus = [k / 10 for k in range(11)]
+        points = sweep(plan, taus, focal, fsd, aux, reference, spec, seed=5)
+        assert len(points) == len(taus)
+        for point, tau in zip(points, taus):
+            routed = route(replace(plan, tau=tau), focal, fsd, aux, spec, seed=5)
+            want = kappa_for_kind([routed.final[i] for i in shared],
+                                  [reference[i] for i in shared], spec.kind)
+            n_routed = len(routed.routed & set(shared))
+            assert (point.tau, point.kappa, point.n_routed, point.q, point.degenerate) == (
+                tau, want.kappa, n_routed, n_routed / len(shared), want.degenerate)
+
+    def test_empty_taus_and_bad_tau(self):
+        rng = np.random.default_rng(15)
+        items, focal, fsd, aux, reference = random_case(rng, n=20)
+        plan = RoutingPlan(focal="f", auxiliaries=("x", "y"), tau=0.0)
+        assert sweep(plan, [], focal, fsd, aux, reference, SPEC) == []
+        with pytest.raises(ValidationError):
+            sweep(plan, [0.5, 1.5], focal, fsd, aux, reference, SPEC)
 
     def test_oracle_auxiliaries_reach_perfect_agreement(self):
         # focal is wrong exactly where it is unsure; both auxiliaries equal the
