@@ -261,6 +261,9 @@ def cmd_annotate(args) -> int:
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValidationError(f"{args.items}:{lineno}: bad item ({exc})") from exc
     cache = AnnotationCache(args.cache)
+    if cache.dropped_tail:
+        print(f"warning: {args.cache}: skipped a torn last line ({len(cache.dropped_tail)} "
+              f"bytes); it is cut off before the next append", file=sys.stderr)
     replay = True if args.replay else None
     annotations = annotate(endpoint, cfg, items, cache, replay=replay)
     records, failures = annotations_to_records(annotations, endpoint.name, spec)

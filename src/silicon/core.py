@@ -348,6 +348,10 @@ def load_dataset(path, spec: TaskSpec) -> Dataset:
     return Dataset(spec=spec, records=tuple(records))
 
 
+# One JSON line per record or cache entry: json.dumps(obj, sort_keys=True, ensure_ascii=False).
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     """Emit canonical JSONL. load(save(ds)) reproduces the records exactly."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -358,7 +362,7 @@ def save_dataset(dataset: Dataset, path) -> None:
                 "run": rec.run_index,
                 "labels": rec.labels.to_names(dataset.spec),
             }
-            fh.write(json.dumps(obj, sort_keys=True, ensure_ascii=False) + "\n")
+            fh.write(_JSONL_ENCODER.encode(obj) + "\n")
 
 
 def _rng_from_seed(seed) -> np.random.Generator:

@@ -4,10 +4,11 @@ replayable response cache.
 Prompts combine three strategies (base, persona, chain-of-thought) with two
 guideline placements (system or user message); the guideline text is inserted
 verbatim, never rewritten.  Every raw model response is appended to a JSONL
-cache keyed by a digest of (model, messages, temperature, sample index), so a
-run can be replayed bit-for-bit later without network access: with
-SILICON_REPLAY=1 (or replay=True) the gateway answers from the cache alone and
-a missing key is an error rather than a network call.
+cache as soon as it arrives, keyed by a digest of (model, messages,
+temperature, sample index), so a run can be replayed bit-for-bit later without
+network access: with SILICON_REPLAY=1 (or replay=True) the gateway answers from
+the cache alone and a missing key is an error rather than a network call.  The
+digest of one prompt's messages is computed once and shared by its samples.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -29,7 +31,7 @@ from typing import Callable, Mapping, Sequence
 import requests
 
 from .core import LabelValue, Role, SiliconError, SourceId, TaskKind, TaskSpec, ValidationError
-from .core import AnnotationRecord
+from .core import _JSONL_ENCODER, AnnotationRecord
 
 __all__ = [
     "GatewayError",
@@ -67,7 +69,14 @@ class GatewayError(SiliconError):
 
 
 class TransportError(GatewayError):
-    pass
+    """A failed request.  retryable says whether sending it again may succeed;
+    retry_after is the server's minimum wait in seconds before doing so, if given.
+    """
+
+    def __init__(self, message: str, retryable: bool = True, retry_after: float | None = None):
+        super().__init__(message)
+        self.retryable = retryable
+        self.retry_after = retry_after
 
 
 class AuthError(GatewayError):
@@ -76,6 +85,10 @@ class AuthError(GatewayError):
 
 class ReplayCacheMiss(GatewayError):
     pass
+
+
+class _Aborted(Exception):
+    """Raised inside a worker when another part of annotate() has already failed."""
 
 
 class Strategy(str, Enum):
@@ -183,21 +196,39 @@ def assemble_prompt(cfg: PromptConfig, item_text: str) -> list[dict[str, str]]:
     ]
 
 
+# Canonical key JSON: sorted keys, ASCII, no spaces; one encoder for every key.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+
+
+def _prompt_hash(model: str, messages: Sequence[Mapping[str, str]]):
+    """sha256 state after the part of the key JSON shared by every sample of a prompt.
+
+    With sorted keys the JSON reads {"messages":..,"model":..,"sample_index":..,
+    "temperature":..}, so everything up to `"sample_index":` depends on the
+    prompt alone; _key_tail supplies the rest.
+    """
+    head = _KEY_ENCODER.encode({
+        "messages": [{"role": m["role"], "content": m["content"]} for m in messages],
+        "model": model,
+    })
+    return hashlib.sha256(head[:-1].encode("ascii") + b',"sample_index":')
+
+
+def _key_tail(sample_index: int, temperature: float) -> bytes:
+    return (f"{_KEY_ENCODER.encode(sample_index)},"
+            f'"temperature":{_KEY_ENCODER.encode(temperature)}}}').encode("ascii")
+
+
 def cache_key(model: str, messages: Sequence[Mapping[str, str]], temperature: float,
               sample_index: int) -> str:
-    """Digest identifying one sample of one prompt; stable across runs and machines."""
-    canonical = json.dumps(
-        {
-            "model": model,
-            "messages": [{"role": m["role"], "content": m["content"]} for m in messages],
-            "temperature": temperature,
-            "sample_index": sample_index,
-        },
-        sort_keys=True,
-        ensure_ascii=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canonical.encode("ascii")).hexdigest()
+    """Digest identifying one sample of one prompt; stable across runs and machines.
+
+    It is the sha256 of json.dumps({"model", "messages", "temperature",
+    "sample_index"}, sort_keys=True, ensure_ascii=True, separators=(",", ":")).
+    """
+    digest = _prompt_hash(model, messages)
+    digest.update(_key_tail(sample_index, temperature))
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -296,6 +327,11 @@ class AnnotationCache:
     The first line is a header naming the digest algorithm; each following
     line is one CacheEntry.  Writes are serialized through one lock; existing
     entries are never rewritten (duplicate keys keep the first occurrence).
+
+    A final line that has no newline and does not decode is what a kill
+    mid-append leaves behind: it is skipped on load, kept in dropped_tail,
+    and cut off the file before the next append.  Any other undecodable line
+    is an error naming its line number.
     """
 
     def __init__(self, path):
@@ -303,37 +339,49 @@ class AnnotationCache:
         self._lock = threading.Lock()
         self._entries: dict[str, CacheEntry] = {}
         self._header_written = False
+        self.dropped_tail = b""
+        self._torn_at: int | None = None     # file offset of dropped_tail, until cut off
+        self._unterminated = False           # last line is complete but lacks its newline
         if os.path.exists(self.path):
             self._load()
 
     def _load(self):
-        with open(self.path, encoding="utf-8") as fh:
-            lines = [ln for ln in (l.strip() for l in fh) if ln]
-        if not lines:
-            return
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{self.path}: bad cache header ({exc})") from exc
-        if header.get("cache_format") != 1 or header.get("digest") != _DIGEST:
-            raise ValidationError(f"{self.path}: unsupported cache header {header!r}")
-        self._header_written = True
-        for lineno, line in enumerate(lines[1:], start=2):
-            try:
-                obj = json.loads(line)
-                entry = CacheEntry(
-                    key=obj["key"],
-                    model=obj["model"],
-                    temperature=float(obj["temperature"]),
-                    sample_index=int(obj["sample_index"]),
-                    raw_response=obj["raw_response"],
-                    parsed=tuple(obj["parsed"]) if obj.get("parsed") is not None else None,
-                    failure=obj.get("failure"),
-                    created=obj.get("created", ""),
-                )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise ValidationError(f"{self.path}:{lineno}: bad cache entry ({exc})") from exc
-            self._entries.setdefault(entry.key, entry)
+        offset = 0
+        with open(self.path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                start, offset = offset, offset + len(raw)
+                if not raw.strip():
+                    continue
+                terminated = raw.endswith(b"\n")
+                try:
+                    obj = json.loads(raw.decode("utf-8"))
+                except ValueError as exc:
+                    if terminated:
+                        what = "cache entry" if self._header_written else "cache header"
+                        raise ValidationError(f"{self.path}:{lineno}: bad {what} ({exc})") from exc
+                    self.dropped_tail, self._torn_at = raw, start
+                    return
+                self._unterminated = not terminated
+                if not self._header_written:
+                    if (not isinstance(obj, dict) or obj.get("cache_format") != 1
+                            or obj.get("digest") != _DIGEST):
+                        raise ValidationError(f"{self.path}: unsupported cache header {obj!r}")
+                    self._header_written = True
+                    continue
+                try:
+                    entry = CacheEntry(
+                        key=obj["key"],
+                        model=obj["model"],
+                        temperature=float(obj["temperature"]),
+                        sample_index=int(obj["sample_index"]),
+                        raw_response=obj["raw_response"],
+                        parsed=tuple(obj["parsed"]) if obj.get("parsed") is not None else None,
+                        failure=obj.get("failure"),
+                        created=obj.get("created", ""),
+                    )
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValidationError(f"{self.path}:{lineno}: bad cache entry ({exc})") from exc
+                self._entries.setdefault(entry.key, entry)
 
     def __len__(self):
         return len(self._entries)
@@ -341,20 +389,36 @@ class AnnotationCache:
     def get(self, key: str) -> CacheEntry | None:
         return self._entries.get(key)
 
-    def put(self, entry: CacheEntry) -> None:
+    def put(self, *entries: CacheEntry) -> None:
+        """Append the entries whose keys are new, with one open of the file."""
         with self._lock:
-            if entry.key in self._entries:
+            new = {}
+            for entry in entries:
+                if entry.key not in self._entries:
+                    new.setdefault(entry.key, entry)
+            if not new:
                 return
+            if self._torn_at is not None:
+                os.truncate(self.path, self._torn_at)
+                self._torn_at = None
             with open(self.path, "a", encoding="utf-8") as fh:
+                if self._unterminated:
+                    fh.write("\n")
+                    self._unterminated = False
                 if not self._header_written:
                     fh.write(json.dumps({"cache_format": 1, "digest": _DIGEST}) + "\n")
                     self._header_written = True
-                fh.write(json.dumps(entry.to_json(), sort_keys=True, ensure_ascii=False) + "\n")
-            self._entries[entry.key] = entry
+                for entry in new.values():
+                    fh.write(_JSONL_ENCODER.encode(entry.to_json()) + "\n")
+            self._entries.update(new)
 
 
 class HttpTransport:
-    """POSTs to {base_url}/v1/chat/completions with a bearer token."""
+    """POSTs to {base_url}/v1/chat/completions with a bearer token.
+
+    HTTP 429 and 5xx are retryable TransportErrors, carrying a numeric
+    Retry-After header as retry_after; any other 4xx is not retried.
+    """
 
     def __init__(self, endpoint: ModelEndpoint):
         self.endpoint = endpoint
@@ -371,14 +435,28 @@ class HttpTransport:
             )
         except requests.RequestException as exc:
             raise TransportError(f"request failed: {exc}") from exc
-        if resp.status_code in (401, 403):
-            raise AuthError(f"authentication rejected (HTTP {resp.status_code})")
-        if resp.status_code >= 400:
-            raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+        status = resp.status_code
+        if status in (401, 403):
+            raise AuthError(f"authentication rejected (HTTP {status})")
+        if status >= 400:
+            retryable = status == 429 or status >= 500
+            raise TransportError(
+                f"HTTP {status}: {resp.text[:200]}", retryable=retryable,
+                retry_after=_seconds(resp.headers.get("Retry-After")) if retryable else None,
+            )
         try:
             return resp.json()
         except ValueError as exc:
             raise TransportError(f"non-JSON response: {resp.text[:200]}") from exc
+
+
+def _seconds(value: str | None) -> float | None:
+    """A Retry-After header given in seconds; None when absent or an HTTP date."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if 0 <= seconds < math.inf else None
 
 
 class ScriptedTransport:
@@ -416,19 +494,39 @@ class ItemAnnotation:
         return [s.label for s in self.samples if s.label is not None]
 
 
-def _call_with_retries(transport, payload: dict, policy: RetryPolicy) -> dict:
-    last: TransportError | None = None
-    for attempt in range(policy.max_attempts):
+def _call_with_retries(transport, payload: dict, policy: RetryPolicy,
+                       abort: threading.Event) -> dict:
+    """transport.post(payload), sent again after each retryable TransportError.
+
+    The wait before a retry is the policy's backoff for that attempt, raised to
+    the server's Retry-After when that is longer.  No attempt starts once abort
+    is set.
+    """
+    attempt = 0
+    while True:
+        if abort.is_set():
+            raise _Aborted
         try:
             return transport.post(payload)
-        except AuthError:
-            raise
         except TransportError as exc:
-            last = exc
-            if attempt + 1 < policy.max_attempts and policy.backoff:
-                time.sleep(policy.backoff[min(attempt, len(policy.backoff) - 1)])
-    assert last is not None
-    raise last
+            attempt += 1
+            if not exc.retryable or attempt == policy.max_attempts:
+                raise
+            delay = policy.backoff[min(attempt, len(policy.backoff)) - 1] if policy.backoff else 0.0
+            if exc.retry_after is not None:
+                delay = max(delay, exc.retry_after)
+            if delay > 0:
+                time.sleep(delay)
+
+
+def _choice_texts(resp: dict, n: int) -> list[str]:
+    try:
+        texts = [c["message"]["content"] for c in resp["choices"]]
+    except (KeyError, TypeError) as exc:
+        raise TransportError(f"malformed response shape: {exc}") from exc
+    if len(texts) != n:
+        raise TransportError(f"asked for {n} choices, got {len(texts)}")
+    return texts
 
 
 def _now() -> str:
@@ -445,12 +543,19 @@ def annotate(
 ) -> list[ItemAnnotation]:
     """Collect cfg.n_samples labels per (item_id, text), cache-first.
 
-    Cache misses go to the endpoint with at most max_in_flight concurrent
-    requests; every raw response is appended to the cache before use.  In
-    replay mode (replay=True or SILICON_REPLAY=1) a miss raises
-    ReplayCacheMiss and no transport is ever constructed.  Transport failures
-    that survive the retry policy mark the affected samples as failures and
-    the run continues; authentication errors abort.
+    Each prompt's messages are hashed once; a sample's key extends that hash
+    with its index and temperature.  Cache misses go to the endpoint with at
+    most max_in_flight concurrent requests, sent before the cache hits are
+    parsed.  The worker that receives a response parses it and appends its
+    entries to the cache at once, so a response that arrived is kept whatever
+    happens to the rest of the run.  Each distinct response text is parsed
+    once per call.  In replay mode (replay=True or SILICON_REPLAY=1) a miss
+    raises ReplayCacheMiss and no transport is ever constructed.  A request
+    whose transport failure survives the retry policy marks its samples (and
+    any later ones of its item) as failures and the run continues.  An
+    authentication error or an interrupt aborts: queued requests are dropped,
+    no request starts after the abort, and the ones in flight are waited for
+    and cached before the error is raised.
     """
     if replay is None:
         replay = os.environ.get(REPLAY_ENV, "") == "1"
@@ -459,111 +564,115 @@ def annotate(
         raise ValidationError("duplicate item_ids in annotate input")
 
     prompts = {item_id: assemble_prompt(cfg, text) for item_id, text in items}
-    keys = {
-        (item_id, s): cache_key(endpoint.name, prompts[item_id], cfg.temperature, s)
-        for item_id, _ in items
-        for s in range(cfg.n_samples)
-    }
-    results: dict[tuple[str, int], SampleResult] = {}
-    missing: dict[str, list[int]] = {}
-    for (item_id, s), key in keys.items():
-        entry = cache.get(key)
-        if entry is None:
-            missing.setdefault(item_id, []).append(s)
-            continue
-        parsed = parse_response(entry.raw_response, cfg.task)
-        results[(item_id, s)] = SampleResult(
-            sample_index=s,
-            raw=entry.raw_response,
-            label=parsed if isinstance(parsed, LabelValue) else None,
-            failure=parsed.reason if isinstance(parsed, ParseFailure) else None,
-            from_cache=True,
+    tails = [_key_tail(s, cfg.temperature) for s in range(cfg.n_samples)]
+    results: dict[str, list[SampleResult | None]] = {}
+    hits: list[tuple[str, int, str]] = []
+    missing: dict[str, list[tuple[int, str]]] = {}  # item_id -> [(sample index, key)]
+    for item_id, messages in prompts.items():
+        prompt_hash = _prompt_hash(endpoint.name, messages)
+        for s, tail in enumerate(tails):
+            digest = prompt_hash.copy()
+            digest.update(tail)
+            key = digest.hexdigest()
+            entry = cache.get(key)
+            if entry is None:
+                missing.setdefault(item_id, []).append((s, key))
+            else:
+                hits.append((item_id, s, entry.raw_response))
+        results[item_id] = [None] * cfg.n_samples
+
+    if missing and replay:
+        item_id = next(iter(missing))
+        raise ReplayCacheMiss(
+            f"{sum(len(v) for v in missing.values())} samples absent from cache "
+            f"(first: item={item_id!r} sample={missing[item_id][0][0]}); "
+            f"replay mode refuses network calls"
         )
 
-    if missing:
-        if replay:
-            item_id = next(iter(missing))
-            raise ReplayCacheMiss(
-                f"{sum(len(v) for v in missing.values())} samples absent from cache "
-                f"(first: item={item_id!r} sample={missing[item_id][0]}); "
-                f"replay mode refuses network calls"
+    outcomes: dict[str, tuple[LabelValue | None, str | None]] = {}
+
+    def outcome(raw: str) -> tuple[LabelValue | None, str | None]:
+        """(label, failure reason) of one response text; parse_response is pure."""
+        known = outcomes.get(raw)
+        if known is None:
+            parsed = parse_response(raw, cfg.task)
+            known = outcomes[raw] = (
+                (parsed, None) if isinstance(parsed, LabelValue) else (None, parsed.reason)
             )
-        if transport is None:
-            transport = HttpTransport(endpoint)
+        return known
 
-        def fetch(item_id: str, sample_indices: list[int]):
-            messages = prompts[item_id]
-            if endpoint.supports_n:
-                payload = {
-                    "model": endpoint.name,
-                    "messages": messages,
-                    "temperature": cfg.temperature,
-                    "n": len(sample_indices),
-                }
-                resp = _call_with_retries(transport, payload, endpoint.retry)
-                try:
-                    texts = [c["message"]["content"] for c in resp["choices"]]
-                except (KeyError, TypeError) as exc:
-                    raise TransportError(f"malformed response shape: {exc}") from exc
-                if len(texts) != len(sample_indices):
-                    raise TransportError(
-                        f"asked for {len(sample_indices)} choices, got {len(texts)}"
-                    )
-                return texts
-            texts = []
-            for _ in sample_indices:
-                payload = {
-                    "model": endpoint.name,
-                    "messages": messages,
-                    "temperature": cfg.temperature,
-                    "n": 1,
-                }
-                resp = _call_with_retries(transport, payload, endpoint.retry)
-                try:
-                    texts.append(resp["choices"][0]["message"]["content"])
-                except (KeyError, TypeError, IndexError) as exc:
-                    raise TransportError(f"malformed response shape: {exc}") from exc
-            return texts
+    abort = threading.Event()
 
-        order = [item_id for item_id, _ in items if item_id in missing]
-        with ThreadPoolExecutor(max_workers=endpoint.max_in_flight) as pool:
-            futures = {item_id: pool.submit(fetch, item_id, missing[item_id]) for item_id in order}
-            for item_id in order:
-                sample_indices = missing[item_id]
-                try:
-                    texts = futures[item_id].result()
-                except TransportError as exc:
-                    for s in sample_indices:
-                        results[(item_id, s)] = SampleResult(
-                            sample_index=s, raw="", label=None,
-                            failure=f"transport: {exc}", from_cache=False,
-                        )
-                    continue
-                for s, text in zip(sample_indices, texts):
-                    parsed = parse_response(text, cfg.task)
-                    label = parsed if isinstance(parsed, LabelValue) else None
-                    failure = parsed.reason if isinstance(parsed, ParseFailure) else None
-                    cache.put(CacheEntry(
-                        key=keys[(item_id, s)],
-                        model=endpoint.name,
-                        temperature=cfg.temperature,
-                        sample_index=s,
-                        raw_response=text,
-                        parsed=tuple(label.to_names(cfg.task)) if label else None,
-                        failure=failure,
-                        created=_now(),
-                    ))
-                    results[(item_id, s)] = SampleResult(
-                        sample_index=s, raw=text, label=label,
-                        failure=failure, from_cache=False,
-                    )
+    def fetch(item_id: str, wanted: list[tuple[int, str]]):
+        batches = [wanted] if endpoint.supports_n else [[w] for w in wanted]
+        fetched: list[SampleResult] = []
+        for batch in batches:
+            payload = {
+                "model": endpoint.name,
+                "messages": prompts[item_id],
+                "temperature": cfg.temperature,
+                "n": len(batch),
+            }
+            try:
+                resp = _call_with_retries(transport, payload, endpoint.retry, abort)
+                texts = _choice_texts(resp, len(batch))
+            except _Aborted:
+                break  # annotate is raising already; these results are never read
+            except TransportError as exc:
+                fetched += [
+                    SampleResult(sample_index=s, raw="", label=None,
+                                 failure=f"transport: {exc}", from_cache=False)
+                    for s, _ in wanted[len(fetched):]
+                ]
+                break
+            except BaseException:  # AuthError, or anything else that ends the run
+                abort.set()
+                raise
+            entries = []
+            for (s, key), text in zip(batch, texts):
+                label, failure = outcome(text)
+                entries.append(CacheEntry(
+                    key=key,
+                    model=endpoint.name,
+                    temperature=cfg.temperature,
+                    sample_index=s,
+                    raw_response=text,
+                    parsed=tuple(label.to_names(cfg.task)) if label is not None else None,
+                    failure=failure,
+                    created=_now(),
+                ))
+                fetched.append(SampleResult(
+                    sample_index=s, raw=text, label=label, failure=failure, from_cache=False,
+                ))
+            cache.put(*entries)
+        return item_id, fetched
+
+    pool, futures = None, []
+    try:
+        if missing:
+            if transport is None:
+                transport = HttpTransport(endpoint)
+            pool = ThreadPoolExecutor(max_workers=endpoint.max_in_flight)
+            futures = [pool.submit(fetch, item_id, missing[item_id]) for item_id in missing]
+        for item_id, s, raw in hits:
+            label, failure = outcome(raw)
+            results[item_id][s] = SampleResult(
+                sample_index=s, raw=raw, label=label, failure=failure, from_cache=True,
+            )
+        for future in as_completed(futures):
+            item_id, fetched = future.result()
+            for sample in fetched:
+                results[item_id][sample.sample_index] = sample
+    except BaseException:
+        abort.set()
+        raise
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     return [
-        ItemAnnotation(
-            item_id=item_id,
-            samples=tuple(results[(item_id, s)] for s in range(cfg.n_samples)),
-        )
-        for item_id, _ in items
+        ItemAnnotation(item_id=item_id, samples=tuple(samples))
+        for item_id, samples in results.items()
     ]
 
 

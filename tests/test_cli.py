@@ -209,6 +209,20 @@ class TestAnnotateReplay:
         # the replay run must never grow the cache
         assert cache.read_bytes() == (DATA / "replay_cache.jsonl").read_bytes()
 
+    def test_replay_survives_torn_last_line(self, tmp_path, capsys):
+        clean_out = tmp_path / "clean.jsonl"
+        clean_cache = tmp_path / "clean_cache.jsonl"
+        clean_cache.write_bytes((DATA / "replay_cache.jsonl").read_bytes())
+        assert cli.run(self.args(tmp_path, clean_cache, clean_out)) == 0
+        torn = (DATA / "replay_cache.jsonl").read_bytes() + b'{"key": "0123", "mod'
+        cache = tmp_path / "cache.jsonl"
+        cache.write_bytes(torn)
+        out = tmp_path / "focal.jsonl"
+        assert cli.run(self.args(tmp_path, cache, out)) == 0
+        assert "torn last line (20 bytes)" in capsys.readouterr().err
+        assert out.read_bytes() == clean_out.read_bytes()
+        assert cache.read_bytes() == torn  # replay appends nothing, so nothing is cut
+
     def test_replay_miss_is_gateway_error(self, tmp_path, capsys):
         cache = tmp_path / "empty.jsonl"
         out = tmp_path / "focal.jsonl"

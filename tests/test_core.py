@@ -102,6 +102,26 @@ class TestDatasetIO:
         save_dataset(loaded, path2)
         assert path.read_text() == path2.read_text()
 
+    def test_bytes_match_per_record_json_dumps(self, tmp_path):
+        labels = ("naïve", "Übersicht", "日本")
+        spec = make_spec("multilabel", labels)
+        src = SourceId(role=Role.MODEL, name="modèle-α")
+        records = (
+            AnnotationRecord("café-1", src, LabelValue.of([0, 2]), run_index=0),
+            AnnotationRecord("ß“2”", src, LabelValue.single(1), run_index=3),
+            AnnotationRecord("plain", SourceId(role=Role.EXPERT, name="e1"),
+                             LabelValue.of([0, 1, 2])),
+        )
+        path = tmp_path / "ann.jsonl"
+        save_dataset(Dataset(spec=spec, records=records), path)
+        expected = "".join(
+            json.dumps({"item_id": r.item_id, "source": r.source.to_json(),
+                        "run": r.run_index, "labels": r.labels.to_names(spec)},
+                       sort_keys=True, ensure_ascii=False) + "\n"
+            for r in records
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+
     def test_duplicate_key_rejected(self):
         spec = make_spec()
         rec = self._records(spec)

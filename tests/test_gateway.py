@@ -1,10 +1,14 @@
+import hashlib
 import itertools
 import json
+import threading
+import time
 from importlib import resources
 
 import pytest
 import requests
 
+import silicon.gateway as gateway
 from silicon.core import LabelValue, TaskKind, TaskSpec, ValidationError
 from silicon.gateway import (
     REPLAY_ENV,
@@ -18,6 +22,7 @@ from silicon.gateway import (
     PromptConfig,
     ReplayCacheMiss,
     RetryPolicy,
+    SampleResult,
     ScriptedTransport,
     Strategy,
     TransportError,
@@ -42,6 +47,10 @@ PERSONA = "You are a meticulous crowd-work annotator."
 ITEM = "The café was fine, I guess.\nSecond line of the item."
 
 
+LAYOUTS = list(itertools.product((Strategy.BASE, Strategy.PERSONA, Strategy.COT),
+                                 (Placement.SYSTEM, Placement.USER)))
+
+
 def template_text(name):
     return (resources.files("silicon.templates") / name).read_text(
         encoding="utf-8").rstrip("\n")
@@ -62,9 +71,7 @@ def make_endpoint(**kw):
 
 
 class TestPromptAssembly:
-    @pytest.mark.parametrize("strategy,placement", list(itertools.product(
-        (Strategy.BASE, Strategy.PERSONA, Strategy.COT),
-        (Placement.SYSTEM, Placement.USER))))
+    @pytest.mark.parametrize("strategy,placement", LAYOUTS)
     def test_guideline_verbatim_in_every_layout(self, strategy, placement):
         cfg = make_cfg(strategy=strategy, placement=placement,
                        persona_text=PERSONA if strategy is Strategy.PERSONA else None)
@@ -124,7 +131,51 @@ class TestPromptAssembly:
             make_cfg(temperature=-0.5)
 
 
+def per_sample_key(model, messages, temperature, sample_index):
+    """The key formula as first defined: one json.dumps of the whole request per sample."""
+    canonical = json.dumps(
+        {
+            "model": model,
+            "messages": [{"role": m["role"], "content": m["content"]} for m in messages],
+            "temperature": temperature,
+            "sample_index": sample_index,
+        },
+        sort_keys=True,
+        ensure_ascii=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(canonical.encode("ascii")).hexdigest()
+
+
+KEY_TEXTS = (ITEM, "日本語の投稿 😀 — “quoted”\ttab", "plain ascii")
+TEMPERATURES = (0, 1, 1.0, 0.7)
+
+
 class TestCacheKey:
+    @pytest.mark.parametrize("strategy,placement", LAYOUTS)
+    def test_matches_per_sample_formula(self, strategy, placement):
+        cfg = make_cfg(strategy=strategy, placement=placement,
+                       persona_text=PERSONA if strategy is Strategy.PERSONA else None)
+        for text, temperature, s in itertools.product(KEY_TEXTS, TEMPERATURES, range(5)):
+            messages = assemble_prompt(cfg, text)
+            for model in ("mock-a", "modèle-β"):
+                assert (cache_key(model, messages, temperature, s)
+                        == per_sample_key(model, messages, temperature, s))
+
+    @pytest.mark.parametrize("temperature", TEMPERATURES)
+    def test_annotate_writes_per_sample_formula_keys(self, tmp_path, temperature):
+        cfg = make_cfg(temperature=temperature, n_samples=5)
+        items = [(f"k{i}", text) for i, text in enumerate(KEY_TEXTS)]
+        path = tmp_path / "cache.jsonl"
+        annotate(make_endpoint(), cfg, items, AnnotationCache(path),
+                 transport=ScriptedTransport(lambda m, c, i: "positive"))
+        cache = AnnotationCache(path)
+        assert len(cache) == 5 * len(items)
+        for (item_id, text), s in itertools.product(items, range(5)):
+            key = per_sample_key("mock-a", assemble_prompt(cfg, text), temperature, s)
+            entry = cache.get(key)
+            assert entry is not None and entry.sample_index == s
+
     def test_shape_and_determinism(self):
         messages = assemble_prompt(make_cfg(), ITEM)
         key = cache_key("mock-a", messages, 0.0, 0)
@@ -266,6 +317,74 @@ class TestAnnotationCache:
         cache = AnnotationCache(tmp_path / "absent.jsonl")
         assert len(cache) == 0 and cache.get("k") is None
 
+    HEADER = json.dumps({"cache_format": 1, "digest": "sha256"}) + "\n"
+
+    def line(self, key, raw="positive"):
+        return json.dumps(self.entry(key=key, raw=raw).to_json(),
+                          sort_keys=True, ensure_ascii=False) + "\n"
+
+    def test_put_many_appends_new_keys_once(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = AnnotationCache(path)
+        cache.put(self.entry("k1", raw="first"))
+        cache.put(self.entry("k2"), self.entry("k1", raw="second"),
+                  self.entry("k3"), self.entry("k2", raw="again"))
+        assert path.read_text(encoding="utf-8") == (
+            self.HEADER + self.line("k1", "first") + self.line("k2") + self.line("k3"))
+        assert AnnotationCache(path).get("k1").raw_response == "first"
+
+    def test_torn_tail_dropped_on_reload(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        torn = self.line("k3").encode("utf-8")[:30]
+        path.write_bytes((self.HEADER + self.line("k1") + self.line("k2")).encode("utf-8") + torn)
+        for _ in range(2):  # loading alone leaves the file as it is
+            cache = AnnotationCache(path)
+            assert len(cache) == 2 and cache.get("k2").raw_response == "positive"
+            assert cache.dropped_tail == torn
+        assert path.read_bytes().endswith(torn)
+
+    def test_torn_tail_cut_before_next_put(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        whole = self.line("k2", raw="très “positive”").encode("utf-8")
+        torn = whole[:whole.index("è".encode("utf-8")) + 1]  # ends inside a UTF-8 character
+        path.write_bytes((self.HEADER + self.line("k1")).encode("utf-8") + torn)
+        cache = AnnotationCache(path)
+        assert cache.dropped_tail == torn
+        cache.put(self.entry("k2"), self.entry("k3"))
+        cache.put(self.entry("k4"))
+        assert path.read_text(encoding="utf-8") == (
+            self.HEADER + self.line("k1") + self.line("k2") + self.line("k3") + self.line("k4"))
+        reloaded = AnnotationCache(path)
+        assert len(reloaded) == 4 and reloaded.dropped_tail == b""
+
+    def test_torn_header_starts_over(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(self.HEADER[:12], encoding="utf-8")
+        cache = AnnotationCache(path)
+        assert len(cache) == 0 and cache.dropped_tail == self.HEADER[:12].encode("utf-8")
+        cache.put(self.entry("k1"))
+        assert path.read_text(encoding="utf-8") == self.HEADER + self.line("k1")
+
+    def test_unterminated_complete_entry_kept(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(self.HEADER + self.line("k1").rstrip("\n"), encoding="utf-8")
+        cache = AnnotationCache(path)
+        assert len(cache) == 1 and cache.dropped_tail == b""
+        cache.put(self.entry("k2"))
+        assert path.read_text(encoding="utf-8") == (
+            self.HEADER + self.line("k1") + self.line("k2"))
+
+    def test_mid_file_garbage_names_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(self.HEADER + self.line("k1") + '{"key": "k2", "mod\n'
+                        + self.line("k3"), encoding="utf-8")
+        with pytest.raises(ValidationError, match=":3:"):
+            AnnotationCache(path)
+        # a complete final line that is not an entry is corruption, not a torn write
+        path.write_text(self.HEADER + self.line("k1") + '{"key": "k2"}', encoding="utf-8")
+        with pytest.raises(ValidationError, match=":3:"):
+            AnnotationCache(path)
+
 
 def scripted(mapping_default="positive"):
     """Transport whose text depends on the item text and choice index."""
@@ -391,6 +510,91 @@ class TestAnnotate:
         # parse failures are still cached (the raw text is the artifact)
         assert len(cache) == 6
 
+    @pytest.mark.parametrize("supports_n", [True, False])
+    def test_matches_per_sample_parse(self, tmp_path, monkeypatch, supports_n):
+        replies = ["positive", "negative", "mumble", "labels: [neutral]",
+                   "positive or negative?", "", "Neutral."]
+
+        def reply(item_text, choice_index):
+            return replies[(len(item_text) + 2 * choice_index) % len(replies)]
+
+        def script(messages, call_index, choice_index):
+            return reply(messages[-1]["content"], choice_index)
+
+        items = [(f"i{k}", "text" + "!" * k) for k in range(20)]
+        cfg = make_cfg(n_samples=5)
+        endpoint = make_endpoint(supports_n=supports_n, max_in_flight=3)
+        path = tmp_path / "cache.jsonl"
+        fill = annotate(endpoint, cfg, items, AnnotationCache(path),
+                        transport=ScriptedTransport(script))
+        parsed_texts = []
+        parse = gateway.parse_response
+        monkeypatch.setattr(gateway, "parse_response",
+                            lambda raw, spec: parsed_texts.append(raw) or parse(raw, spec))
+        replay = annotate(endpoint, cfg, items, AnnotationCache(path), replay=True)
+
+        distinct = set()
+        for anns, from_cache in ((fill, False), (replay, True)):
+            assert [a.item_id for a in anns] == [item_id for item_id, _ in items]
+            for ann, (_, text) in zip(anns, items):
+                expected = []
+                for s in range(cfg.n_samples):
+                    raw = reply(text, s if supports_n else 0)
+                    distinct.add(raw)
+                    out = parse_response(raw, SPEC)
+                    expected.append(SampleResult(
+                        sample_index=s, raw=raw,
+                        label=out if isinstance(out, LabelValue) else None,
+                        failure=out.reason if isinstance(out, ParseFailure) else None,
+                        from_cache=from_cache))
+                assert list(ann.samples) == expected
+        # one parse per distinct response text, not one per sample
+        assert sorted(parsed_texts) == sorted(distinct)
+
+    @pytest.mark.parametrize("supports_n", [True, False])
+    @pytest.mark.parametrize("abort_with", [AuthError, KeyboardInterrupt])
+    def test_abort_stops_pool_and_keeps_served_responses(self, tmp_path, abort_with,
+                                                         supports_n):
+        items = [(f"i{k:02d}", f"text {k:02d}") for k in range(50)]
+        cfg = make_cfg(n_samples=3)
+        per_request = cfg.n_samples if supports_n else 1
+        answers = ["positive", "negative", "neutral"]
+        events, lock = [], threading.Lock()
+
+        def script(messages, call_index, choice_index):
+            item = messages[-1]["content"]
+            with lock:
+                if choice_index == 0:
+                    events.append(("start", item))
+                if item == "text 10":
+                    events.append(("abort", item))
+                    raise abort_with("rejected")
+            time.sleep(0.003)
+            if choice_index == per_request - 1:
+                with lock:
+                    events.append(("served", item))
+            return answers[choice_index]
+
+        path = tmp_path / "cache.jsonl"
+        with pytest.raises(abort_with):
+            annotate(make_endpoint(max_in_flight=2, supports_n=supports_n), cfg, items,
+                     AnnotationCache(path), transport=ScriptedTransport(script))
+        cut = events.index(("abort", "text 10"))
+        # only the other worker may start a request once the rejection is raised
+        assert sum(kind == "start" for kind, _ in events[cut:]) <= 1
+        assert len({item for kind, item in events if kind == "start"}) <= 13
+        served = {}  # item text -> responses served, each holding per_request choices
+        for kind, item in events:
+            if kind == "served":
+                served[item] = served.get(item, 0) + 1
+        assert served  # the requests before the rejected one went through
+        cache = AnnotationCache(path)
+        assert len(cache) == per_request * sum(served.values())
+        for text, responses in served.items():
+            for s in range(per_request * responses):
+                key = per_sample_key("mock-a", assemble_prompt(cfg, text), cfg.temperature, s)
+                assert cache.get(key).raw_response == answers[s if supports_n else 0]
+
     def test_duplicate_item_ids_rejected(self, tmp_path):
         cache = AnnotationCache(tmp_path / "cache.jsonl")
         with pytest.raises(ValidationError):
@@ -418,10 +622,11 @@ class TestAnnotationsToRecords:
 
 
 class FakeResponse:
-    def __init__(self, status_code, body=None, text=""):
+    def __init__(self, status_code, body=None, text="", headers=None):
         self.status_code = status_code
         self._body = body
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         if self._body is None:
@@ -450,15 +655,56 @@ class TestHttpTransport:
         assert seen["headers"]["Authorization"] == "Bearer sekret"
         assert seen["timeout"] == 60.0
 
-    @pytest.mark.parametrize("status,exc", [(401, AuthError), (403, AuthError),
-                                            (429, TransportError),
-                                            (500, TransportError)])
-    def test_status_mapping(self, monkeypatch, status, exc):
+    @pytest.mark.parametrize("status,headers,exc,attempts,sleeps", [
+        pytest.param(401, {}, AuthError, 1, [], id="401-AuthError"),
+        pytest.param(403, {}, AuthError, 1, [], id="403-AuthError"),
+        pytest.param(400, {}, TransportError, 1, [], id="400-TransportError"),
+        pytest.param(404, {"Retry-After": "5"}, TransportError, 1, [],
+                     id="404-TransportError"),
+        pytest.param(429, {}, TransportError, 3, [0.5, 0.5], id="429-TransportError"),
+        pytest.param(500, {}, TransportError, 3, [0.5, 0.5], id="500-TransportError"),
+        pytest.param(503, {"Retry-After": "7"}, TransportError, 3, [7.0, 7.0],
+                     id="503-TransportError-retry-after"),
+        pytest.param(503, {"Retry-After": "0.25"}, TransportError, 3, [0.5, 0.5],
+                     id="503-TransportError-short-retry-after"),
+        pytest.param(503, {"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}, TransportError,
+                     3, [0.5, 0.5], id="503-TransportError-date-retry-after"),
+    ])
+    def test_status_mapping(self, monkeypatch, tmp_path, status, headers, exc, attempts,
+                            sleeps):
         monkeypatch.setenv("MOCK_API_KEY", "sekret")
-        monkeypatch.setattr(requests, "post",
-                            lambda *a, **k: FakeResponse(status, text="err"))
+        sent, slept = [], []
+        monkeypatch.setattr(requests, "post", lambda *a, **k: sent.append(k["json"])
+                            or FakeResponse(status, text="err", headers=headers))
+        monkeypatch.setattr(time, "sleep", slept.append)
         with pytest.raises(exc):
             HttpTransport(make_endpoint()).post({})
+        sent.clear()
+        # through annotate: 429 and 5xx are retried, waiting at least Retry-After
+        endpoint = make_endpoint(retry=RetryPolicy(max_attempts=3, backoff=(0.5,)))
+        cache = AnnotationCache(tmp_path / "cache.jsonl")
+        if exc is AuthError:
+            with pytest.raises(AuthError):
+                annotate(endpoint, make_cfg(n_samples=2), ITEMS[:1], cache)
+        else:
+            anns = annotate(endpoint, make_cfg(n_samples=2), ITEMS[:1], cache)
+            for sample in anns[0].samples:
+                assert sample.failure == f"transport: HTTP {status}: err"
+        assert len(sent) == attempts and slept == sleeps
+        assert len(cache) == 0
+
+    def test_retry_after_then_success(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("MOCK_API_KEY", "sekret")
+        replies = iter([FakeResponse(503, text="busy", headers={"Retry-After": "3"}),
+                        FakeResponse(200, body={"choices": [
+                            {"message": {"content": "negative"}}]})])
+        monkeypatch.setattr(requests, "post", lambda *a, **k: next(replies))
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        cache = AnnotationCache(tmp_path / "cache.jsonl")
+        anns = annotate(make_endpoint(), make_cfg(n_samples=1), ITEMS[:1], cache)
+        assert slept == [3.0]
+        assert anns[0].labels() == [LabelValue.single(1)] and len(cache) == 1
 
     def test_network_error_wrapped(self, monkeypatch):
         monkeypatch.setenv("MOCK_API_KEY", "sekret")
