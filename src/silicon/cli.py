@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import __version__
@@ -27,6 +28,7 @@ from .core import (
     TaskSpec,
     TieRule,
     ValidationError,
+    atomic_open,
     load_dataset,
     load_task_spec,
     majority_reference,
@@ -41,7 +43,7 @@ from .gateway import (
     load_endpoint,
     load_prompt_config,
 )
-from .noise_sim import SimConfig, contrast, load_sim_config, simulate
+from .noise_sim import SimConfig, SimResult, contrast, load_sim_config, simulate
 from .routing import RoutingPlan, sweep
 from .sensitivity import MixConfig, sensitivity_curve
 
@@ -80,13 +82,13 @@ def _file_digest(path: str) -> str:
 
 
 def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(_round_floats(obj), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -271,7 +273,7 @@ def cmd_annotate(args) -> int:
     outputs = [args.out]
     if failures:
         fail_path = args.out + ".failures.jsonl"
-        with open(fail_path, "w", encoding="utf-8") as fh:
+        with atomic_open(fail_path) as fh:
             for f in failures:
                 fh.write(json.dumps(f, sort_keys=True, ensure_ascii=False) + "\n")
         outputs.append(fail_path)
@@ -313,7 +315,7 @@ def cmd_fsd(args) -> int:
     spec = _load_task(args)
     dataset = load_dataset(args.runs, spec)
     source, scores = _fsd_scores(dataset, args.source)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_open(args.out) as fh:
         for item, score in scores.items():
             fh.write(json.dumps({
                 "item_id": item,
@@ -441,31 +443,46 @@ def cmd_mix_sensitivity(args) -> int:
 
 def cmd_simulate(args) -> int:
     started = _now()
-    cfg = load_sim_config(args.config)
-    if args.seed is not None:
-        cfg = SimConfig(**{**cfg.to_json(), "seed": args.seed})
-    _ensure_outdir(args.out)
-    outputs = []
     if args.sweep_e and args.sweep_coupling:
         raise UsageError("--sweep-e and --sweep-coupling are mutually exclusive")
-    result = simulate(cfg)
-    json_path = os.path.join(args.out, "result.json")
-    _write_json(json_path, {"config": cfg.to_json(), "result": result.to_json()})
-    outputs.append(json_path)
     sweep_field = None
     if args.sweep_e:
         sweep_field, values = "error_rate", _parse_float_list(args.sweep_e, "error rate")
     elif args.sweep_coupling:
         sweep_field, values = "coupling", _parse_float_list(args.sweep_coupling, "coupling")
+    cfg = load_sim_config(args.config)
+    variant = load_sim_config(args.contrast) if args.contrast else None
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+        if variant is not None:
+            variant = replace(variant, seed=args.seed)
+
+    # each distinct config is simulated once: a sweep point or the contrast's
+    # base or variant often repeats one already run
+    results: dict[SimConfig, SimResult] = {}
+
+    def run_config(c: SimConfig) -> SimResult:
+        if c not in results:
+            results[c] = simulate(c)
+        return results[c]
+
+    result = run_config(cfg)
     if sweep_field:
         rows = []
         for v in values:
-            r = simulate(SimConfig(**{**cfg.to_json(), sweep_field: v}))
+            r = run_config(replace(cfg, **{sweep_field: v}))
             rows.append([
                 v, r.truth_agreement, r.reference_agreement, r.co_label_term,
                 r.slope, r.chance_rate, r.measurement_error,
                 r.identity_residual, r.std_error,
             ])
+    report = None if variant is None else contrast(cfg, variant, run=run_config)
+
+    _ensure_outdir(args.out)
+    json_path = os.path.join(args.out, "result.json")
+    _write_json(json_path, {"config": cfg.to_json(), "result": result.to_json()})
+    outputs = [json_path]
+    if sweep_field:
         csv_path = os.path.join(args.out, "sweep.csv")
         _write_csv(csv_path, [
             sweep_field, "truth_agreement", "reference_agreement", "co_label_term",
@@ -473,10 +490,9 @@ def cmd_simulate(args) -> int:
             "std_error",
         ], rows)
         outputs.append(csv_path)
-    if args.contrast:
-        variant = load_sim_config(args.contrast)
+    if report is not None:
         contrast_path = os.path.join(args.out, "contrast.json")
-        _write_json(contrast_path, contrast(cfg, variant).to_json())
+        _write_json(contrast_path, report.to_json())
         outputs.append(contrast_path)
     _write_manifest("simulate", args,
                     [args.config] + ([args.contrast] if args.contrast else []),

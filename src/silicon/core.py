@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from collections import Counter
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -352,9 +354,32 @@ def load_dataset(path, spec: TaskSpec) -> Dataset:
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 
 
+@contextmanager
+def atomic_open(path, newline: str | None = None):
+    """Open a UTF-8 text file for writing at `path`, through a temp file beside
+    it that replaces `path` only once the block completes.  A run that fails or
+    is killed part-way leaves `path` as it was, never half-written; a failure
+    inside the process also removes the temp file.  (No fsync: this guards
+    against a crashed process, not a crashed host.)"""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:  # name the file the caller asked for, not the temp file
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     """Emit canonical JSONL. load(save(ds)) reproduces the records exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for rec in dataset.records:
             obj = {
                 "item_id": rec.item_id,

@@ -20,14 +20,18 @@ shift.
 Randomness comes from counter-based Philox streams spawned per role
 (0 = truth draws, 1 = reference noise, 2 = model base draws, 3 = coupling),
 item i consuming slot i of each stream, so adding estimators never perturbs
-existing draws.
+existing draws.  Each categorical draw is an inverse CDF: the cumulative sums
+of each distinct row are built once, and an item's label is the number of its
+row's cumulative sums, all but the last, that are at or below its uniform.
+Every estimator is read off one K x K x K count table of (true label, model
+label, reference label).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -140,10 +144,37 @@ def _streams(seed: int, count: int = 4) -> list[np.random.Generator]:
     return [_rng_from_seed(s) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
-def _draw_rows(rows: np.ndarray, picks: np.ndarray, u: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(rows[picks], axis=1)
-    cum[:, -1] = 1.0
-    return (u[:, None] < cum).argmax(axis=1)
+def _inverse_cdf(rows: np.ndarray, which, u: np.ndarray) -> np.ndarray:
+    """Draw item i from rows[which[i]] (from rows[which] when which is an int)
+    with the uniform u[i]: the first j with u[i] < cum[j], where cum is the
+    row's cumsum with its last entry set to 1.0.
+
+    A cumsum of nonnegative entries never decreases, so the entries before
+    the last that are <= u[i] form a prefix whose length is that first j.  The
+    last entry is never counted, which keeps j exact even where the cumsum
+    passes 1.0 before its last entry.
+    """
+    cum = np.cumsum(rows, axis=1)
+    out = np.zeros(u.size, dtype=np.intp)
+    for col in cum[:, :-1].T:
+        out += u >= col[which]
+    return out
+
+
+def _redraw_rows(conf: np.ndarray) -> np.ndarray:
+    """Row y*K + ref: the confusion row of y with the reference label zeroed
+    out, renormalised; rows that put all mass there fall back to uniform over
+    the rest."""
+    k = conf.shape[0]
+    y, ref = np.divmod(np.arange(k * k), k)
+    rows = conf[y]
+    rows[np.arange(k * k), ref] = 0.0
+    dead = rows.sum(axis=1) <= 0.0
+    if dead.any():
+        rows[dead] = 1.0
+        rows[np.flatnonzero(dead), ref[dead]] = 0.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
 
 
 def simulate(cfg: SimConfig) -> SimResult:
@@ -154,45 +185,42 @@ def simulate(cfg: SimConfig) -> SimResult:
     priors = np.asarray(cfg.priors)
     conf = np.asarray(cfg.llm_confusion)
 
-    y = _draw_rows(priors[None, :], np.zeros(n, dtype=int), streams[0].random(n))
+    y = _inverse_cdf(priors[None, :], 0, streams[0].random(n))
 
     # reference: right w.p. 1 - e, else uniform over the K - 1 other classes
-    wrong = streams[1].random(n) < e
+    wrong = np.flatnonzero(streams[1].random(n) < e)
     offsets = streams[1].integers(1, k, size=n)
-    ref = np.where(wrong, (y + offsets) % k, y)
+    ref = y.copy()
+    ref[wrong] = (y[wrong] + offsets[wrong]) % k
 
-    yhat = _draw_rows(conf, y, streams[2].random(n))
+    yhat = _inverse_cdf(conf, y, streams[2].random(n))
 
     if cfg.coupling != 0.0:
         hit = np.flatnonzero(streams[3].random(n) < abs(cfg.coupling))
         if cfg.coupling > 0:
             yhat[hit] = ref[hit]
         elif hit.size:
-            # redraw from the confusion row with the reference label zeroed out;
-            # rows that put all mass there fall back to uniform over the rest
-            rows = conf[y[hit]].copy()
-            rows[np.arange(hit.size), ref[hit]] = 0.0
-            dead = rows.sum(axis=1) <= 0.0
-            if dead.any():
-                rows[dead] = 1.0
-                rows[np.flatnonzero(dead), ref[hit][dead]] = 0.0
-            rows /= rows.sum(axis=1, keepdims=True)
-            yhat[hit] = _draw_rows(rows, np.arange(hit.size), streams[3].random(hit.size))
+            # redraw from the confusion row with the reference label zeroed out
+            yhat[hit] = _inverse_cdf(_redraw_rows(conf), y[hit] * k + ref[hit],
+                                     streams[3].random(hit.size))
 
-    truth_agreement = float(np.mean(yhat == y))
-    reference_agreement = float(np.mean(yhat == ref))
+    # counts[y, yhat, ref]: every estimator below is read off this one table
+    counts = np.bincount((y * k + yhat) * k + ref, minlength=k ** 3).reshape(k, k, k)
+    diag = np.arange(k)
+    truth_agreement = int(counts[diag, diag, :].sum()) / n
+    reference_agreement = int(counts[:, diag, diag].sum()) / n
 
     # plug-in co-labeling: sum over classes of joint minus product, weighted by
     # the empirical class shares
     co = 0.0
     for c in range(k):
-        mask = y == c
-        nk = int(mask.sum())
+        table = counts[c]
+        nk = int(table.sum())
         if nk == 0:
             continue
-        joint = np.bincount(yhat[mask][yhat[mask] == ref[mask]], minlength=k) / nk
-        p_hat = np.bincount(yhat[mask], minlength=k) / nk
-        q_hat = np.bincount(ref[mask], minlength=k) / nk
+        joint = table[diag, diag] / nk
+        p_hat = table.sum(axis=1) / nk
+        q_hat = table.sum(axis=0) / nk
         co += (nk / n) * float((joint - p_hat * q_hat).sum())
 
     slope = (1.0 - e) - e / (k - 1)
@@ -256,16 +284,22 @@ def _binom_se(p: float, n: int) -> float:
     return float(np.sqrt(p * (1.0 - p) / n))
 
 
-def contrast(base_cfg: SimConfig, variant_cfg: SimConfig) -> ContrastReport:
-    """Simulate both configs and compare. They must share the reference process."""
+def contrast(base_cfg: SimConfig, variant_cfg: SimConfig,
+             run: Callable[[SimConfig], SimResult] | None = None) -> ContrastReport:
+    """Simulate both configs and compare. They must share the reference process.
+
+    `run` maps a config to its result (default: simulate); a caller that has
+    already simulated either config passes a lookup that reuses it.
+    """
     if base_cfg.n_classes != variant_cfg.n_classes:
         raise ValidationError("contrast requires matching n_classes")
     if base_cfg.priors != variant_cfg.priors:
         raise ValidationError("contrast requires matching priors")
     if base_cfg.error_rate != variant_cfg.error_rate:
         raise ValidationError("contrast requires a shared reference error_rate")
-    base = simulate(base_cfg)
-    variant = simulate(variant_cfg)
+    run = run or simulate
+    base = run(base_cfg)
+    variant = run(variant_cfg)
 
     d_ref = variant.reference_agreement - base.reference_agreement
     d_truth = variant.truth_agreement - base.truth_agreement

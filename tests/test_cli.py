@@ -480,6 +480,7 @@ class TestSimulate:
         assert cli.run(["simulate", "--config", self.config(tmp_path),
                         "--sweep-e", "0.1", "--sweep-coupling", "0.5",
                         "--out", str(tmp_path / "sim")]) == 1
+        assert not (tmp_path / "sim").exists()
 
     def test_contrast(self, tmp_path):
         variant = self.config(tmp_path, name="variant.json", coupling=0.5)
@@ -494,3 +495,130 @@ class TestSimulate:
         assert cli.run(["simulate", "--config", self.config(tmp_path),
                         "--contrast", variant,
                         "--out", str(tmp_path / "sim")]) == 1
+
+    COUPLINGS = "0,0.1,0.2,0.3,0.4,0.5"
+
+    def expected_outputs(self, tmp_path, base_path, variant_path, seed=None):
+        """result.json, sweep.csv and contrast.json built from direct calls,
+        one simulate() per config asked for."""
+        from silicon.noise_sim import SimConfig, contrast, load_sim_config, simulate
+
+        base, variant = load_sim_config(base_path), load_sim_config(variant_path)
+        if seed is not None:
+            base = SimConfig(**{**base.to_json(), "seed": seed})
+            variant = SimConfig(**{**variant.to_json(), "seed": seed})
+        want = tmp_path / "want"
+        want.mkdir()
+        cli._write_json(str(want / "result.json"),
+                        {"config": base.to_json(), "result": simulate(base).to_json()})
+        rows = []
+        for v in map(float, self.COUPLINGS.split(",")):
+            r = simulate(SimConfig(**{**base.to_json(), "coupling": v}))
+            rows.append([v, r.truth_agreement, r.reference_agreement, r.co_label_term,
+                         r.slope, r.chance_rate, r.measurement_error,
+                         r.identity_residual, r.std_error])
+        cli._write_csv(str(want / "sweep.csv"), [
+            "coupling", "truth_agreement", "reference_agreement", "co_label_term",
+            "slope", "chance_rate", "measurement_error", "identity_residual",
+            "std_error"], rows)
+        cli._write_json(str(want / "contrast.json"), contrast(base, variant).to_json())
+        return want
+
+    @pytest.mark.parametrize("variant_kw, calls", [
+        # a variant outside the sweep: base (= coupling 0) + 5 sweep points + variant
+        ({"llm_confusion": [[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7]]}, 7),
+        # a variant that is also a sweep point is not simulated again
+        ({"coupling": 0.3}, 6),
+    ])
+    def test_each_distinct_config_simulated_once(self, tmp_path, monkeypatch,
+                                                  variant_kw, calls):
+        base = self.config(tmp_path)
+        variant = self.config(tmp_path, name="variant.json", **variant_kw)
+        seen = []
+        real = cli.simulate
+
+        def counting(cfg):
+            seen.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(cli, "simulate", counting)
+        out = tmp_path / "sim"
+        assert cli.run(["simulate", "--config", base, "--sweep-coupling", self.COUPLINGS,
+                        "--contrast", variant, "--out", str(out)]) == 0
+        assert len(seen) == calls
+        assert len(set(seen)) == calls
+        monkeypatch.setattr(cli, "simulate", real)
+        want = self.expected_outputs(tmp_path, base, variant)
+        for name in ("result.json", "sweep.csv", "contrast.json"):
+            assert (out / name).read_bytes() == (want / name).read_bytes(), name
+
+    def test_seed_override_applies_to_contrast_variant(self, tmp_path):
+        from silicon.noise_sim import SimConfig, load_sim_config, simulate
+
+        base = self.config(tmp_path)
+        variant = self.config(tmp_path, name="variant.json", coupling=0.5, seed=9)
+        out = tmp_path / "sim"
+        assert cli.run(["simulate", "--config", base, "--sweep-coupling", self.COUPLINGS,
+                        "--contrast", variant, "--seed", "3", "--out", str(out)]) == 0
+        want = self.expected_outputs(tmp_path, base, variant, seed=3)
+        got = json.loads((out / "contrast.json").read_text(encoding="utf-8"))
+        assert (out / "contrast.json").read_bytes() == (want / "contrast.json").read_bytes()
+        # the variant is paired with the base: both were drawn with seed 3
+        result = json.loads((out / "result.json").read_text(encoding="utf-8"))
+        assert result["config"]["seed"] == 3
+        assert got["base"] == result["result"]
+        v = load_sim_config(variant)
+        assert got["variant"] == cli._round_floats(
+            simulate(SimConfig(**{**v.to_json(), "seed": 3})).to_json())
+        assert got["variant"] != cli._round_floats(simulate(v).to_json())
+
+    def test_bad_sweep_list_writes_nothing(self, tmp_path):
+        assert cli.run(["simulate", "--config", self.config(tmp_path),
+                        "--sweep-e", "0.1,x", "--out", str(tmp_path / "sim")]) == 1
+        assert not (tmp_path / "sim").exists()
+
+
+class TestAtomicOutputs:
+    def test_json_write_failing_part_way(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(TypeError):
+            cli._write_json(str(path), {"a": 1.5, "z": object()})
+        assert os.listdir(tmp_path) == []
+        path.write_text("earlier\n", encoding="utf-8")
+        with pytest.raises(TypeError):
+            cli._write_json(str(path), {"a": 1.5, "z": object()})
+        assert os.listdir(tmp_path) == ["report.json"]
+        assert path.read_text(encoding="utf-8") == "earlier\n"
+
+    def test_csv_write_failing_part_way(self, tmp_path):
+        def rows():
+            yield [1, 0.5]
+            raise OSError("disk full")
+
+        path = tmp_path / "sweep.csv"
+        path.write_text("earlier\n", encoding="utf-8")
+        with pytest.raises(OSError, match="disk full"):
+            cli._write_csv(str(path), ["tau", "kappa"], rows())
+        assert os.listdir(tmp_path) == ["sweep.csv"]
+        assert path.read_text(encoding="utf-8") == "earlier\n"
+
+    def test_cli_run_failing_mid_output_keeps_earlier_file(self, tmp_path, monkeypatch):
+        task = write_task(tmp_path)
+        runs = TestFsd().runs_file(tmp_path)
+        out = tmp_path / "fsd.jsonl"
+        assert cli.run(["fsd", "--task", task, "--runs", runs, "--out", str(out)]) == 0
+        earlier = out.read_bytes()
+        before = sorted(os.listdir(tmp_path))
+        real, calls = json.dumps, []
+
+        def fails_on_second_line(obj, **kw):
+            calls.append(obj)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return real(obj, **kw)
+
+        monkeypatch.setattr(cli.json, "dumps", fails_on_second_line)
+        assert cli.run(["fsd", "--task", task, "--runs", runs, "--out", str(out)]) == 2
+        assert len(calls) == 2
+        assert out.read_bytes() == earlier
+        assert sorted(os.listdir(tmp_path)) == before

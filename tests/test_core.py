@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from silicon.core import (
     TaskSpec,
     TieRule,
     ValidationError,
+    atomic_open,
     load_dataset,
     majority_reference,
     majority_vote,
@@ -121,6 +123,51 @@ class TestDatasetIO:
             for r in records
         )
         assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("earlier", [None, "earlier content\n"])
+    def test_failed_save_leaves_target_intact(self, tmp_path, monkeypatch, earlier):
+        import silicon.core as core
+
+        real = core._JSONL_ENCODER
+
+        class FailsOnSecondRecord:
+            calls = 0
+
+            def encode(self, obj):
+                self.calls += 1
+                if self.calls == 2:
+                    raise OSError("disk full")
+                return real.encode(obj)
+
+        spec = make_spec()
+        path = tmp_path / "ann.jsonl"
+        if earlier is not None:
+            path.write_text(earlier, encoding="utf-8")
+        monkeypatch.setattr(core, "_JSONL_ENCODER", FailsOnSecondRecord())
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(Dataset(spec=spec, records=self._records(spec)), path)
+        assert os.listdir(tmp_path) == ([] if earlier is None else ["ann.jsonl"])
+        if earlier is not None:
+            assert path.read_text(encoding="utf-8") == earlier
+
+    def test_atomic_open_replaces_only_on_success(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with atomic_open(path) as fh:
+            fh.write("first\n")
+            assert not path.exists()
+        with pytest.raises(KeyboardInterrupt):
+            with atomic_open(path) as fh:
+                fh.write("second, cut short")
+                raise KeyboardInterrupt
+        assert os.listdir(tmp_path) == ["out.txt"]
+        assert path.read_text(encoding="utf-8") == "first\n"
+
+    def test_missing_directory_error_names_the_target(self, tmp_path):
+        path = tmp_path / "missing" / "out.txt"
+        with pytest.raises(FileNotFoundError) as info:
+            with atomic_open(path):
+                pass
+        assert info.value.filename == str(path)
 
     def test_duplicate_key_rejected(self):
         spec = make_spec()

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from silicon.core import ValidationError
-from silicon.noise_sim import SimConfig, _streams, contrast, simulate
+from silicon.noise_sim import (
+    SimConfig,
+    SimResult,
+    _inverse_cdf,
+    _streams,
+    contrast,
+    simulate,
+)
 
 
 def uniform_cfg(k=4, e=0.2, coupling=0.0, n=100_000, seed=0, diag=0.7):
@@ -155,3 +162,148 @@ class TestContrast:
             contrast(uniform_cfg(e=0.1, n=100), uniform_cfg(e=0.2, n=100))
         with pytest.raises(ValidationError):
             contrast(uniform_cfg(k=2, n=100), uniform_cfg(k=3, n=100))
+
+
+# --------------------------------------------------------------------- oracle
+# A frozen copy of the simulator as first written: per-item cumsum/argmax
+# draws and per-class masked estimators.  simulate() must reproduce it bit for
+# bit, so every field is compared with ==.
+
+def _oracle_draw_rows(rows, picks, u):
+    cum = np.cumsum(rows[picks], axis=1)
+    cum[:, -1] = 1.0
+    return (u[:, None] < cum).argmax(axis=1)
+
+
+def oracle_simulate(cfg: SimConfig) -> SimResult:
+    k = cfg.n_classes
+    n = cfg.n_samples
+    e = cfg.error_rate
+    streams = _streams(cfg.seed)
+    priors = np.asarray(cfg.priors)
+    conf = np.asarray(cfg.llm_confusion)
+
+    y = _oracle_draw_rows(priors[None, :], np.zeros(n, dtype=int), streams[0].random(n))
+    wrong = streams[1].random(n) < e
+    offsets = streams[1].integers(1, k, size=n)
+    ref = np.where(wrong, (y + offsets) % k, y)
+    yhat = _oracle_draw_rows(conf, y, streams[2].random(n))
+
+    if cfg.coupling != 0.0:
+        hit = np.flatnonzero(streams[3].random(n) < abs(cfg.coupling))
+        if cfg.coupling > 0:
+            yhat[hit] = ref[hit]
+        elif hit.size:
+            rows = conf[y[hit]].copy()
+            rows[np.arange(hit.size), ref[hit]] = 0.0
+            dead = rows.sum(axis=1) <= 0.0
+            if dead.any():
+                rows[dead] = 1.0
+                rows[np.flatnonzero(dead), ref[hit][dead]] = 0.0
+            rows /= rows.sum(axis=1, keepdims=True)
+            yhat[hit] = _oracle_draw_rows(rows, np.arange(hit.size),
+                                          streams[3].random(hit.size))
+
+    truth_agreement = float(np.mean(yhat == y))
+    reference_agreement = float(np.mean(yhat == ref))
+    co = 0.0
+    for c in range(k):
+        mask = y == c
+        nk = int(mask.sum())
+        if nk == 0:
+            continue
+        joint = np.bincount(yhat[mask][yhat[mask] == ref[mask]], minlength=k) / nk
+        p_hat = np.bincount(yhat[mask], minlength=k) / nk
+        q_hat = np.bincount(ref[mask], minlength=k) / nk
+        co += (nk / n) * float((joint - p_hat * q_hat).sum())
+
+    slope = (1.0 - e) - e / (k - 1)
+    chance_rate = e / (k - 1)
+    residual = abs(reference_agreement - (slope * truth_agreement + chance_rate + co))
+    se = float(np.sqrt(reference_agreement * (1.0 - reference_agreement) / n))
+    return SimResult(
+        truth_agreement=truth_agreement,
+        reference_agreement=reference_agreement,
+        co_label_term=co,
+        slope=slope,
+        chance_rate=chance_rate,
+        measurement_error=1.0 - truth_agreement,
+        identity_residual=residual,
+        std_error=se,
+        n_samples=n,
+    )
+
+
+def _kernel_cfg(k, e, coupling, seed):
+    rng = np.random.default_rng(seed)
+    rows = [tuple(float(x) for x in r) for r in rng.dirichlet(np.ones(k), size=k)]
+    rows[0] = tuple(float(j == k - 1) for j in range(k))   # point mass: dead-row fallback
+    # within the simplex tolerance, this cumsum passes 1.0 before its last entry
+    rows[-1] = (0.5, 0.5 + 1e-13) + (0.0,) * (k - 2)
+    return SimConfig(
+        n_classes=k,
+        priors=tuple(float(x) for x in rng.dirichlet(np.ones(k))),
+        error_rate=e,
+        llm_confusion=tuple(rows),
+        coupling=coupling,
+        n_samples=100,
+        seed=seed,
+    )
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("e", [0.0, 1.0])
+    @pytest.mark.parametrize("coupling", [-1.0, -0.4, 0.0, 0.3, 1.0])
+    def test_bit_equal_to_oracle(self, k, e, coupling):
+        for seed in range(4):
+            cfg = _kernel_cfg(k, e, coupling, seed)
+            assert simulate(cfg) == oracle_simulate(cfg), seed
+
+    def test_draws_at_cdf_boundaries(self):
+        # uniforms landing exactly on, just below and just above every cumsum
+        # entry, on rows that sum to 1 exactly, short of it, and past it early
+        rows = np.array([[0.25, 0.25, 0.5],
+                         [0.1, 0.2, 0.7 - 1e-13],
+                         [0.5, 0.5 + 1e-13, 0.0]])
+        edges = np.unique(np.cumsum(rows, axis=1))
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges,
+                            np.nextafter(edges, 0.0), np.nextafter(edges, 2.0)])
+        u = u[u < 1.0]
+        for r in range(len(rows)):
+            which = np.full(u.size, r)
+            want = _oracle_draw_rows(rows, which, u)
+            assert np.array_equal(_inverse_cdf(rows, which, u), want), r
+            assert np.array_equal(_inverse_cdf(rows[r:r + 1], 0, u), want), r
+
+    def test_overshooting_cumsum(self):
+        row = (0.25, 0.75 + 1e-13, 0.0, 0.0)
+        assert np.cumsum(row)[1] > 1.0
+        cfg = SimConfig(n_classes=4, priors=row, error_rate=0.3,
+                        llm_confusion=(row,) * 4, coupling=-0.4, n_samples=5000, seed=3)
+        assert simulate(cfg) == oracle_simulate(cfg)
+
+    @pytest.mark.parametrize("coupling", [-1.0, -0.4, 0.3])
+    def test_bit_equal_at_benchmark_size(self, coupling):
+        cfg = uniform_cfg(k=3, e=0.15, coupling=coupling, n=100_000, seed=17, diag=0.75)
+        assert simulate(cfg) == oracle_simulate(cfg)
+
+
+class TestContrastReuse:
+    def test_run_lookup_is_used_for_both_configs(self):
+        base, variant = uniform_cfg(n=1000, seed=4), uniform_cfg(n=1000, seed=4, coupling=0.3)
+        seen = []
+
+        def run(cfg):
+            seen.append(cfg)
+            return simulate(cfg)
+
+        assert contrast(base, variant, run=run) == contrast(base, variant)
+        assert seen == [base, variant]
+
+    def test_mismatch_rejected_before_simulating(self):
+        def run(cfg):
+            raise AssertionError("simulated a config that cannot be contrasted")
+
+        with pytest.raises(ValidationError):
+            contrast(uniform_cfg(e=0.1, n=100), uniform_cfg(e=0.2, n=100), run=run)
