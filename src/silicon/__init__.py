@@ -52,7 +52,7 @@ from .gateway import (
     Strategy,
     TransportError,
     annotate,
-    annotations_to_records,
+    annotations_to_dataset,
     assemble_prompt,
     cache_key,
     parse_response,
@@ -75,7 +75,7 @@ __all__ = [
     "AnnotationCache", "AuthError", "GatewayError", "ModelEndpoint",
     "ParseFailure", "Placement", "PromptConfig", "ReplayCacheMiss",
     "RetryPolicy", "ScriptedTransport", "Strategy", "TransportError",
-    "annotate", "annotations_to_records", "assemble_prompt", "cache_key",
+    "annotate", "annotations_to_dataset", "assemble_prompt", "cache_key",
     "parse_response",
     "ContrastReport", "SimConfig", "SimResult", "contrast", "simulate",
     "RoutingPlan", "RoutingResult", "SweepPoint", "route", "sweep",

@@ -17,8 +17,9 @@ are the distinct label sets actually observed, never the power set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import combinations
-from typing import Mapping, Sequence
+from itertools import chain, combinations
+from operator import attrgetter
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -106,18 +107,23 @@ class AgreementReport:
     mean_kappa: float | None = None
 
 
-def _encode(*columns: Sequence[LabelValue]):
+_indices = attrgetter("indices")
+
+
+def _encode(*columns: Iterable[LabelValue]):
     """One code table for several label columns.
 
     Returns the distinct labels sorted in LabelValue order and, per column, an
     int array of codes into them.  Labels are keyed by their `indices` tuple,
     which hashes in C.
     """
-    table = {lab.indices: lab for col in columns for lab in col}
+    table = {}
+    for col in columns:
+        table.update(zip(map(_indices, col), col))
     keys = sorted(table)
     code = {key: i for i, key in enumerate(keys)}
     return ([table[key] for key in keys],
-            [np.array([code[lab.indices] for lab in col], dtype=np.intp) for col in columns])
+            [np.fromiter(map(code.__getitem__, map(_indices, col)), np.intp) for col in columns])
 
 
 def _tabulate(a: Sequence[LabelValue], b: Sequence[LabelValue]):
@@ -158,14 +164,32 @@ def _kappa_codes(ca: np.ndarray, cb: np.ndarray, cats: Sequence[LabelValue],
     )
 
 
+def _label_error(lab: LabelValue, spec: TaskSpec | None, single: bool):
+    """The ValidationError kappa raises for `lab`, or None if it is fine."""
+    if single and len(lab.indices) != 1:
+        return ValidationError("cohen_kappa takes single labels; use weighted_kappa for sets")
+    if spec is not None:
+        try:
+            spec.validate_label(lab)
+        except ValidationError as exc:
+            return exc
+    return None
+
+
+def _check_labels(a: Sequence[LabelValue], b: Sequence[LabelValue],
+                  spec: TaskSpec | None, single: bool) -> None:
+    """Validate each distinct label once, in first-seen order, so the label
+    reported is the first bad one in `a` then `b`."""
+    for lab in {lab.indices: lab for col in (a, b) for lab in col}.values():
+        error = _label_error(lab, spec, single)
+        if error is not None:
+            raise error
+
+
 def cohen_kappa(a: Sequence[LabelValue], b: Sequence[LabelValue],
                 spec: TaskSpec | None = None) -> AgreementReport:
     """Unweighted kappa for single-label annotations, aligned by position."""
-    for lab in list(a) + list(b):
-        if len(lab.indices) != 1:
-            raise ValidationError("cohen_kappa takes single labels; use weighted_kappa for sets")
-        if spec is not None:
-            spec.validate_label(lab)
+    _check_labels(a, b, spec, single=True)
     cats, ca, cb = _tabulate(a, b)
     return _kappa_codes(ca, cb, cats, 1.0 - np.eye(len(cats)), weighted_flag=False)
 
@@ -177,9 +201,7 @@ def weighted_kappa(a: Sequence[LabelValue], b: Sequence[LabelValue],
     On singleton sets every off-diagonal weight is 1 and the result equals
     cohen_kappa exactly.
     """
-    if spec is not None:
-        for lab in list(a) + list(b):
-            spec.validate_label(lab)
+    _check_labels(a, b, spec, single=False)
     cats, ca, cb = _tabulate(a, b)
     return _kappa_codes(ca, cb, cats, _set_weights(cats), weighted_flag=True)
 
@@ -189,6 +211,20 @@ def kappa_for_kind(a: Sequence[LabelValue], b: Sequence[LabelValue],
     if kind is TaskKind.MULTILABEL:
         return weighted_kappa(a, b, spec)
     return cohen_kappa(a, b, spec)
+
+
+def _code_matrix(sources: Mapping[str, Mapping[str, LabelValue]]):
+    """One items x sources matrix of codes into the distinct labels (sorted in
+    LabelValue order), -1 where a source lacks the item.  Returns the labels,
+    the items in first-seen order (the rows) and the matrix."""
+    maps = list(sources.values())
+    cats, codes = _encode(*(m.values() for m in maps))
+    items = list(dict.fromkeys(chain.from_iterable(maps)))
+    row = {item: i for i, item in enumerate(items)}
+    matrix = np.full((len(items), len(maps)), -1, dtype=np.intp)
+    for col, (m, code) in enumerate(zip(maps, codes)):
+        matrix[np.fromiter(map(row.__getitem__, m), np.intp, len(m)), col] = code
+    return cats, items, matrix
 
 
 def mean_pairwise_kappa(
@@ -202,30 +238,47 @@ def mean_pairwise_kappa(
     `sources` maps annotator name -> {item_id -> label}.  With exactly two
     annotators the full pair report is returned (mean equals the pair kappa);
     with more, the summary carries the pair list and the unweighted mean.
+
+    All sources are encoded once into one code matrix, each distinct label is
+    validated once and the weight matrix is built once; each pair is then
+    its two columns where both are present.  Kappa counts label pairs, so
+    the row order does not change it.  A pair reports the first bad label it
+    holds, as kappa_for_kind on its label lists in sorted item order would.
     """
     names = list(sources)
     if len(names) < 2:
         raise ValidationError("need at least 2 annotators")
+    weighted = kind is TaskKind.MULTILABEL
+    cats, items, matrix = _code_matrix(sources)
+    errors = [_label_error(lab, spec, single=not weighted) for lab in cats]
+    bad = np.array([e is not None for e in errors], dtype=bool)
+    weights = _set_weights(cats) if weighted else 1.0 - np.eye(len(cats))
+    present = matrix >= 0
     pair_reports = []
     pairs = []
-    for na, nb in combinations(names, 2):
-        common = sorted(set(sources[na]) & set(sources[nb]))
-        if len(common) < min_common:
+    for a, b in combinations(range(len(names)), 2):
+        rows = np.flatnonzero(present[:, a] & present[:, b])
+        n = len(rows)
+        if n < min_common:
             raise ValidationError(
-                f"annotators {na!r} and {nb!r} share only {len(common)} items "
+                f"annotators {names[a]!r} and {names[b]!r} share only {n} items "
                 f"(need >= {min_common})"
             )
-        la = [sources[na][i] for i in common]
-        lb = [sources[nb][i] for i in common]
-        rep = kappa_for_kind(la, lb, kind, spec)
+        ca, cb = matrix[rows, a], matrix[rows, b]
+        for col, codes in ((a, ca), (b, cb)):
+            if bad[codes].any():
+                # kappa_for_kind lists a pair's items sorted: report the earliest bad one
+                first = min(rows[bad[codes]].tolist(), key=items.__getitem__)
+                raise errors[matrix[first, col]]
+        if n < 2:
+            raise ValidationError("need at least 2 items to measure agreement")
+        rep = _kappa_codes(ca, cb, cats, weights, weighted)
         pair_reports.append(rep)
-        pairs.append(PairKappa(na, nb, rep.kappa, len(common)))
+        pairs.append(PairKappa(names[a], names[b], rep.kappa, n))
     mean = float(np.mean([p.kappa for p in pairs]))
     if len(pairs) == 1:
         return replace(pair_reports[0], pairwise=tuple(pairs), mean_kappa=mean)
-    n_union = len({i for m in sources.values() for i in m})
     return AgreementReport(
-        kappa=mean, p_o=float("nan"), p_e=float("nan"), n_items=n_union,
-        weighted=kind is TaskKind.MULTILABEL,
-        pairwise=tuple(pairs), mean_kappa=mean,
+        kappa=mean, p_o=float("nan"), p_e=float("nan"), n_items=len(matrix),
+        weighted=weighted, pairwise=tuple(pairs), mean_kappa=mean,
     )

@@ -38,7 +38,7 @@ from .equivalence import build_match_matrix, fit_equivalence
 from .gateway import (
     GatewayError,
     annotate,
-    annotations_to_records,
+    annotations_to_dataset,
     AnnotationCache,
     load_endpoint,
     load_prompt_config,
@@ -146,10 +146,7 @@ def _source_maps(dataset: Dataset) -> dict[str, dict]:
 
 
 def _merge_datasets(spec: TaskSpec, paths: list[str]) -> Dataset:
-    records = []
-    for path in paths:
-        records.extend(load_dataset(path, spec).records)
-    return Dataset(spec=spec, records=tuple(records))
+    return Dataset.concat([load_dataset(path, spec) for path in paths])
 
 
 def _reference_map(path: str, spec: TaskSpec, tie_rule=TieRule.LOWEST_INDEX, seed=None):
@@ -268,8 +265,8 @@ def cmd_annotate(args) -> int:
               f"bytes); it is cut off before the next append", file=sys.stderr)
     replay = True if args.replay else None
     annotations = annotate(endpoint, cfg, items, cache, replay=replay)
-    records, failures = annotations_to_records(annotations, endpoint.name, spec)
-    save_dataset(Dataset(spec=spec, records=tuple(records)), args.out)
+    dataset, failures = annotations_to_dataset(annotations, endpoint.name, spec)
+    save_dataset(dataset, args.out)
     outputs = [args.out]
     if failures:
         fail_path = args.out + ".failures.jsonl"

@@ -13,7 +13,7 @@ import json
 import os
 from collections import Counter
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -227,99 +227,256 @@ class AnnotationRecord:
             raise ValidationError("run index must be >= 0")
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """Validated collection of annotation records for one task."""
+    """Annotation records for one task, stored as integer columns.
 
-    spec: TaskSpec
-    records: tuple[AnnotationRecord, ...] = field(default_factory=tuple)
+    Four int arrays hold one entry per record, in input order:
 
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        seen = set()
-        for rec in self.records:
-            self.spec.validate_label(rec.labels)
-            key = (rec.item_id, rec.source, rec.run_index)
-            if key in seen:
-                raise ValidationError(
-                    f"duplicate record for item={rec.item_id!r} source={rec.source.name!r} "
-                    f"run={rec.run_index}"
-                )
-            seen.add(key)
+    - `item_code` indexes `item_ids()`, the distinct item ids;
+    - `source_code` indexes `sources()`, the distinct SourceIds;
+    - `run` is the run index;
+    - `label_code` indexes `label_table`, the distinct LabelValues.
+
+    Each table lists its values in first-seen order.  Every distinct label is
+    validated against `spec` once, as it enters the table, and no
+    (item, source, run) key occurs twice.  `Dataset(spec, records)` encodes
+    the records it is given; `from_rows`, `load_dataset` and `concat` fill
+    the columns without building records.  `records` is built from the
+    columns on first use; `label_map`, `runs` and `code_matrix` read the
+    columns on each call.
+    """
+
+    def __init__(self, spec: TaskSpec, records: Iterable[AnnotationRecord] = ()):
+        records = tuple(records)
+        self._fill_rows(spec, ((r.item_id, r.source, r.labels, r.run_index) for r in records))
+        self._records = records
+
+    @classmethod
+    def from_rows(cls, spec: TaskSpec, rows: Iterable[tuple]) -> "Dataset":
+        """The dataset of (item_id, source, label, run_index) rows, in AnnotationRecord
+        field order, built without the records.  Each row is checked in turn as
+        AnnotationRecord checks its fields and Dataset(spec, records) its label."""
+        return cls.__new__(cls)._fill_rows(spec, rows)
+
+    def _fill_rows(self, spec: TaskSpec, rows: Iterable[tuple]) -> "Dataset":
+        cols = _Columns(spec)
+        try:
+            for item_id, source, label, run in rows:
+                cols.add(item_id, cols.source(source), run, cols.label(label))
+        except ValidationError:
+            # a record-by-record check reports a duplicate before the first bad row
+            cols.fill(self)
+            raise
+        return cols.fill(self)
+
+    def _set_columns(self, spec, item_ids, sources, label_table,
+                     item_code, source_code, run, label_code) -> "Dataset":
+        self.spec = spec
+        self._item_ids, self._sources, self.label_table = item_ids, sources, label_table
+        self._source_index = {s: i for i, s in enumerate(sources)}
+        self.item_code, self.source_code, self.run, self.label_code = (
+            item_code, source_code, run, label_code)
+        self._records = None
+        _check_duplicates(self)
+        return self
+
+    @classmethod
+    def concat(cls, datasets: Sequence["Dataset"]) -> "Dataset":
+        """One dataset holding every record of `datasets`, in order.
+
+        The columns are re-coded into merged tables and concatenated; labels
+        are not validated again.  Keys repeated across datasets are rejected.
+        """
+        if len(datasets) == 1:
+            return datasets[0]
+        spec = datasets[0].spec
+        if any(ds.spec != spec for ds in datasets):
+            raise ValidationError("cannot merge datasets of different tasks")
+        items: dict = {}
+        sources: dict = {}
+        labels: dict = {}
+        columns = []
+        for ds in datasets:  # each table's codes -> merged codes, then the columns
+            item_to = [items.setdefault(i, len(items)) for i in ds._item_ids]
+            source_to = [sources.setdefault(s, len(sources)) for s in ds._sources]
+            label_to = [labels.setdefault(lab, len(labels)) for lab in ds.label_table]
+            columns.append((np.array(item_to, dtype=np.intp)[ds.item_code],
+                            np.array(source_to, dtype=np.intp)[ds.source_code],
+                            ds.run,
+                            np.array(label_to, dtype=np.intp)[ds.label_code]))
+        return cls.__new__(cls)._set_columns(
+            spec, tuple(items), tuple(sources), tuple(labels),
+            *(np.concatenate(col) for col in zip(*columns)))
 
     def __len__(self):
-        return len(self.records)
+        return len(self.item_code)
+
+    @property
+    def records(self) -> tuple[AnnotationRecord, ...]:
+        if self._records is None:
+            items, sources, labels = self._item_ids, self._sources, self.label_table
+            self._records = tuple(
+                AnnotationRecord(items[i], sources[s], labels[lab], r)
+                for i, s, r, lab in zip(self.item_code.tolist(), self.source_code.tolist(),
+                                        self.run.tolist(), self.label_code.tolist()))
+        return self._records
 
     def item_ids(self) -> tuple[str, ...]:
-        out, seen = [], set()
-        for rec in self.records:
-            if rec.item_id not in seen:
-                seen.add(rec.item_id)
-                out.append(rec.item_id)
-        return tuple(out)
+        return self._item_ids
 
     def sources(self) -> tuple[SourceId, ...]:
-        out, seen = [], set()
-        for rec in self.records:
-            if rec.source not in seen:
-                seen.add(rec.source)
-                out.append(rec.source)
-        return tuple(out)
+        return self._sources
 
     def label_map(self, source: SourceId, run_index: int = 0) -> dict[str, LabelValue]:
         """item_id -> label for one source at one run index."""
-        return {
-            rec.item_id: rec.labels
-            for rec in self.records
-            if rec.source == source and rec.run_index == run_index
-        }
+        code = self._source_index.get(source)
+        if code is None:
+            return {}
+        rows = np.flatnonzero((self.source_code == code) & (self.run == run_index))
+        items, labels = self._item_ids, self.label_table
+        return {items[i]: labels[lab] for i, lab in zip(self.item_code[rows].tolist(),
+                                                       self.label_code[rows].tolist())}
 
     def runs(self, source: SourceId) -> dict[str, list[LabelValue]]:
-        """item_id -> labels ordered by run index, for one source."""
-        grouped: dict[str, list[tuple[int, LabelValue]]] = {}
-        for rec in self.records:
-            if rec.source == source:
-                grouped.setdefault(rec.item_id, []).append((rec.run_index, rec.labels))
-        return {item: [lab for _, lab in sorted(pairs)] for item, pairs in grouped.items()}
+        """item_id -> labels ordered by run index, for one source.
+
+        Items come in the order of their first record from that source.
+        """
+        code = self._source_index.get(source)
+        if code is None:
+            return {}
+        rows = np.flatnonzero(self.source_code == code)
+        item = self.item_code[rows]
+        _, first, inverse = np.unique(item, return_index=True, return_inverse=True)
+        order = np.lexsort((self.run[rows], first[inverse]))
+        items, labels = self._item_ids, self.label_table
+        out: dict[str, list[LabelValue]] = {}
+        for i, lab in zip(item[order].tolist(), self.label_code[rows[order]].tolist()):
+            out.setdefault(items[i], []).append(labels[lab])
+        return out
+
+    def code_matrix(self, sources: Sequence[SourceId]) -> np.ndarray:
+        """items x sources label codes at run 0; -1 where a source has no label.
+
+        Row i is item `item_ids()[i]`, column j is `sources[j]`, and codes
+        index `label_table`.
+        """
+        column = np.full(len(self._sources), -1, dtype=np.intp)
+        for j, source in enumerate(sources):
+            if source in self._source_index:
+                column[self._source_index[source]] = j
+        col = column[self.source_code]
+        rows = np.flatnonzero((col >= 0) & (self.run == 0))
+        out = np.full((len(self._item_ids), len(sources)), -1, dtype=np.intp)
+        out[self.item_code[rows], col[rows]] = self.label_code[rows]
+        return out
 
 
-def _record_from_obj(obj: Mapping, spec: TaskSpec, where: str,
-                     sources: dict, labels: dict) -> AnnotationRecord:
-    """One record; `sources` and `labels` intern SourceIds and LabelValues across a file.
+class _Columns:
+    """First-seen code tables and (item, source, run, label) code rows for
+    building one Dataset.
 
-    A lookup that misses (or cannot hash) parses exactly as an uncached
-    record would, and only successful parses are stored, so a bad record
-    fails on its own line with its own message.
+    `source_keys` and `label_keys` map the raw JSON values of a record to
+    codes, so a file parses each distinct source and label list once; a
+    lookup that misses (or cannot hash) goes the slow way, and only
+    successful parses are stored, so a bad record fails on its own line with
+    its own message.
     """
-    try:
+
+    def __init__(self, spec: TaskSpec):
+        self.spec = spec
+        self.items: dict = {}
+        self.sources: dict = {}
+        self.labels: dict = {}            # LabelValue.indices -> code
+        self.label_table: list[LabelValue] = []
+        self.source_keys: dict = {}       # (role, name) as read -> code
+        self.label_keys: dict = {}        # tuple of label names as read -> code
+        self.rows: list[tuple[int, int, int, int]] = []
+
+    def source(self, source: SourceId) -> int:
+        return self.sources.setdefault(source, len(self.sources))
+
+    def label(self, label: LabelValue) -> int:
+        code = self.labels.get(label.indices)
+        if code is None:
+            self.spec.validate_label(label)
+            code = self.labels[label.indices] = len(self.label_table)
+            self.label_table.append(label)
+        return code
+
+    def add(self, item_id, source: int, run: int, label: int) -> None:
+        """One row, checked as AnnotationRecord would check it."""
+        if not item_id:
+            raise ValidationError("item_id must be non-empty")
+        if run < 0:
+            raise ValidationError("run index must be >= 0")
+        self.rows.append((self.items.setdefault(item_id, len(self.items)), source, run, label))
+
+    def add_obj(self, obj, path: str, lineno: int) -> None:
+        """One parsed JSON record; errors name `path:lineno`."""
         try:
-            source = sources[obj["source"]["role"], obj["source"]["name"]]
-        except (KeyError, TypeError):
-            source = SourceId(role=Role(obj["source"]["role"]), name=obj["source"]["name"])
-            if isinstance(source.name, str):
-                sources[source.role, source.name] = source
+            try:
+                source = self.source_keys[obj["source"]["role"], obj["source"]["name"]]
+            except (KeyError, TypeError):
+                role, name = obj["source"]["role"], obj["source"]["name"]
+                source = self.source(SourceId(role=Role(role), name=name))
+                if isinstance(name, str):
+                    self.source_keys[role, name] = source
+            try:
+                label = self.label_keys[tuple(obj["labels"])]
+            except (KeyError, TypeError):
+                # from_names only takes len() of and iterates the list, as tuple() does
+                label = self.label(LabelValue.from_names(obj["labels"], self.spec))
+                self.label_keys[tuple(obj["labels"])] = label
+            item_id = obj["item_id"]
+            self.add(item_id, source, int(obj.get("run", 0)), label)
+        except (KeyError, TypeError, ValueError, ValidationError) as exc:
+            raise ValidationError(f"{path}:{lineno}: bad annotation record ({exc})") from exc
+
+    def fill(self, ds: Dataset) -> Dataset:
+        """Give `ds` these columns; duplicate keys are rejected."""
         try:
-            label = labels[tuple(obj["labels"])]
-        except (KeyError, TypeError):
-            # from_names only takes len() of and iterates the list, as tuple() does
-            label = LabelValue.from_names(obj["labels"], spec)
-            labels[tuple(obj["labels"])] = label
-        return AnnotationRecord(
-            item_id=obj["item_id"],
-            source=source,
-            labels=label,
-            run_index=int(obj.get("run", 0)),
-        )
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
-        raise ValidationError(f"{where}: bad annotation record ({exc})") from exc
+            columns = np.array(self.rows, dtype=np.int64).reshape(-1, 4).T.copy()
+        except OverflowError:
+            raise ValidationError("run index does not fit in 64 bits") from None
+        return ds._set_columns(self.spec, tuple(self.items), tuple(self.sources),
+                               tuple(self.label_table), *columns)
+
+
+def _check_duplicates(ds: Dataset) -> None:
+    """Reject a repeated (item, source, run) key, naming its earliest repeat."""
+    n = len(ds)
+    if n == 0:
+        return
+    n_sources, n_runs = len(ds._sources), int(ds.run.max()) + 1
+    if len(ds._item_ids) * n_sources * n_runs < 2**63:
+        key = (ds.item_code * n_sources + ds.source_code) * n_runs + ds.run
+        _, first = np.unique(key, return_index=True)
+    else:  # run indices too large to combine: compare (item, source, run) rows
+        key = np.stack((ds.item_code, ds.source_code, ds.run), axis=1)
+        _, first = np.unique(key, axis=0, return_index=True)
+    if len(first) == n:
+        return
+    repeat = np.ones(n, dtype=bool)
+    repeat[first] = False
+    at = int(np.argmax(repeat))
+    raise ValidationError(
+        f"duplicate record for item={ds._item_ids[ds.item_code[at]]!r} "
+        f"source={ds._sources[ds.source_code[at]].name!r} run={ds.run[at]}"
+    )
+
+
+# (value, end index) of the JSON value a string starts with: on a stripped line,
+# json.loads without its BOM and whitespace checks.  json.loads reruns on a
+# failed line to word the error.
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def load_dataset(path, spec: TaskSpec) -> Dataset:
     """Read annotations from JSONL (any task) or CSV (single-label tasks only)."""
     path = str(path)
-    records = []
-    sources: dict = {}
-    labels: dict = {}
+    cols = _Columns(spec)
+    add = cols.add_obj
     if path.endswith(".csv"):
         if spec.kind is TaskKind.MULTILABEL:
             raise ValidationError("CSV ingestion supports single-label tasks only")
@@ -329,13 +486,12 @@ def load_dataset(path, spec: TaskSpec) -> Dataset:
             if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
                 raise ValidationError(f"{path}: CSV must have columns {sorted(needed)}")
             for lineno, row in enumerate(reader, start=2):
-                obj = {
+                add({
                     "item_id": row["item_id"],
                     "source": {"role": row["role"], "name": row["name"]},
                     "run": row["run"],
                     "labels": [row["label"]],
-                }
-                records.append(_record_from_obj(obj, spec, f"{path}:{lineno}", sources, labels))
+                }, path, lineno)
     else:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -343,11 +499,16 @@ def load_dataset(path, spec: TaskSpec) -> Dataset:
                 if not line:
                     continue
                 try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValidationError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
-                records.append(_record_from_obj(obj, spec, f"{path}:{lineno}", sources, labels))
-    return Dataset(spec=spec, records=tuple(records))
+                    obj, end = _raw_decode(line)
+                    if end != len(line):
+                        raise ValueError("extra data")
+                except ValueError:
+                    try:  # json.loads states the fault
+                        obj = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise ValidationError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
+                add(obj, path, lineno)
+    return cols.fill(Dataset.__new__(Dataset))
 
 
 # One JSON line per record or cache entry: json.dumps(obj, sort_keys=True, ensure_ascii=False).
@@ -378,16 +539,22 @@ def atomic_open(path, newline: str | None = None):
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Emit canonical JSONL. load(save(ds)) reproduces the records exactly."""
+    """Emit canonical JSONL. load(save(ds)) reproduces the records exactly.
+
+    Each line is the record's json.dumps(sort_keys=True, ensure_ascii=False);
+    every distinct item id, source and label list is encoded once and the
+    lines are joined from those fragments in sorted-key order.
+    """
+    encode = _JSONL_ENCODER.encode
     with atomic_open(path) as fh:
-        for rec in dataset.records:
-            obj = {
-                "item_id": rec.item_id,
-                "source": rec.source.to_json(),
-                "run": rec.run_index,
-                "labels": rec.labels.to_names(dataset.spec),
-            }
-            fh.write(_JSONL_ENCODER.encode(obj) + "\n")
+        items = [encode(i) for i in dataset.item_ids()]
+        sources = [encode(s.to_json()) for s in dataset.sources()]
+        labels = [encode(lab.to_names(dataset.spec)) for lab in dataset.label_table]
+        fh.writelines(
+            f'{{"item_id": {items[i]}, "labels": {labels[lab]}, "run": {r}, '
+            f'"source": {sources[s]}}}\n'
+            for i, s, r, lab in zip(dataset.item_code.tolist(), dataset.source_code.tolist(),
+                                    dataset.run.tolist(), dataset.label_code.tolist()))
 
 
 def _rng_from_seed(seed) -> np.random.Generator:
@@ -482,15 +649,19 @@ def majority_reference(
     """Majority-vote labels per item across the dataset's sources (optionally one role).
 
     Items annotated by a single source pass through unchanged.  Uses run 0 of
-    each source.
+    each source.  Items with the same votes share one majority_vote call.
     """
     sources = [s for s in dataset.sources() if role is None or s.role == role]
     if not sources:
         raise ValidationError("no sources to aggregate")
-    per_source = [dataset.label_map(s) for s in sources]
+    labels = dataset.label_table
+    voted: dict[tuple, LabelValue] = {}
     out: dict[str, LabelValue] = {}
-    for item in dataset.item_ids():
-        votes = [m[item] for m in per_source if item in m]
+    for item, row in zip(dataset.item_ids(), dataset.code_matrix(sources).tolist()):
+        votes = tuple(code for code in row if code >= 0)
         if votes:
-            out[item] = majority_vote(votes, dataset.spec, tie_rule=tie_rule, seed=seed)
+            if votes not in voted:
+                voted[votes] = majority_vote([labels[c] for c in votes], dataset.spec,
+                                             tie_rule=tie_rule, seed=seed)
+            out[item] = voted[votes]
     return out

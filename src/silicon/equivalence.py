@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import stats
+from scipy.special import betaincinv, chdtrc, ndtr, ndtri
 
 from .core import LabelValue, ValidationError
 
@@ -239,10 +239,11 @@ def _cluster_sandwich(x, y, beta, n_clusters: int, correction: str) -> np.ndarra
 
 def _exact_ci(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
     alpha = 1.0 - level
-    lo = 0.0 if successes == 0 else float(stats.beta.ppf(alpha / 2, successes, trials - successes + 1))
+    # betaincinv(a, b, q) is the beta(a, b) quantile at q
+    lo = 0.0 if successes == 0 else float(
+        betaincinv(successes, trials - successes + 1, alpha / 2))
     hi = 1.0 if successes == trials else float(
-        stats.beta.ppf(1 - alpha / 2, successes + 1, trials - successes)
-    )
+        betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
     return lo, hi
 
 
@@ -322,7 +323,8 @@ def fit_equivalence(
         ll_null = _log_likelihood(y, np.full_like(y, p_bar))
         lr_stat = 2.0 * (ll_full - ll_null)
         lr_df = j - 1
-        lr_p = float(stats.chi2.sf(lr_stat, lr_df))
+        # chdtrc is nan below 0, where the chi-square upper tail is 1
+        lr_p = float(chdtrc(lr_df, max(lr_stat, 0.0)))
 
     comparisons = []
     for m in others:
@@ -330,7 +332,7 @@ def fit_equivalence(
         if m in coef and tost_margin is not None:
             z_lo = (coef[m] + tost_margin) / se[m]
             z_hi = (tost_margin - coef[m]) / se[m]
-            tost = bool(min(z_lo, z_hi) > stats.norm.ppf(0.95))
+            tost = bool(min(z_lo, z_hi) > ndtri(0.95))
         if m in coef:
             lo = coef[m] - _Z95 * se[m]
             hi = coef[m] + _Z95 * se[m]
@@ -344,7 +346,7 @@ def fit_equivalence(
             comparisons.append(ModelComparison(
                 model=m, accuracy=accs[m], coefficient=coef[m], se=se[m],
                 ci_low=lo, ci_high=hi, wald_z=float(z),
-                wald_p=float(2.0 * stats.norm.sf(abs(z))), verdict=verdict,
+                wald_p=float(2.0 * ndtr(-abs(z))), verdict=verdict,
                 tost_equivalent=tost,
             ))
         else:

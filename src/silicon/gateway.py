@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Sequence
 import requests
 
 from .core import LabelValue, Role, SiliconError, SourceId, TaskKind, TaskSpec, ValidationError
-from .core import _JSONL_ENCODER, AnnotationRecord
+from .core import _JSONL_ENCODER, Dataset
 
 __all__ = [
     "GatewayError",
@@ -54,7 +54,7 @@ __all__ = [
     "cache_key",
     "parse_response",
     "annotate",
-    "annotations_to_records",
+    "annotations_to_dataset",
     "load_endpoint",
     "load_prompt_config",
     "REPLAY_ENV",
@@ -676,19 +676,16 @@ def annotate(
     ]
 
 
-def annotations_to_records(
+def annotations_to_dataset(
     annotations: Sequence[ItemAnnotation], model_name: str, spec: TaskSpec
 ):
-    """Successful samples as AnnotationRecords (run = sample index) plus a failure list."""
+    """Successful samples as a Dataset (run = sample index) plus a failure list."""
     source = SourceId(role=Role.MODEL, name=model_name)
-    records, failures = [], []
+    rows, failures = [], []
     for ann in annotations:
         for sample in ann.samples:
             if sample.label is not None:
-                records.append(AnnotationRecord(
-                    item_id=ann.item_id, source=source,
-                    labels=sample.label, run_index=sample.sample_index,
-                ))
+                rows.append((ann.item_id, source, sample.label, sample.sample_index))
             else:
                 failures.append({
                     "item_id": ann.item_id,
@@ -696,7 +693,7 @@ def annotations_to_records(
                     "reason": sample.failure or "unparseable",
                     "raw_response": sample.raw,
                 })
-    return records, failures
+    return Dataset.from_rows(spec, rows), failures
 
 
 def load_endpoint(path) -> ModelEndpoint:

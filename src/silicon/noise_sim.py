@@ -30,7 +30,7 @@ label, reference label).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
 import numpy as np
@@ -91,7 +91,14 @@ class SimConfig:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "SimConfig":
+        """The keys of to_json(), plus an optional "name" that only labels the
+        file and is ignored.  Any other key is an error, so a misspelt field
+        is never silently left at its default."""
         try:
+            unknown = sorted(set(obj) - _CONFIG_KEYS)
+            if unknown:
+                raise ValidationError(f"bad sim config: unknown keys {unknown}; "
+                                      f"expected some of {sorted(_CONFIG_KEYS)}")
             return cls(
                 n_classes=int(obj["n_classes"]),
                 priors=tuple(obj["priors"]),
@@ -103,6 +110,10 @@ class SimConfig:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad sim config: {exc}") from exc
+
+
+# what a sim config file may hold: the SimConfig fields and an ignored "name"
+_CONFIG_KEYS = frozenset(f.name for f in fields(SimConfig)) | {"name"}
 
 
 def load_sim_config(path) -> SimConfig:

@@ -461,6 +461,13 @@ class TestSimulate:
         assert 0 <= result["result"]["reference_agreement"] <= 1
         assert (out / "manifest.json").exists()
 
+    def test_misspelt_config_key_is_bad_input(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert cli.run(["simulate", "--config", self.config(tmp_path, couplng=0.5),
+                        "--out", str(out)]) == 1
+        assert "couplng" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override(self, tmp_path):
         out = tmp_path / "sim"
         assert cli.run(["simulate", "--config", self.config(tmp_path),

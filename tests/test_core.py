@@ -108,11 +108,19 @@ class TestDatasetIO:
         labels = ("naïve", "Übersicht", "日本")
         spec = make_spec("multilabel", labels)
         src = SourceId(role=Role.MODEL, name="modèle-α")
+        others = [SourceId(role=Role.EXPERT, name="e1"),
+                  SourceId(role=Role.CROWD, name="wörker\t2"),
+                  SourceId(role=Role.MODEL, name='quote"back\\slash')]
         records = (
             AnnotationRecord("café-1", src, LabelValue.of([0, 2]), run_index=0),
             AnnotationRecord("ß“2”", src, LabelValue.single(1), run_index=3),
-            AnnotationRecord("plain", SourceId(role=Role.EXPERT, name="e1"),
-                             LabelValue.of([0, 1, 2])),
+            AnnotationRecord("plain", others[0], LabelValue.of([0, 1, 2]), run_index=7),
+        ) + tuple(
+            # several sources and runs, items and labels repeating in interleaved order
+            AnnotationRecord(item, source, LabelValue.of(lab), run_index=run)
+            for run in (0, 1, 12)
+            for item, lab in (("café-1", [1]), ("日本-\u2028", [0, 2]), ("plain", [1]))
+            for source in others
         )
         path = tmp_path / "ann.jsonl"
         save_dataset(Dataset(spec=spec, records=records), path)

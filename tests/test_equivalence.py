@@ -278,3 +278,61 @@ class TestSeparation:
         assert by_model["mperfect"].separated
         assert rep.lr_df == 1  # only the non-separated pair is in the fit
         assert np.isfinite(rep.lr_stat)
+
+
+def test_equal_accuracies_give_lr_p_one_when_the_statistic_rounds_negative():
+    """Three models with 7/12 matches each: the LR statistic is 0 up to
+    rounding, here a little below it, and the p-value is 1 as chi2.sf gives."""
+    matches = np.array([[1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0],
+                        [0, 1, 0, 1, 1, 0, 1, 1, 1, 0, 0, 1],
+                        [0, 0, 1, 1, 1, 0, 1, 1, 1, 0, 0, 1]]).T
+    rep = fit_equivalence(MatchMatrix(tuple(f"i{i}" for i in range(12)), ("a", "b", "c"),
+                                      matches, "a"))
+    assert -1e-12 < rep.lr_stat < 0.0
+    assert rep.lr_p == 1.0
+
+def test_special_functions_equal_the_scipy_stats_calls_they_replace():
+    """equivalence uses scipy.special directly; each call must give the bits
+    the scipy.stats distribution method gave, boundaries included."""
+    from scipy import special, stats
+
+    rng = np.random.default_rng(20261018)
+
+    def same(got, want):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    # beta quantiles at the exact CI's arguments: a, b >= 1 integers, tail levels
+    a = np.concatenate([rng.integers(1, 5000, 3000), [1, 1, 2, 4999, 1]]).astype(float)
+    b = np.concatenate([rng.integers(1, 5000, 3000), [1, 4999, 1, 1, 2]]).astype(float)
+    for q in (0.025, 0.975, 0.005, 0.995, 0.0, 1.0, 0.5):
+        same(special.betaincinv(a, b, q), stats.beta.ppf(q, a, b))
+    q = rng.random(3005)
+    same(special.betaincinv(a, b, q), stats.beta.ppf(q, a, b))
+    # chi-square upper tail of the likelihood-ratio test; chdtrc is nan below 0,
+    # so the statistic is clipped there (a rounding-negative LR statistic)
+    x = np.concatenate([rng.exponential(5.0, 3000),
+                        [0.0, -0.0, -1e-12, -3.0, 1e-300, 1e3, np.inf, np.nan]])
+    for df in (1, 2, 3, 7, 30):
+        same(special.chdtrc(df, np.maximum(x, 0.0)), stats.chi2.sf(x, df))
+    # two-sided Wald p and the one-sided TOST critical value
+    z = np.concatenate([rng.normal(0.0, 4.0, 3000), [0.0, -0.0, 40.0, -40.0, np.inf, -np.inf]])
+    same(special.ndtr(-np.abs(z)), stats.norm.sf(np.abs(z)))
+    p = np.concatenate([rng.random(3000), [0.95, 0.5, 1e-300, 1.0 - 1e-16, 0.0, 1.0]])
+    same(special.ndtri(p), stats.norm.ppf(p))
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    code = ("import sys, silicon.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"

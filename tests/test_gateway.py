@@ -9,7 +9,8 @@ import pytest
 import requests
 
 import silicon.gateway as gateway
-from silicon.core import LabelValue, TaskKind, TaskSpec, ValidationError
+from silicon.core import (AnnotationRecord, LabelValue, Role, SourceId, TaskKind, TaskSpec,
+                          ValidationError)
 from silicon.gateway import (
     REPLAY_ENV,
     AnnotationCache,
@@ -27,7 +28,7 @@ from silicon.gateway import (
     Strategy,
     TransportError,
     annotate,
-    annotations_to_records,
+    annotations_to_dataset,
     assemble_prompt,
     cache_key,
     load_endpoint,
@@ -608,17 +609,17 @@ class TestAnnotationsToRecords:
         cache = AnnotationCache(tmp_path / "cache.jsonl")
         anns = annotate(make_endpoint(), make_cfg(), ITEMS, cache,
                         transport=scripted())
-        records, failures = annotations_to_records(anns, "mock-a", SPEC)
-        assert len(records) == 5 and len(failures) == 1
+        dataset, failures = annotations_to_dataset(anns, "mock-a", SPEC)
+        assert len(dataset) == 5 and len(failures) == 1
         assert failures[0]["item_id"] == "i2"
         assert failures[0]["sample_index"] == 1
         assert failures[0]["raw_response"] == "mumble"
-        by_item = {}
-        for rec in records:
-            assert rec.source.name == "mock-a"
-            by_item.setdefault(rec.item_id, []).append(rec.run_index)
-        assert sorted(by_item["i1"]) == [0, 1, 2]
-        assert sorted(by_item["i2"]) == [0, 2]
+        source = SourceId(role=Role.MODEL, name="mock-a")
+        expected = [("i1", "positive", 0), ("i1", "negative", 1), ("i1", "neutral", 2),
+                    ("i2", "positive", 0), ("i2", "neutral", 2)]
+        assert dataset.records == tuple(
+            AnnotationRecord(item, source, LabelValue.from_names([name], SPEC), run)
+            for item, name, run in expected)
 
 
 class FakeResponse:

@@ -307,3 +307,20 @@ class TestContrastReuse:
 
         with pytest.raises(ValidationError):
             contrast(uniform_cfg(e=0.1, n=100), uniform_cfg(e=0.2, n=100), run=run)
+
+
+class TestConfigKeys:
+    def test_to_json_round_trips_and_name_is_ignored(self):
+        cfg = uniform_cfg(k=3, coupling=0.25, n=500, seed=9)
+        assert SimConfig.from_json(cfg.to_json()) == cfg
+        assert SimConfig.from_json({**cfg.to_json(), "name": "base.json"}) == cfg
+
+    def test_misspelt_key_is_rejected(self):
+        obj = {**uniform_cfg(k=3).to_json(), "couplng": 0.5}
+        del obj["coupling"]
+        with pytest.raises(ValidationError, match=r"unknown keys \['couplng'\]"):
+            SimConfig.from_json(obj)
+
+    def test_non_object_is_rejected(self):
+        with pytest.raises(ValidationError, match="bad sim config"):
+            SimConfig.from_json([["n_classes", 3]])

@@ -9,11 +9,16 @@ network disabled.
 
 Run from the repository root:
 
-    python tools/make_replay_fixture.py
+    PYTHONPATH=src python tools/make_replay_fixture.py
+
+The cache is written with one request in flight, so its lines come in the
+order the items are listed and a rerun reproduces the committed bytes.  CI
+regenerates the fixture and fails if `git diff tests/data` is not empty.
 """
 
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -220,7 +225,8 @@ def main() -> None:
     for model, prompt in (("focal", "prompt_focal.json"),
                           ("aux1", "prompt_aux.json"),
                           ("aux2", "prompt_aux.json")):
-        endpoint = load_endpoint(DATA / f"endpoint_{model}.json")
+        # cache lines are written as responses arrive: one in flight keeps their order
+        endpoint = replace(load_endpoint(DATA / f"endpoint_{model}.json"), max_in_flight=1)
         cfg = load_prompt_config(DATA / prompt, SPEC)
         annotate(endpoint, cfg, items, cache, transport=transport_for(f"mock-{model}"))
 
