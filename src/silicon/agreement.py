@@ -12,6 +12,12 @@ distance-weighted form
 where x_ij counts observed label-set pairs, m_ij = n * pa(i) * pb(j) is the
 chance-expected count, and w is the set-disagreement weight below.  Categories
 are the distinct label sets actually observed, never the power set.
+
+Every kappa the package reports takes one path, _Codes: it codes the label
+columns once, picks the weight matrix for the task kind and decides once per
+distinct label whether kappa rejects it; each kappa is then one bincount of two
+code arrays.  kappa_for_kind (behind cohen_kappa and weighted_kappa),
+mean_pairwise_kappa, routing.sweep and sensitivity_curve all use it.
 """
 
 from __future__ import annotations
@@ -110,60 +116,6 @@ class AgreementReport:
 _indices = attrgetter("indices")
 
 
-def _encode(*columns: Iterable[LabelValue]):
-    """One code table for several label columns.
-
-    Returns the distinct labels sorted in LabelValue order and, per column, an
-    int array of codes into them.  Labels are keyed by their `indices` tuple,
-    which hashes in C.
-    """
-    table = {}
-    for col in columns:
-        table.update(zip(map(_indices, col), col))
-    keys = sorted(table)
-    code = {key: i for i, key in enumerate(keys)}
-    return ([table[key] for key in keys],
-            [np.fromiter(map(code.__getitem__, map(_indices, col)), np.intp) for col in columns])
-
-
-def _tabulate(a: Sequence[LabelValue], b: Sequence[LabelValue]):
-    if len(a) != len(b):
-        raise ValidationError(f"annotator lengths differ: {len(a)} vs {len(b)}")
-    if len(a) < 2:
-        raise ValidationError("need at least 2 items to measure agreement")
-    cats, (ca, cb) = _encode(a, b)
-    return cats, ca, cb
-
-
-def _kappa_codes(ca: np.ndarray, cb: np.ndarray, cats: Sequence[LabelValue],
-                 weights: np.ndarray, weighted_flag: bool) -> AgreementReport:
-    """Kappa of two aligned code arrays into `cats` (sorted in LabelValue order).
-
-    Only the codes either side uses become categories, with `weights`
-    restricted to them, so K, the matrix layout and every float operation are
-    those of tabulating the two label lists directly.
-    """
-    n = len(ca)
-    used, inv = np.unique(np.concatenate((ca, cb)), return_inverse=True)
-    k = len(used)
-    cats = [cats[u] for u in used]
-    weights = weights[np.ix_(used, used)]
-    observed = np.bincount(inv[:n] * k + inv[n:], minlength=k * k).reshape(k, k).astype(float)
-    marg_a = observed.sum(axis=1) / n
-    marg_b = observed.sum(axis=0) / n
-    expected = n * np.outer(marg_a, marg_b)
-    num = float((weights * observed).sum())
-    den = float((weights * expected).sum())
-    # den <= 0: all mass on one category for both annotators, so chance agreement is total
-    degenerate = den <= 0.0
-    return AgreementReport(
-        kappa=(1.0 if num <= 0.0 else 0.0) if degenerate else 1.0 - num / den,
-        p_o=1.0 - num / n, p_e=1.0 - den / n, n_items=n, degenerate=degenerate,
-        weighted=weighted_flag, categories=tuple(cats),
-        observed=observed, expected=expected, weights=weights,
-    )
-
-
 def _label_error(lab: LabelValue, spec: TaskSpec | None, single: bool):
     """The ValidationError kappa raises for `lab`, or None if it is fine."""
     if single and len(lab.indices) != 1:
@@ -176,22 +128,83 @@ def _label_error(lab: LabelValue, spec: TaskSpec | None, single: bool):
     return None
 
 
-def _check_labels(a: Sequence[LabelValue], b: Sequence[LabelValue],
-                  spec: TaskSpec | None, single: bool) -> None:
-    """Validate each distinct label once, in first-seen order, so the label
-    reported is the first bad one in `a` then `b`."""
-    for lab in {lab.indices: lab for col in (a, b) for lab in col}.values():
-        error = _label_error(lab, spec, single)
-        if error is not None:
-            raise error
+class _Codes:
+    """Several label columns coded once for kappa under one task kind.
+
+    `cats` are the distinct labels sorted in LabelValue order (keyed by their
+    `indices` tuple, which hashes in C) and `columns` each column's int codes
+    into them.  `errors[k]` is the ValidationError kappa raises for cats[k],
+    or None, and `weights` the disagreement weights over `cats`: set weights
+    for multilabel tasks, 1 - identity otherwise.
+    """
+
+    def __init__(self, kind: TaskKind, spec: TaskSpec | None, *columns: Iterable[LabelValue]):
+        table = {}
+        for col in columns:
+            table.update(zip(map(_indices, col), col))
+        keys = sorted(table)
+        code = {key: i for i, key in enumerate(keys)}
+        self.cats = [table[key] for key in keys]
+        self.columns = [np.fromiter(map(code.__getitem__, map(_indices, col)), np.intp)
+                        for col in columns]
+        self.weighted = kind is TaskKind.MULTILABEL
+        self.errors = [_label_error(lab, spec, not self.weighted) for lab in self.cats]
+        self._bad = np.array([e is not None for e in self.errors], dtype=bool)
+        self.weights = _set_weights(self.cats) if self.weighted else 1.0 - np.eye(len(self.cats))
+
+    def check(self, *columns: np.ndarray, key=None) -> None:
+        """Raise the error of the first rejected label, column by column: the
+        first by position, or by `key` of its position."""
+        for col in columns:
+            hits = np.flatnonzero(self._bad[col]).tolist()
+            if hits:
+                raise self.errors[col[min(hits, key=key)]]
+
+    def kappa(self, ca: np.ndarray, cb: np.ndarray) -> AgreementReport:
+        """Kappa of two aligned code arrays.
+
+        Only the codes either side uses become categories, with the weights
+        restricted to them, so K, the matrix layout and every float operation
+        are those of coding the two label lists on their own.
+        """
+        n = len(ca)
+        used, inv = np.unique(np.concatenate((ca, cb)), return_inverse=True)
+        k = len(used)
+        weights = self.weights[np.ix_(used, used)]
+        observed = np.bincount(inv[:n] * k + inv[n:], minlength=k * k).reshape(k, k).astype(float)
+        marg_a = observed.sum(axis=1) / n
+        marg_b = observed.sum(axis=0) / n
+        expected = n * np.outer(marg_a, marg_b)
+        num = float((weights * observed).sum())
+        den = float((weights * expected).sum())
+        # den <= 0: all mass on one category for both annotators, so chance agreement is total
+        degenerate = den <= 0.0
+        return AgreementReport(
+            kappa=(1.0 if num <= 0.0 else 0.0) if degenerate else 1.0 - num / den,
+            p_o=1.0 - num / n, p_e=1.0 - den / n, n_items=n, degenerate=degenerate,
+            weighted=self.weighted, categories=tuple(self.cats[u] for u in used),
+            observed=observed, expected=expected, weights=weights,
+        )
+
+
+def kappa_for_kind(a: Sequence[LabelValue], b: Sequence[LabelValue],
+                   kind: TaskKind, spec: TaskSpec | None = None) -> AgreementReport:
+    """Kappa of two label lists aligned by position: set-weighted for
+    multilabel tasks, Cohen's otherwise.  The first rejected label, in `a`
+    then `b`, is reported before any length problem."""
+    codes = _Codes(kind, spec, a, b)
+    codes.check(*codes.columns)
+    if len(a) != len(b):
+        raise ValidationError(f"annotator lengths differ: {len(a)} vs {len(b)}")
+    if len(a) < 2:
+        raise ValidationError("need at least 2 items to measure agreement")
+    return codes.kappa(*codes.columns)
 
 
 def cohen_kappa(a: Sequence[LabelValue], b: Sequence[LabelValue],
                 spec: TaskSpec | None = None) -> AgreementReport:
     """Unweighted kappa for single-label annotations, aligned by position."""
-    _check_labels(a, b, spec, single=True)
-    cats, ca, cb = _tabulate(a, b)
-    return _kappa_codes(ca, cb, cats, 1.0 - np.eye(len(cats)), weighted_flag=False)
+    return kappa_for_kind(a, b, TaskKind.MULTICLASS, spec)
 
 
 def weighted_kappa(a: Sequence[LabelValue], b: Sequence[LabelValue],
@@ -201,30 +214,7 @@ def weighted_kappa(a: Sequence[LabelValue], b: Sequence[LabelValue],
     On singleton sets every off-diagonal weight is 1 and the result equals
     cohen_kappa exactly.
     """
-    _check_labels(a, b, spec, single=False)
-    cats, ca, cb = _tabulate(a, b)
-    return _kappa_codes(ca, cb, cats, _set_weights(cats), weighted_flag=True)
-
-
-def kappa_for_kind(a: Sequence[LabelValue], b: Sequence[LabelValue],
-                   kind: TaskKind, spec: TaskSpec | None = None) -> AgreementReport:
-    if kind is TaskKind.MULTILABEL:
-        return weighted_kappa(a, b, spec)
-    return cohen_kappa(a, b, spec)
-
-
-def _code_matrix(sources: Mapping[str, Mapping[str, LabelValue]]):
-    """One items x sources matrix of codes into the distinct labels (sorted in
-    LabelValue order), -1 where a source lacks the item.  Returns the labels,
-    the items in first-seen order (the rows) and the matrix."""
-    maps = list(sources.values())
-    cats, codes = _encode(*(m.values() for m in maps))
-    items = list(dict.fromkeys(chain.from_iterable(maps)))
-    row = {item: i for i, item in enumerate(items)}
-    matrix = np.full((len(items), len(maps)), -1, dtype=np.intp)
-    for col, (m, code) in enumerate(zip(maps, codes)):
-        matrix[np.fromiter(map(row.__getitem__, m), np.intp, len(m)), col] = code
-    return cats, items, matrix
+    return kappa_for_kind(a, b, TaskKind.MULTILABEL, spec)
 
 
 def mean_pairwise_kappa(
@@ -239,20 +229,22 @@ def mean_pairwise_kappa(
     annotators the full pair report is returned (mean equals the pair kappa);
     with more, the summary carries the pair list and the unweighted mean.
 
-    All sources are encoded once into one code matrix, each distinct label is
-    validated once and the weight matrix is built once; each pair is then
-    its two columns where both are present.  Kappa counts label pairs, so
-    the row order does not change it.  A pair reports the first bad label it
-    holds, as kappa_for_kind on its label lists in sorted item order would.
+    All sources are coded once, into one items x sources matrix (-1 where a
+    source lacks the item); each pair is then its two columns where both are
+    present.  Kappa counts label pairs, so the row order does not change it.
+    A pair reports the first bad label it holds, as kappa_for_kind on its
+    label lists in sorted item order would.
     """
     names = list(sources)
     if len(names) < 2:
         raise ValidationError("need at least 2 annotators")
-    weighted = kind is TaskKind.MULTILABEL
-    cats, items, matrix = _code_matrix(sources)
-    errors = [_label_error(lab, spec, single=not weighted) for lab in cats]
-    bad = np.array([e is not None for e in errors], dtype=bool)
-    weights = _set_weights(cats) if weighted else 1.0 - np.eye(len(cats))
+    maps = list(sources.values())
+    codes = _Codes(kind, spec, *(m.values() for m in maps))
+    items = list(dict.fromkeys(chain.from_iterable(maps)))
+    row = {item: i for i, item in enumerate(items)}
+    matrix = np.full((len(items), len(maps)), -1, dtype=np.intp)
+    for col, (m, code) in enumerate(zip(maps, codes.columns)):
+        matrix[np.fromiter(map(row.__getitem__, m), np.intp, len(m)), col] = code
     present = matrix >= 0
     pair_reports = []
     pairs = []
@@ -265,14 +257,11 @@ def mean_pairwise_kappa(
                 f"(need >= {min_common})"
             )
         ca, cb = matrix[rows, a], matrix[rows, b]
-        for col, codes in ((a, ca), (b, cb)):
-            if bad[codes].any():
-                # kappa_for_kind lists a pair's items sorted: report the earliest bad one
-                first = min(rows[bad[codes]].tolist(), key=items.__getitem__)
-                raise errors[matrix[first, col]]
+        # kappa_for_kind lists a pair's items sorted: report the earliest bad one
+        codes.check(ca, cb, key=lambda k: items[rows[k]])
         if n < 2:
             raise ValidationError("need at least 2 items to measure agreement")
-        rep = _kappa_codes(ca, cb, cats, weights, weighted)
+        rep = codes.kappa(ca, cb)
         pair_reports.append(rep)
         pairs.append(PairKappa(names[a], names[b], rep.kappa, n))
     mean = float(np.mean([p.kappa for p in pairs]))
@@ -280,5 +269,5 @@ def mean_pairwise_kappa(
         return replace(pair_reports[0], pairwise=tuple(pairs), mean_kappa=mean)
     return AgreementReport(
         kappa=mean, p_o=float("nan"), p_e=float("nan"), n_items=len(matrix),
-        weighted=weighted, pairwise=tuple(pairs), mean_kappa=mean,
+        weighted=codes.weighted, pairwise=tuple(pairs), mean_kappa=mean,
     )

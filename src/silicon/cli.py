@@ -135,10 +135,13 @@ def _ensure_outdir(path: str) -> str:
     return path
 
 
-def _source_maps(dataset: Dataset) -> dict[str, dict]:
-    """source name -> {item -> label} (run 0), erroring on name collisions."""
+def _source_maps(dataset: Dataset, role: Role | None = None) -> dict[str, dict]:
+    """source name -> {item -> label} (run 0) for the sources of `role` (all if
+    None), erroring on name collisions."""
     out = {}
     for source in dataset.sources():
+        if role is not None and source.role is not role:
+            continue
         if source.name in out:
             raise ValidationError(f"duplicate source name across roles: {source.name!r}")
         out[source.name] = dataset.label_map(source)
@@ -218,9 +221,7 @@ def cmd_baseline_compare(args) -> int:
     dataset = _merge_datasets(spec, [args.expert, args.crowd])
     by_role = {}
     for role in (Role.EXPERT, Role.CROWD):
-        maps = {
-            s.name: dataset.label_map(s) for s in dataset.sources() if s.role is role
-        }
+        maps = _source_maps(dataset, role)
         if len(maps) < 2:
             raise ValidationError(
                 f"need at least 2 {role.value} annotators, found {len(maps)}"
@@ -382,9 +383,7 @@ def cmd_equivalence(args) -> int:
     started = _now()
     spec = _load_task(args)
     dataset = _merge_datasets(spec, list(args.models))
-    model_maps = {
-        s.name: dataset.label_map(s) for s in dataset.sources() if s.role is Role.MODEL
-    }
+    model_maps = _source_maps(dataset, Role.MODEL)
     if len(model_maps) < 2:
         raise ValidationError("equivalence needs at least 2 model sources")
     reference = _reference_map(args.reference, spec, seed=args.seed)

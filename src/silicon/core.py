@@ -557,6 +557,16 @@ def save_dataset(dataset: Dataset, path) -> None:
                                     dataset.run.tolist(), dataset.label_code.tolist()))
 
 
+def _sorted_ids(ids: Iterable) -> list:
+    """Item ids in sorted order.  JSON ids may be ints or strings, which do
+    not compare: a mix of them is a ValidationError that names the types."""
+    try:
+        return sorted(ids)
+    except TypeError:
+        types = " and ".join(sorted({type(i).__name__ for i in ids}))
+        raise ValidationError(f"item ids mix {types} and cannot be sorted") from None
+
+
 def _rng_from_seed(seed) -> np.random.Generator:
     """Philox generator for an int seed or a SeedSequence (an int is hashed through one)."""
     return np.random.Generator(np.random.Philox(seed))

@@ -29,7 +29,7 @@ from typing import Mapping
 import numpy as np
 from scipy.special import betaincinv, chdtrc, ndtr, ndtri
 
-from .core import LabelValue, ValidationError
+from .core import LabelValue, ValidationError, _sorted_ids
 
 __all__ = [
     "MatchMatrix",
@@ -93,7 +93,7 @@ def build_match_matrix(
     models = tuple(model_labels)
     if len(models) < 2:
         raise ValidationError("need at least 2 models")
-    items = tuple(sorted(reference))
+    items = tuple(_sorted_ids(reference))
     if len(items) < 2:
         raise ValidationError("need at least 2 reference items")
     missing = {

@@ -16,7 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .agreement import kappa_for_kind
+import numpy as np
+
+from .agreement import _Codes
+from .agreement import kappa_for_kind  # unused here, but perfbench/tracing.py wraps this name
 from .core import LabelValue, TaskSpec, TieRule, ValidationError, majority_vote
 
 __all__ = ["RoutingPlan", "RoutingResult", "SweepPoint", "route", "sweep"]
@@ -121,14 +124,17 @@ def sweep(
         return []
     focal = {i: focal_labels[i] for i in items}
     top = route(max(plans, key=lambda p: p.tau), focal, fsd, aux_labels, spec, seed)
-    ref = [reference[i] for i in items]
+    codes = _Codes(spec.kind, None, focal.values(), [top.final[i] for i in items],
+                   [reference[i] for i in items])
+    focal_codes, voted_codes, ref_codes = codes.columns
+    scores = np.array([fsd[i] for i in items], dtype=float)
     points = []
     for p in plans:
-        routed = [fsd[i] < p.tau for i in items]
-        rep = kappa_for_kind(
-            [top.final[i] if r else focal[i] for i, r in zip(items, routed)], ref, spec.kind,
-        )
-        n_routed = sum(routed)
+        routed = scores < p.tau
+        final = np.where(routed, voted_codes, focal_codes)
+        codes.check(final, ref_codes)
+        rep = codes.kappa(final, ref_codes)
+        n_routed = int(np.count_nonzero(routed))
         points.append(SweepPoint(
             tau=p.tau,
             kappa=rep.kappa,

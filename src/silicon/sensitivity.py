@@ -15,8 +15,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .agreement import _encode, _kappa_codes, _set_weights, kappa_for_kind
-from .core import LabelValue, TaskKind, ValidationError, _rng_from_seed
+from .agreement import _Codes
+from .agreement import kappa_for_kind  # unused here, but perfbench/tracing.py wraps this name
+from .core import LabelValue, TaskKind, ValidationError, _rng_from_seed, _sorted_ids
 
 __all__ = ["MixConfig", "AlphaGap", "mix_baseline", "sensitivity_curve"]
 
@@ -71,7 +72,7 @@ def mix_baseline(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError("alpha must lie in [0, 1]")
-    items = sorted(expert)
+    items = _sorted_ids(expert)
     if not items:
         raise ValidationError("empty reference")
     _check_crowd(items, crowd)
@@ -98,25 +99,20 @@ def sensitivity_curve(
 
     Items are the intersection of llm and expert coverage; crowd must cover
     them all.  Replicate r of alpha index a uses a seed derived from
-    (cfg.seed, a, r), so curves are bit-reproducible.  The three label
-    columns are encoded once; each replicate swaps in crowd codes at the
-    positions mix_baseline would draw and takes kappa on the codes, which
-    gives exactly the numbers of kappa_for_kind on the mixed labels.
+    (cfg.seed, a, r), so curves are bit-reproducible.  Each replicate swaps
+    in crowd labels at the positions mix_baseline would draw, which gives
+    exactly the numbers of kappa_for_kind on the mixed labels.
     """
-    items = sorted(set(llm) & set(expert))
+    items = _sorted_ids(set(llm) & set(expert))
     if len(items) < 2:
         raise ValidationError("need at least 2 items shared by llm and expert")
-    llm_labels = [llm[i] for i in items]
-    expert_labels = [expert[i] for i in items]
-    kappa_ref = kappa_for_kind(llm_labels, expert_labels, kind).kappa
+    # a bad llm or expert label is reported before any crowd gap
+    codes = _Codes(kind, None, [llm[i] for i in items], [expert[i] for i in items],
+                   [crowd[i] for i in items if i in crowd])
+    llm_codes, expert_codes, crowd_codes = codes.columns
+    codes.check(llm_codes, expert_codes)
+    kappa_ref = codes.kappa(llm_codes, expert_codes).kappa
     _check_crowd(items, crowd)
-
-    multilabel = kind is TaskKind.MULTILABEL
-    cats, (llm_codes, expert_codes, crowd_codes) = _encode(
-        llm_labels, expert_labels, [crowd[i] for i in items])
-    weights = _set_weights(cats) if multilabel else 1.0 - np.eye(len(cats))
-    # cohen_kappa rejects set labels; only the crowd's have not been through it
-    is_set = None if multilabel else np.array([len(lab.indices) != 1 for lab in cats])
 
     out = []
     for a_idx, alpha in enumerate(cfg.alphas):
@@ -125,10 +121,8 @@ def sensitivity_curve(
             mixed = expert_codes.copy()
             swapped = _swap_positions(len(items), alpha, _replicate_seed(cfg.seed, a_idx, rep))
             mixed[swapped] = crowd_codes[swapped]
-            if is_set is not None and is_set[mixed].any():
-                raise ValidationError("cohen_kappa takes single labels; use weighted_kappa for sets")
-            kappa_mixed = _kappa_codes(llm_codes, mixed, cats, weights, multilabel).kappa
-            gaps.append(abs(kappa_ref - kappa_mixed))
+            codes.check(mixed)
+            gaps.append(abs(kappa_ref - codes.kappa(llm_codes, mixed).kappa))
         out.append(AlphaGap(
             alpha=alpha,
             mean_gap=float(np.mean(gaps)),

@@ -182,6 +182,9 @@ class TestCohenKappa:
             cohen_kappa([S(0)], [S(0), S(1)])
         with pytest.raises(ValidationError):
             cohen_kappa([S(0)], [S(0)])
+        # a bad label is reported before the length mismatch
+        with pytest.raises(ValidationError, match="single labels"):
+            cohen_kappa([S(0), S(1)], [S(0), S(0, 1), S(1)])
 
     def test_matches_oracle_randomized(self):
         rng = np.random.default_rng(99)

@@ -331,10 +331,11 @@ class TestRouteSweep:
 
 
 class TestEquivalence:
-    def inputs(self, tmp_path):
+    def inputs(self, tmp_path, items=None):
         task = write_task(tmp_path)
         labels = ["red", "green", "blue"]
-        ref = {f"i{j}": labels[j % 3] for j in range(12)}
+        items = items or [f"i{j}" for j in range(12)]
+        ref = {item: labels[j % 3] for j, item in enumerate(items)}
         names = {"m1": 9, "m2": 8, "m3": 10}
         paths = []
         for name, n_right in names.items():
@@ -392,12 +393,22 @@ class TestEquivalence:
                         "--reference", reference,
                         "--out", str(tmp_path / "eq")]) == 1
 
+    def test_int_and_str_item_ids_are_bad_input(self, tmp_path, capsys):
+        task, paths, reference = self.inputs(tmp_path, items=[1, 2, "x", "y", 5])
+        argv = ["equivalence", "--task", task, "--reference", reference,
+                "--out", str(tmp_path / "eq")]
+        for p in paths:
+            argv += ["--models", p]
+        assert cli.run(argv) == 1
+        assert "error: item ids mix int and str and cannot be sorted" in capsys.readouterr().err
+        assert not (tmp_path / "eq").exists()
+
 
 class TestMixSensitivity:
-    def inputs(self, tmp_path):
+    def inputs(self, tmp_path, items=None):
         task = write_task(tmp_path)
         labels = ["red", "green", "blue"]
-        items = [f"i{j}" for j in range(20)]
+        items = items or [f"i{j}" for j in range(20)]
         llm = write_records(tmp_path / "llm.jsonl",
                             [(i, "model", "m1", 0, [labels[j % 3]])
                              for j, i in enumerate(items)])
@@ -434,6 +445,14 @@ class TestMixSensitivity:
                             "--out", str(out)]) == 0
             outs.append((out / "curve.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_int_and_str_item_ids_are_bad_input(self, tmp_path, capsys):
+        task, llm, expert, crowd = self.inputs(tmp_path, items=[1, 2, "x", "y", 5])
+        assert cli.run(["mix-sensitivity", "--task", task, "--llm", llm,
+                        "--expert", expert, "--crowd", crowd,
+                        "--out", str(tmp_path / "mix")]) == 1
+        assert "error: item ids mix int and str and cannot be sorted" in capsys.readouterr().err
+        assert not (tmp_path / "mix").exists()
 
 
 class TestSimulate:

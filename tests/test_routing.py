@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from silicon import agreement
 from silicon.agreement import cohen_kappa, kappa_for_kind
 from silicon.core import LabelValue, TaskKind, TaskSpec, TieRule, ValidationError
 from silicon.routing import RoutingPlan, route, sweep
@@ -196,6 +197,23 @@ class TestSweep:
             assert (point.tau, point.kappa, point.n_routed, point.q, point.degenerate) == (
                 tau, want.kappa, n_routed, n_routed / len(shared), want.degenerate)
 
+    def test_one_weight_matrix_per_sweep(self, monkeypatch):
+        # the set weights depend only on the coded labels, not on tau
+        built = []
+        set_weights = agreement._set_weights
+        monkeypatch.setattr(agreement, "_set_weights",
+                            lambda cats: built.append(len(cats)) or set_weights(cats))
+        rng = np.random.default_rng(16)
+        items = [f"i{j}" for j in range(80)]
+        focal = {i: random_label(rng, MSPEC) for i in items}
+        fsd = {i: float(rng.integers(0, 11)) / 10.0 for i in items}
+        aux = {name: {i: random_label(rng, MSPEC) for i in items} for name in ("x", "y")}
+        reference = {i: random_label(rng, MSPEC) for i in items}
+        plan = RoutingPlan(focal="f", auxiliaries=("x", "y"), tau=0.0)
+        points = sweep(plan, [k / 10 for k in range(11)], focal, fsd, aux, reference, MSPEC)
+        assert len(points) == 11
+        assert len(built) == 1
+
     def test_empty_taus_and_bad_tau(self):
         rng = np.random.default_rng(15)
         items, focal, fsd, aux, reference = random_case(rng, n=20)
@@ -230,3 +248,11 @@ class TestSweep:
         with pytest.raises(ValidationError):
             sweep(plan, [0.5], {"i": S(0)}, {"i": 0.5}, {"x": {"i": S(0)}},
                   {"other": S(0)}, SPEC)
+
+    def test_set_reference_label_on_single_label_task(self):
+        rng = np.random.default_rng(17)
+        items, focal, fsd, aux, reference = random_case(rng, n=20)
+        reference[items[7]] = S(0, 2)
+        plan = RoutingPlan(focal="f", auxiliaries=("x", "y"), tau=0.0)
+        with pytest.raises(ValidationError, match="cohen_kappa takes single labels"):
+            sweep(plan, [0.0, 0.5, 1.0], focal, fsd, aux, reference, SPEC)

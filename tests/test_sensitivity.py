@@ -53,6 +53,11 @@ class TestMixBaseline:
         with pytest.raises(ValidationError):
             mix_baseline({"a": S(0)}, {"a": S(1)}, 1.2, seed=0)
 
+    def test_int_and_str_item_ids(self):
+        labels = {1: S(0), "x": S(1), 2: S(0)}
+        with pytest.raises(ValidationError, match="item ids mix int and str"):
+            mix_baseline(labels, labels, 0.5, seed=0)
+
 
 class TestSensitivityCurve:
     def test_endpoints(self):
@@ -170,6 +175,10 @@ class TestCurveMatchesDirectOracle:
         llm, expert, crowd, items = make_maps()
         del crowd[items[3]]
         with pytest.raises(ValidationError, match="crowd labels missing"):
+            sensitivity_curve(llm, expert, crowd, self.CFG, TaskKind.MULTICLASS)
+        # a bad llm label is reported before the missing crowd item
+        llm[items[5]] = LabelValue.of([0, 1])
+        with pytest.raises(ValidationError, match="single labels"):
             sensitivity_curve(llm, expert, crowd, self.CFG, TaskKind.MULTICLASS)
 
     def test_crowd_set_label_rejected_for_single_label_kind_once_mixed_in(self):
