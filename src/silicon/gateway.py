@@ -9,26 +9,32 @@ temperature, sample index), so a run can be replayed bit-for-bit later without
 network access: with SILICON_REPLAY=1 (or replay=True) the gateway answers from
 the cache alone and a missing key is an error rather than a network call.  The
 digest of one prompt's messages is computed once and shared by its samples.
+
+Requests go out through the standard library's http.client, one kept-alive
+connection per annotate worker (see HttpTransport).
 """
 
 from __future__ import annotations
 
+import base64
 import functools
 import hashlib
+import http.client
 import json
 import math
 import os
 import re
+import selectors
+import ssl
 import threading
-import time
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from importlib import resources
 from typing import Callable, Mapping, Sequence
-
-import requests
+from urllib.parse import unquote, urlsplit
 
 from .core import LabelValue, Role, SiliconError, SourceId, TaskKind, TaskSpec, ValidationError
 from .core import _JSONL_ENCODER, Dataset
@@ -118,8 +124,9 @@ class ModelEndpoint:
     """An OpenAI-compatible chat-completions endpoint.
 
     The API key is read from the environment variable named by api_key_env,
-    never stored.  supports_n=False issues one request per sample instead of a
-    single request with n choices.
+    never stored.  base_url is http(s)://host[:port][/path], without
+    credentials, query or fragment.  supports_n=False issues one request per
+    sample instead of a single request with n choices.
     """
 
     name: str
@@ -133,8 +140,20 @@ class ModelEndpoint:
     def __post_init__(self):
         if not self.name or not self.base_url or not self.api_key_env:
             raise ValidationError("endpoint needs name, base_url, and api_key_env")
+        try:
+            url = urlsplit(self.base_url)
+            url.port  # raises on a port that is not a number in range
+        except (TypeError, AttributeError, ValueError):
+            url = None
+        if (url is None or url.scheme not in ("http", "https") or not url.hostname
+                or "@" in url.netloc or url.query or url.fragment):
+            raise ValidationError(
+                f"base_url must be http(s)://host[:port][/path], got {self.base_url!r}")
         if self.max_in_flight < 1:
             raise ValidationError("max_in_flight must be >= 1")
+        if not 0 < self.timeout < math.inf:
+            raise ValidationError(
+                f"timeout must be a positive number of seconds, got {self.timeout}")
 
 
 @dataclass(frozen=True)
@@ -156,7 +175,7 @@ class PromptConfig:
             raise ValidationError("persona strategy requires persona_text")
         if self.n_samples < 1:
             raise ValidationError("n_samples must be >= 1")
-        if self.temperature < 0:
+        if not self.temperature >= 0:  # also NaN, which no request body can carry
             raise ValidationError("temperature must be >= 0")
 
 
@@ -414,10 +433,26 @@ class AnnotationCache:
 
 
 class HttpTransport:
-    """POSTs to {base_url}/v1/chat/completions with a bearer token.
+    """POSTs to {base_url}/v1/chat/completions with a bearer token, over one
+    kept-alive connection per calling thread (RFC 9112 section 9.3).
+
+    A thread opens its connection on its first request and reuses it for the
+    next ones.  The connection is reopened when the server closed it: after an
+    HTTP/1.0 or `Connection: close` response, after an idle close found before
+    the next request is written, and after any failed request.  A request is
+    sent once: a failure after its bytes went out is a TransportError for the
+    endpoint's RetryPolicy to handle, never a silent resend.  close() closes
+    every connection; annotate calls it before it returns.
+
+    The proxy settings urllib reads (http_proxy, https_proxy and no_proxy in
+    the environment) are honoured: an http URL is sent to the proxy in
+    absolute form, an https URL through a CONNECT tunnel, with basic
+    credentials from the proxy URL.  TLS is verified against the system trust
+    store (ssl.create_default_context(), so SSL_CERT_FILE and SSL_CERT_DIR
+    apply).  Redirects are not followed.
 
     HTTP 429 and 5xx are retryable TransportErrors, carrying a numeric
-    Retry-After header as retry_after; any other 4xx is not retried.
+    Retry-After header as retry_after; any other 3xx or 4xx is not retried.
     """
 
     def __init__(self, endpoint: ModelEndpoint):
@@ -426,28 +461,96 @@ class HttpTransport:
         if not key:
             raise AuthError(f"environment variable {endpoint.api_key_env} is not set")
         self._headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
-        self._url = endpoint.base_url.rstrip("/") + "/v1/chat/completions"
+        url = endpoint.base_url.rstrip("/") + "/v1/chat/completions"
+        parts = urlsplit(url)
+        https = parts.scheme == "https"
+        self._address = (parts.hostname, parts.port or (443 if https else 80))
+        self._target = parts.path
+        self._tunnel = None
+        self._context = ssl.create_default_context() if https else None
+        proxy = urllib.request.getproxies().get(parts.scheme)
+        if proxy and not urllib.request.proxy_bypass(parts.netloc):
+            try:
+                proxy = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+                proxy_at = (proxy.hostname, proxy.port or 80)
+            except ValueError:
+                proxy_at = (None, 0)
+            if not proxy_at[0]:
+                raise GatewayError(f"the {parts.scheme} proxy set in the environment is not a URL")
+            auth = {}
+            if proxy.username is not None:
+                user_pass = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
+                auth["Proxy-Authorization"] = (
+                    "Basic " + base64.b64encode(user_pass.encode()).decode("ascii"))
+            tunnel_to, self._address = self._address, proxy_at
+            if https:
+                self._tunnel = (*tunnel_to, auth)
+            else:
+                self._target = url
+                self._headers.update(auth)
+        self._lock = threading.Lock()
+        self._conns: dict[int, http.client.HTTPConnection] = {}  # thread ident -> connection
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection, closed first if the server closed it.
+
+        An idle connection that reads as ready holds the server's close (or
+        bytes nobody asked for), so it is not written to; http.client opens a
+        new one on the next request.
+        """
+        me = threading.get_ident()
+        conn = self._conns.get(me)
+        if conn is None:
+            if self._context is not None:
+                conn = http.client.HTTPSConnection(*self._address, timeout=self.endpoint.timeout,
+                                                   context=self._context)
+            else:
+                conn = http.client.HTTPConnection(*self._address, timeout=self.endpoint.timeout)
+            if self._tunnel is not None:
+                conn.set_tunnel(*self._tunnel)
+            with self._lock:
+                self._conns[me] = conn
+        elif conn.sock is not None:
+            with selectors.DefaultSelector() as sel:
+                sel.register(conn.sock, selectors.EVENT_READ)
+                if sel.select(0):
+                    conn.close()
+        return conn
+
+    def close(self) -> None:
+        """Close every connection; a later request opens a new one."""
+        with self._lock:
+            conns, self._conns = list(self._conns.values()), {}
+        for conn in conns:
+            conn.close()
 
     def post(self, payload: dict) -> dict:
+        conn = self._connection()
         try:
-            resp = requests.post(
-                self._url, headers=self._headers, json=payload, timeout=self.endpoint.timeout
-            )
-        except requests.RequestException as exc:
+            body = json.dumps(payload, allow_nan=False).encode("utf-8")
+            conn.request("POST", self._target, body, self._headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            conn.close()  # its state is unknown; the next request opens a new one
             raise TransportError(f"request failed: {exc}") from exc
-        status = resp.status_code
+        except BaseException:
+            conn.close()
+            raise
+        status = resp.status
         if status in (401, 403):
             raise AuthError(f"authentication rejected (HTTP {status})")
-        if status >= 400:
+        if status >= 300:
             retryable = status == 429 or status >= 500
             raise TransportError(
-                f"HTTP {status}: {resp.text[:200]}", retryable=retryable,
-                retry_after=_seconds(resp.headers.get("Retry-After")) if retryable else None,
+                f"HTTP {status}: {data.decode('utf-8', 'replace')[:200]}", retryable=retryable,
+                retry_after=_seconds(resp.getheader("Retry-After")) if retryable else None,
             )
         try:
-            return resp.json()
+            return json.loads(data)
         except ValueError as exc:
-            raise TransportError(f"non-JSON response: {resp.text[:200]}") from exc
+            raise TransportError(
+                f"non-JSON response: {data.decode('utf-8', 'replace')[:200]}") from exc
 
 
 def _seconds(value: str | None) -> float | None:
@@ -499,8 +602,8 @@ def _call_with_retries(transport, payload: dict, policy: RetryPolicy,
     """transport.post(payload), sent again after each retryable TransportError.
 
     The wait before a retry is the policy's backoff for that attempt, raised to
-    the server's Retry-After when that is longer.  No attempt starts once abort
-    is set.
+    the server's Retry-After when that is longer; it ends early when abort is
+    set.  No attempt starts once abort is set.
     """
     attempt = 0
     while True:
@@ -516,7 +619,12 @@ def _call_with_retries(transport, payload: dict, policy: RetryPolicy,
             if exc.retry_after is not None:
                 delay = max(delay, exc.retry_after)
             if delay > 0:
-                time.sleep(delay)
+                _backoff_wait(abort, delay)
+
+
+def _backoff_wait(abort: threading.Event, delay: float) -> None:
+    """Wait delay seconds before a retry, or until abort is set (tests replace it)."""
+    abort.wait(delay)
 
 
 def _choice_texts(resp: dict, n: int) -> list[str]:
@@ -554,8 +662,9 @@ def annotate(
     whose transport failure survives the retry policy marks its samples (and
     any later ones of its item) as failures and the run continues.  An
     authentication error or an interrupt aborts: queued requests are dropped,
-    no request starts after the abort, and the ones in flight are waited for
-    and cached before the error is raised.
+    a backoff wait ends, no request starts after the abort, and the ones in
+    flight are waited for and cached before the error is raised.  The
+    connections of an HttpTransport are closed before annotate returns.
     """
     if replay is None:
         replay = os.environ.get(REPLAY_ENV, "") == "1"
@@ -669,6 +778,8 @@ def annotate(
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+        if isinstance(transport, HttpTransport):
+            transport.close()
 
     return [
         ItemAnnotation(item_id=item_id, samples=tuple(samples))
@@ -696,21 +807,45 @@ def annotations_to_dataset(
     return Dataset.from_rows(spec, rows), failures
 
 
+# the keys an endpoint or prompt config may hold; any other is an error, so a
+# misspelt field is never silently left at its default
+_ENDPOINT_KEYS = frozenset({"name", "base_url", "api_key_env", "max_in_flight", "timeout",
+                            "supports_n", "retry"})
+_RETRY_KEYS = frozenset({"max_attempts", "backoff"})
+_PROMPT_KEYS = frozenset({"guideline_text", "guideline_file", "strategy", "placement",
+                          "persona_text", "temperature", "n_samples"})
+
+
+def _check_keys(obj, known: frozenset, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValidationError(f"bad {what}: expected a JSON object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        raise ValidationError(f"bad {what}: unknown keys {unknown}; "
+                              f"expected some of {sorted(known)}")
+
+
 def load_endpoint(path) -> ModelEndpoint:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+    _check_keys(obj, _ENDPOINT_KEYS, "endpoint config")
+    retry = obj.get("retry", {})
+    _check_keys(retry, _RETRY_KEYS, "endpoint config retry")
+    supports_n = obj.get("supports_n", True)
+    if not isinstance(supports_n, bool):
+        raise ValidationError(
+            f"bad endpoint config: supports_n must be true or false, got {supports_n!r}")
     try:
-        retry = obj.get("retry", {})
         return ModelEndpoint(
             name=obj["name"],
             base_url=obj["base_url"],
             api_key_env=obj["api_key_env"],
             max_in_flight=int(obj.get("max_in_flight", 4)),
             timeout=float(obj.get("timeout", 60.0)),
-            supports_n=bool(obj.get("supports_n", True)),
+            supports_n=supports_n,
             retry=RetryPolicy(
                 max_attempts=int(retry.get("max_attempts", 3)),
                 backoff=tuple(retry.get("backoff", (1.0, 2.0, 4.0))),
@@ -727,6 +862,7 @@ def load_prompt_config(path, spec: TaskSpec) -> PromptConfig:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+    _check_keys(obj, _PROMPT_KEYS, "prompt config")
     guideline = obj.get("guideline_text")
     if guideline is None and "guideline_file" in obj:
         gpath = os.path.join(os.path.dirname(os.path.abspath(path)), obj["guideline_file"])

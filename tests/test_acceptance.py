@@ -12,12 +12,12 @@ import math
 import os
 import pathlib
 import shutil
+import socket
 import time
 from collections import Counter
 
 import numpy as np
 import pytest
-import requests
 
 from silicon import cli
 from silicon.agreement import cohen_kappa, kappa_for_kind, set_weight, weighted_kappa
@@ -408,7 +408,9 @@ def test_criterion_9_gateway_contracts(tmp_path, monkeypatch):
     def no_network(*args, **kwargs):
         raise AssertionError("network call attempted during replay")
 
-    monkeypatch.setattr(requests, "post", no_network)
+    # every connection attempt, by any client library, goes through one of these
+    monkeypatch.setattr(socket, "create_connection", no_network)
+    monkeypatch.setattr(socket.socket, "connect", no_network)
     start = time.perf_counter()
     first = run_pipeline(tmp_path / "run_a")
     second = run_pipeline(tmp_path / "run_b")

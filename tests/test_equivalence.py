@@ -323,16 +323,26 @@ def test_special_functions_equal_the_scipy_stats_calls_they_replace():
     same(special.ndtri(p), stats.norm.ppf(p))
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
+def modules_loaded_by_cli_import(prefixes):
+    """The loaded modules named by one of prefixes after `import silicon.cli` in a
+    fresh interpreter."""
     import os
     import subprocess
     import sys
 
-    code = ("import sys, silicon.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    code = (f"import sys, silicon.cli; "
+            f"print(sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r})))")
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    assert modules_loaded_by_cli_import(["scipy.stats"]) == "[]"
+
+
+def test_importing_the_cli_leaves_requests_and_urllib3_unloaded():
+    assert modules_loaded_by_cli_import(["requests", "urllib3"]) == "[]"

@@ -1,12 +1,16 @@
+import base64
+import gc
 import hashlib
 import itertools
 import json
+import socket
 import threading
 import time
+import warnings
 from importlib import resources
 
 import pytest
-import requests
+from conftest import CERT, choices_reply
 
 import silicon.gateway as gateway
 from silicon.core import (AnnotationRecord, LabelValue, Role, SourceId, TaskKind, TaskSpec,
@@ -16,6 +20,7 @@ from silicon.gateway import (
     AnnotationCache,
     AuthError,
     CacheEntry,
+    GatewayError,
     HttpTransport,
     ModelEndpoint,
     ParseFailure,
@@ -596,6 +601,25 @@ class TestAnnotate:
                 key = per_sample_key("mock-a", assemble_prompt(cfg, text), cfg.temperature, s)
                 assert cache.get(key).raw_response == answers[s if supports_n else 0]
 
+    @pytest.mark.parametrize("abort_with", [AuthError, KeyboardInterrupt])
+    def test_abort_ends_a_backoff_wait(self, tmp_path, abort_with):
+        backing_off = threading.Event()
+
+        def script(messages, call_index, choice_index):
+            if messages[-1]["content"] == "text one":
+                backing_off.set()
+                raise TransportError("busy", retry_after=60.0)
+            assert backing_off.wait(timeout=10)
+            time.sleep(0.05)  # let the other worker enter its wait
+            raise abort_with("rejected")
+
+        start = time.monotonic()
+        with pytest.raises(abort_with):
+            annotate(make_endpoint(max_in_flight=2, retry=RetryPolicy(max_attempts=3)),
+                     make_cfg(n_samples=1), ITEMS, AnnotationCache(tmp_path / "cache.jsonl"),
+                     transport=ScriptedTransport(script))
+        assert time.monotonic() - start < 10  # not the 60 s Retry-After
+
     def test_duplicate_item_ids_rejected(self, tmp_path):
         cache = AnnotationCache(tmp_path / "cache.jsonl")
         with pytest.raises(ValidationError):
@@ -622,17 +646,19 @@ class TestAnnotationsToRecords:
             for item, name, run in expected)
 
 
-class FakeResponse:
-    def __init__(self, status_code, body=None, text="", headers=None):
-        self.status_code = status_code
-        self._body = body
-        self.text = text
-        self.headers = headers or {}
+def closed_port():
+    """A loopback port that nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
 
-    def json(self):
-        if self._body is None:
-            raise ValueError("no json")
-        return self._body
+
+def post_once(endpoint, payload):
+    transport = HttpTransport(endpoint)
+    try:
+        return transport.post(payload)
+    finally:
+        transport.close()
 
 
 class TestHttpTransport:
@@ -641,20 +667,25 @@ class TestHttpTransport:
         with pytest.raises(AuthError, match="MOCK_API_KEY"):
             HttpTransport(make_endpoint())
 
-    def test_posts_to_chat_completions(self, monkeypatch):
+    def test_posts_to_chat_completions(self, monkeypatch, loopback):
         monkeypatch.setenv("MOCK_API_KEY", "sekret")
-        seen = {}
+        server = loopback(reply=lambda payload: (200, {}, b'{"choices": []}'))
+        timeouts, connect = [], socket.create_connection
 
-        def fake_post(url, headers=None, json=None, timeout=None):
-            seen.update(url=url, headers=headers, payload=json, timeout=timeout)
-            return FakeResponse(200, body={"choices": []})
+        def spy(address, timeout, *rest):
+            timeouts.append(timeout)
+            return connect(address, timeout, *rest)
 
-        monkeypatch.setattr(requests, "post", fake_post)
-        out = HttpTransport(make_endpoint()).post({"model": "mock-a"})
+        monkeypatch.setattr(socket, "create_connection", spy)
+        out = post_once(make_endpoint(base_url=server.url), {"model": "mock-a"})
         assert out == {"choices": []}
-        assert seen["url"] == "http://mock.invalid/v1/chat/completions"
-        assert seen["headers"]["Authorization"] == "Bearer sekret"
-        assert seen["timeout"] == 60.0
+        [(method, path, headers, body)] = server.requests
+        assert method == "POST" and f"http://{headers['Host']}{path}" == (
+            server.url + "/v1/chat/completions")
+        assert headers["Authorization"] == "Bearer sekret"
+        assert headers["Content-Type"] == "application/json"
+        assert json.loads(body) == {"model": "mock-a"}
+        assert timeouts == [60.0]
 
     @pytest.mark.parametrize("status,headers,exc,attempts,sleeps", [
         pytest.param(401, {}, AuthError, 1, [], id="401-AuthError"),
@@ -670,19 +701,21 @@ class TestHttpTransport:
                      id="503-TransportError-short-retry-after"),
         pytest.param(503, {"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}, TransportError,
                      3, [0.5, 0.5], id="503-TransportError-date-retry-after"),
+        pytest.param(307, {"Location": "http://127.0.0.1:1/"}, TransportError, 1, [],
+                     id="307-TransportError-not-followed"),
     ])
-    def test_status_mapping(self, monkeypatch, tmp_path, status, headers, exc, attempts,
-                            sleeps):
+    def test_status_mapping(self, monkeypatch, tmp_path, loopback, status, headers, exc,
+                            attempts, sleeps):
         monkeypatch.setenv("MOCK_API_KEY", "sekret")
-        sent, slept = [], []
-        monkeypatch.setattr(requests, "post", lambda *a, **k: sent.append(k["json"])
-                            or FakeResponse(status, text="err", headers=headers))
-        monkeypatch.setattr(time, "sleep", slept.append)
+        server = loopback(reply=lambda payload: (status, headers, b"err"))
+        sent, slept = server.requests, []
+        monkeypatch.setattr(gateway, "_backoff_wait", lambda abort, delay: slept.append(delay))
         with pytest.raises(exc):
-            HttpTransport(make_endpoint()).post({})
+            post_once(make_endpoint(base_url=server.url), {})
         sent.clear()
         # through annotate: 429 and 5xx are retried, waiting at least Retry-After
-        endpoint = make_endpoint(retry=RetryPolicy(max_attempts=3, backoff=(0.5,)))
+        endpoint = make_endpoint(base_url=server.url,
+                                 retry=RetryPolicy(max_attempts=3, backoff=(0.5,)))
         cache = AnnotationCache(tmp_path / "cache.jsonl")
         if exc is AuthError:
             with pytest.raises(AuthError):
@@ -694,35 +727,183 @@ class TestHttpTransport:
         assert len(sent) == attempts and slept == sleeps
         assert len(cache) == 0
 
-    def test_retry_after_then_success(self, monkeypatch, tmp_path):
+    def test_retry_after_then_success(self, monkeypatch, tmp_path, loopback):
         monkeypatch.setenv("MOCK_API_KEY", "sekret")
-        replies = iter([FakeResponse(503, text="busy", headers={"Retry-After": "3"}),
-                        FakeResponse(200, body={"choices": [
-                            {"message": {"content": "negative"}}]})])
-        monkeypatch.setattr(requests, "post", lambda *a, **k: next(replies))
+        replies = iter([(503, {"Retry-After": "3"}, b"busy"),
+                        (200, {}, json.dumps({"choices": [
+                            {"message": {"content": "negative"}}]}).encode())])
+        server = loopback(reply=lambda payload: next(replies))
         slept = []
-        monkeypatch.setattr(time, "sleep", slept.append)
+        monkeypatch.setattr(gateway, "_backoff_wait", lambda abort, delay: slept.append(delay))
         cache = AnnotationCache(tmp_path / "cache.jsonl")
-        anns = annotate(make_endpoint(), make_cfg(n_samples=1), ITEMS[:1], cache)
+        anns = annotate(make_endpoint(base_url=server.url), make_cfg(n_samples=1), ITEMS[:1],
+                        cache)
         assert slept == [3.0]
         assert anns[0].labels() == [LabelValue.single(1)] and len(cache) == 1
+        assert len(server.requests) == 2
 
+    @pytest.mark.usefixtures("loopback")  # for its cleared proxy variables
     def test_network_error_wrapped(self, monkeypatch):
         monkeypatch.setenv("MOCK_API_KEY", "sekret")
-
-        def boom(*a, **k):
-            raise requests.ConnectionError("refused")
-
-        monkeypatch.setattr(requests, "post", boom)
         with pytest.raises(TransportError, match="refused"):
-            HttpTransport(make_endpoint()).post({})
+            post_once(make_endpoint(base_url=f"http://127.0.0.1:{closed_port()}"), {})
 
-    def test_non_json_body(self, monkeypatch):
+    def test_non_json_body(self, monkeypatch, loopback):
         monkeypatch.setenv("MOCK_API_KEY", "sekret")
-        monkeypatch.setattr(requests, "post",
-                            lambda *a, **k: FakeResponse(200, text="<html>"))
+        server = loopback(reply=lambda payload: (200, {"Content-Type": "text/html"}, b"<html>"))
         with pytest.raises(TransportError, match="non-JSON"):
-            HttpTransport(make_endpoint()).post({})
+            post_once(make_endpoint(base_url=server.url), {})
+
+
+class TestConnections:
+    """Connection reuse and reopening, counted by the server."""
+
+    @pytest.fixture(autouse=True)
+    def api_key(self, monkeypatch):
+        monkeypatch.setenv("MOCK_API_KEY", "sekret")
+
+    def test_one_connection_per_thread(self, loopback):
+        server = loopback()
+        transport = HttpTransport(make_endpoint(base_url=server.url))
+        outs = []
+
+        def worker():
+            outs.extend(transport.post({"n": 1}) for _ in range(4))
+
+        threads = [threading.Thread(target=worker) for _ in range(3)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        finally:
+            transport.close()
+        assert len(outs) == 12 and len(server.requests) == 12
+        assert server.connections == 3
+
+    def test_annotate_keeps_one_connection_per_worker(self, tmp_path, loopback):
+        server = loopback()
+        items = [(f"i{k:02d}", f"text {k:02d}") for k in range(12)]
+        anns = annotate(make_endpoint(base_url=server.url, max_in_flight=2), make_cfg(),
+                        items, AnnotationCache(tmp_path / "cache.jsonl"))
+        assert all(len(ann.labels()) == 3 for ann in anns)
+        assert len(server.requests) == 12
+        assert 1 <= server.connections <= 2
+        # annotate closed every connection it opened
+        for _ in range(server.connections):
+            assert server.closed.acquire(timeout=5)
+
+    @pytest.mark.parametrize("protocol,headers", [
+        pytest.param("HTTP/1.0", {}, id="http-1.0"),
+        pytest.param("HTTP/1.1", {"Connection": "close"}, id="connection-close"),
+    ])
+    def test_new_connection_after_a_closing_response(self, loopback, protocol, headers):
+        server = loopback(protocol=protocol,
+                          reply=lambda payload: (200, headers, b'{"choices": []}'))
+        transport = HttpTransport(make_endpoint(base_url=server.url))
+        try:
+            for _ in range(3):
+                assert transport.post({}) == {"choices": []}
+        finally:
+            transport.close()
+        assert len(server.requests) == 3 and server.connections == 3
+
+    def test_idle_close_reopens_without_resending(self, loopback):
+        server = loopback(idle_timeout=0.2)
+        transport = HttpTransport(make_endpoint(base_url=server.url))
+        try:
+            transport.post({"n": 1})
+            assert server.closed.acquire(timeout=5)  # the server dropped the idle connection
+            time.sleep(0.05)
+            assert transport.post({"n": 2})["choices"]
+        finally:
+            transport.close()
+        assert [json.loads(body)["n"] for _, _, _, body in server.requests] == [1, 2]
+        assert server.connections == 2
+
+    def test_failure_after_sending_is_not_resent(self, loopback):
+        answers = iter([None, choices_reply({"n": 1})])
+        server = loopback(reply=lambda payload: next(answers))
+        transport = HttpTransport(make_endpoint(base_url=server.url))
+        try:
+            with pytest.raises(TransportError, match="request failed") as info:
+                transport.post({"n": 1})
+            assert info.value.retryable
+            assert len(server.requests) == 1
+            assert transport.post({"n": 1})["choices"]
+        finally:
+            transport.close()
+        assert len(server.requests) == 2 and server.connections == 2
+
+    def test_no_resource_warning_after_annotate(self, tmp_path, loopback):
+        server = loopback()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            annotate(make_endpoint(base_url=server.url, max_in_flight=2), make_cfg(),
+                     ITEMS, AnnotationCache(tmp_path / "cache.jsonl"))
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert len(server.requests) == 2
+
+
+class TestProxyAndTls:
+    @pytest.fixture(autouse=True)
+    def api_key(self, monkeypatch):
+        monkeypatch.setenv("MOCK_API_KEY", "sekret")
+
+    def test_http_proxy_gets_absolute_url(self, monkeypatch, loopback):
+        proxy = loopback()
+        monkeypatch.setenv("http_proxy", proxy.url.replace("http://", "http://us%40r:p%3Ass@"))
+        assert post_once(make_endpoint(base_url="http://mock.invalid:8080/api"), {"n": 1})
+        [(method, path, headers, _)] = proxy.requests
+        assert (method, path) == ("POST", "http://mock.invalid:8080/api/v1/chat/completions")
+        assert headers["Host"] == "mock.invalid:8080"
+        assert headers["Authorization"] == "Bearer sekret"
+        assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(
+            b"us@r:p:ss").decode()
+
+    def test_no_proxy_bypasses_the_proxy(self, monkeypatch, loopback):
+        proxy, server = loopback(), loopback()
+        monkeypatch.setenv("http_proxy", proxy.url)
+        monkeypatch.setenv("no_proxy", "localhost,127.0.0.1")
+        assert post_once(make_endpoint(base_url=server.url), {"n": 1})
+        assert proxy.requests == [] and len(server.requests) == 1
+
+    @pytest.mark.usefixtures("loopback")
+    @pytest.mark.parametrize("proxy", ["http://:3128", "http://proxy.invalid:port"])
+    def test_bad_proxy_url_is_an_error(self, monkeypatch, proxy):
+        monkeypatch.setenv("http_proxy", proxy)
+        with pytest.raises(GatewayError, match="http proxy set in the environment"):
+            HttpTransport(make_endpoint())
+
+    def test_tls_verified_against_ssl_cert_file(self, monkeypatch, tmp_path, loopback):
+        server = loopback(tls=True)
+        endpoint = make_endpoint(base_url=server.url)
+        monkeypatch.setenv("SSL_CERT_FILE", str(tmp_path / "empty.pem"))
+        monkeypatch.setenv("SSL_CERT_DIR", str(tmp_path))
+        (tmp_path / "empty.pem").write_text("")
+        with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
+            post_once(endpoint, {"n": 1})
+        assert server.requests == []
+        monkeypatch.setenv("SSL_CERT_FILE", str(CERT))
+        assert post_once(endpoint, {"n": 1})["choices"]
+        assert len(server.requests) == 1
+
+    def test_https_through_connect_tunnel(self, monkeypatch, loopback):
+        proxy, server = loopback(), loopback(tls=True)
+        monkeypatch.setenv("SSL_CERT_FILE", str(CERT))
+        monkeypatch.setenv("https_proxy", proxy.url.replace("http://", "http://u:p@"))
+        transport = HttpTransport(make_endpoint(base_url=server.url))
+        try:
+            for _ in range(2):
+                assert transport.post({"n": 1})["choices"]
+        finally:
+            transport.close()
+        [(method, target, headers, _)] = proxy.requests
+        assert (method, target) == ("CONNECT", server.url.removeprefix("https://"))
+        assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"u:p").decode()
+        assert len(server.requests) == 2 and server.connections == 1
 
 
 class TestConfigLoaders:
@@ -736,6 +917,38 @@ class TestConfigLoaders:
         ep = load_endpoint(path)
         assert ep.name == "mock-a" and not ep.supports_n
         assert ep.retry == RetryPolicy(max_attempts=5, backoff=(0.5,))
+
+    @pytest.mark.parametrize("change,message", [
+        ({"max_in_fligth": 1}, r"unknown keys \['max_in_fligth'\]"),
+        ({"retry": {"max_attemps": 1}}, r"retry: unknown keys \['max_attemps'\]"),
+        ({"retry": [1]}, "retry: expected a JSON object"),
+        ({"supports_n": "false"}, "supports_n must be true or false"),
+        ({"supports_n": 0}, "supports_n must be true or false"),
+        ({"base_url": "mock.invalid"}, "base_url must be"),
+        ({"base_url": "ftp://mock.invalid"}, "base_url must be"),
+        ({"base_url": "http://"}, "base_url must be"),
+        ({"base_url": "http://u:p@mock.invalid"}, "base_url must be"),
+        ({"base_url": "http://mock.invalid?v=1"}, "base_url must be"),
+        ({"base_url": "http://mock.invalid:99999"}, "base_url must be"),
+        ({"base_url": 8080}, "base_url must be"),
+        ({"timeout": 0}, "timeout must be a positive"),
+        ({"timeout": float("nan")}, "timeout must be a positive"),
+        ({"timeout": float("inf")}, "timeout must be a positive"),
+    ])
+    def test_load_endpoint_is_strict(self, tmp_path, change, message):
+        path = tmp_path / "endpoint.json"
+        path.write_text(json.dumps({
+            "name": "mock-a", "base_url": "https://mock.invalid/api/",
+            "api_key_env": "MOCK_API_KEY", **change,
+        }), encoding="utf-8")
+        with pytest.raises(ValidationError, match=message):
+            load_endpoint(path)
+
+    def test_load_endpoint_not_an_object(self, tmp_path):
+        path = tmp_path / "endpoint.json"
+        path.write_text("[]", encoding="utf-8")
+        with pytest.raises(ValidationError, match="expected a JSON object, got list"):
+            load_endpoint(path)
 
     def test_load_endpoint_bad_json(self, tmp_path):
         path = tmp_path / "endpoint.json"
@@ -761,6 +974,16 @@ class TestConfigLoaders:
         path.write_text(json.dumps({"guideline_file": "guide.txt"}),
                         encoding="utf-8")
         assert load_prompt_config(path, SPEC).guideline_text == GUIDELINE
+
+    @pytest.mark.parametrize("change,message", [
+        ({"n_sample": 7}, r"unknown keys \['n_sample'\]"),
+        ({"temperature": float("nan")}, "temperature must be >= 0"),
+    ])
+    def test_load_prompt_config_is_strict(self, tmp_path, change, message):
+        path = tmp_path / "prompt.json"
+        path.write_text(json.dumps({"guideline_text": GUIDELINE, **change}), encoding="utf-8")
+        with pytest.raises(ValidationError, match=message):
+            load_prompt_config(path, SPEC)
 
     def test_load_prompt_config_requires_guideline(self, tmp_path):
         path = tmp_path / "prompt.json"
