@@ -15,6 +15,7 @@ from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
+from json.decoder import scanstring
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -373,8 +374,10 @@ class Dataset:
 
 
 class _Columns:
-    """First-seen code tables and (item, source, run, label) code rows for
-    building one Dataset.
+    """First-seen code tables and one row per record for building one
+    Dataset: the row's item code in `item_rows`, and its (source, run, label)
+    codes as one tuple in `key_rows`.  JSONL lines that differ only in their
+    item id share one key tuple (see load_dataset).
 
     `source_keys` and `label_keys` map the raw JSON values of a record to
     codes, so a file parses each distinct source and label list once; a
@@ -391,7 +394,8 @@ class _Columns:
         self.label_table: list[LabelValue] = []
         self.source_keys: dict = {}       # (role, name) as read -> code
         self.label_keys: dict = {}        # tuple of label names as read -> code
-        self.rows: list[tuple[int, int, int, int]] = []
+        self.item_rows: list[int] = []
+        self.key_rows: list[tuple[int, int, int]] = []
 
     def source(self, source: SourceId) -> int:
         return self.sources.setdefault(source, len(self.sources))
@@ -404,16 +408,21 @@ class _Columns:
             self.label_table.append(label)
         return code
 
-    def add(self, item_id, source: int, run: int, label: int) -> None:
-        """One row, checked as AnnotationRecord would check it."""
+    def add(self, item_id, source: int, run: int, label: int) -> tuple[int, int, int]:
+        """One row, checked as AnnotationRecord would check it; returns its
+        (source, run, label) codes."""
         if not item_id:
             raise ValidationError("item_id must be non-empty")
         if run < 0:
             raise ValidationError("run index must be >= 0")
-        self.rows.append((self.items.setdefault(item_id, len(self.items)), source, run, label))
+        key = source, run, label
+        self.item_rows.append(self.items.setdefault(item_id, len(self.items)))
+        self.key_rows.append(key)
+        return key
 
-    def add_obj(self, obj, path: str, lineno: int) -> None:
-        """One parsed JSON record; errors name `path:lineno`."""
+    def add_obj(self, obj, path: str, lineno: int) -> tuple[int, int, int]:
+        """One parsed JSON record; errors name `path:lineno`.  Returns its
+        (source, run, label) codes."""
         try:
             try:
                 source = self.source_keys[obj["source"]["role"], obj["source"]["name"]]
@@ -429,18 +438,25 @@ class _Columns:
                 label = self.label(LabelValue.from_names(obj["labels"], self.spec))
                 self.label_keys[tuple(obj["labels"])] = label
             item_id = obj["item_id"]
-            self.add(item_id, source, int(obj.get("run", 0)), label)
+            run = obj.get("run", 0)
+            if type(run) is not int:
+                # int() would truncate a bool or a fractional float silently
+                if isinstance(run, bool) or (isinstance(run, float) and not run.is_integer()):
+                    raise ValueError(f"run index must be a whole number, got {run!r}")
+                run = int(run)
+            return self.add(item_id, source, run, label)
         except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise ValidationError(f"{path}:{lineno}: bad annotation record ({exc})") from exc
 
     def fill(self, ds: Dataset) -> Dataset:
         """Give `ds` these columns; duplicate keys are rejected."""
         try:
-            columns = np.array(self.rows, dtype=np.int64).reshape(-1, 4).T.copy()
+            keys = np.array(self.key_rows, dtype=np.int64).reshape(-1, 3).T.copy()
         except OverflowError:
             raise ValidationError("run index does not fit in 64 bits") from None
         return ds._set_columns(self.spec, tuple(self.items), tuple(self.sources),
-                               tuple(self.label_table), *columns)
+                               tuple(self.label_table),
+                               np.array(self.item_rows, dtype=np.int64), *keys)
 
 
 def _check_duplicates(ds: Dataset) -> None:
@@ -471,9 +487,30 @@ def _check_duplicates(ds: Dataset) -> None:
 # failed line to word the error.
 _raw_decode = json.JSONDecoder().raw_decode
 
+# How every save_dataset line starts (and any record of its keys written with
+# sort_keys=True); load_dataset reads the item id of such a line on its own.
+_ITEM_FIRST = '{"item_id": "'
+# Most distinct line tails one load_dataset call remembers.
+_TAIL_MEMO_SIZE = 4096
+
 
 def load_dataset(path, spec: TaskSpec) -> Dataset:
-    """Read annotations from JSONL (any task) or CSV (single-label tasks only)."""
+    """Read annotations from JSONL (any task) or CSV (single-label tasks only).
+
+    JSONL lines that differ only in their item id are decoded once.  For a
+    line that starts with `{"item_id": "`, the item id's string token is read
+    with json's own scanner (as strict as json.loads), and the text after it,
+    the tail, is looked up in a memo of the (source, run, label) codes of
+    tails already decoded.  A hit adds the row without decoding the line.
+    Swapping one valid JSON string token for another leaves a line valid and
+    every other member unchanged, so a hit yields what a full decode would.
+    A tail enters the memo only after its line decoded and checked cleanly,
+    and only when it holds neither the text `item_id` nor a backslash, so no
+    later key can override the item id.  Lines with an empty item id, and
+    all other lines, take the full decode, which words every error.  The memo
+    holds at most _TAIL_MEMO_SIZE tails; once it is full and has missed more
+    lines than it served, the rest of the file skips it.
+    """
     path = str(path)
     cols = _Columns(spec)
     add = cols.add_obj
@@ -493,11 +530,29 @@ def load_dataset(path, spec: TaskSpec) -> Dataset:
                     "labels": [row["label"]],
                 }, path, lineno)
     else:
+        items, item_rows, key_rows = cols.items, cols.item_rows, cols.key_rows
+        memo: dict | None = {}            # tail -> (source, run, label) codes
+        served = missed = 0
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
+                tail = None
+                if memo is not None and line.startswith(_ITEM_FIRST):
+                    try:
+                        item_id, end = scanstring(line, len(_ITEM_FIRST), True)
+                    except ValueError:
+                        pass              # not valid JSON: the full decode words it
+                    else:
+                        tail = line[end:]
+                        key = memo.get(tail)
+                        if key is not None and item_id:  # a row as `add` appends it
+                            item_rows.append(items.setdefault(item_id, len(items)))
+                            key_rows.append(key)
+                            served += 1
+                            continue
+                        missed += 1
                 try:
                     obj, end = _raw_decode(line)
                     if end != len(line):
@@ -507,7 +562,13 @@ def load_dataset(path, spec: TaskSpec) -> Dataset:
                         obj = json.loads(line)
                     except json.JSONDecodeError as exc:
                         raise ValidationError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
-                add(obj, path, lineno)
+                key = add(obj, path, lineno)
+                if tail is not None:
+                    if len(memo) < _TAIL_MEMO_SIZE:
+                        if "item_id" not in tail and "\\" not in tail:
+                            memo[tail] = key
+                    elif missed > served:
+                        memo = None
     return cols.fill(Dataset.__new__(Dataset))
 
 

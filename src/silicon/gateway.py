@@ -388,14 +388,32 @@ class AnnotationCache:
                     self._header_written = True
                     continue
                 try:
+                    key, model, raw = obj["key"], obj["model"], obj["raw_response"]
+                    parsed, failure = obj.get("parsed"), obj.get("failure")
+                    if not (isinstance(key, str) and isinstance(model, str)
+                            and isinstance(raw, str)):
+                        name = next(n for n in ("key", "model", "raw_response")
+                                    if not isinstance(obj[n], str))
+                        raise TypeError(f"{name} must be a string, not "
+                                        f"{type(obj[name]).__name__}")
+                    if parsed is not None:
+                        if not isinstance(parsed, list):
+                            raise TypeError(f"parsed must be null or a list of strings: "
+                                            f"{parsed!r}")
+                        for label in parsed:
+                            if not isinstance(label, str):
+                                raise TypeError(f"parsed must be null or a list of strings: "
+                                                f"{parsed!r}")
+                    if failure is not None and not isinstance(failure, str):
+                        raise TypeError(f"failure must be null or a string: {failure!r}")
                     entry = CacheEntry(
-                        key=obj["key"],
-                        model=obj["model"],
+                        key=key,
+                        model=model,
                         temperature=float(obj["temperature"]),
                         sample_index=int(obj["sample_index"]),
-                        raw_response=obj["raw_response"],
-                        parsed=tuple(obj["parsed"]) if obj.get("parsed") is not None else None,
-                        failure=obj.get("failure"),
+                        raw_response=raw,
+                        parsed=tuple(parsed) if parsed is not None else None,
+                        failure=failure,
                         created=obj.get("created", ""),
                     )
                 except (KeyError, TypeError, ValueError) as exc:

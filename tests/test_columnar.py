@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from silicon import cli
+from silicon import cli, core
 from silicon.agreement import AgreementReport, PairKappa, cohen_kappa, mean_pairwise_kappa
 from silicon.core import (
     AnnotationRecord,
@@ -285,9 +285,9 @@ def random_rows(rng, spec, n_items=30, n_sources=5, max_runs=3, p_missing=0.25, 
     return [rows[k] for k in rng.permutation(len(rows))]
 
 
-def write_jsonl(path, rows):
-    path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows),
-                    encoding="utf-8")
+def write_jsonl(path, rows, sort_keys=False):
+    path.write_text("".join(json.dumps(r, ensure_ascii=False, sort_keys=sort_keys) + "\n"
+                            for r in rows), encoding="utf-8")
     return path
 
 
@@ -363,10 +363,10 @@ def raised(fn, *args, **kwargs):
 
 @pytest.mark.parametrize("kind", sorted(SPECS))
 @pytest.mark.parametrize("seed", range(6))
-def test_random_files_match_the_record_oracle(tmp_path, kind, seed):
+def test_random_files_match_the_record_oracle(tmp_path, kind, seed, sort_keys=False):
     spec = SPECS[kind]
     rng = np.random.default_rng([seed, len(kind)])
-    path = write_jsonl(tmp_path / "ann.jsonl", random_rows(rng, spec))
+    path = write_jsonl(tmp_path / "ann.jsonl", random_rows(rng, spec), sort_keys)
     new, old = load_dataset(path, spec), old_load_dataset(path, spec)
     assert_same_dataset(new, old)
     assert_same_analyses(new, old)
@@ -377,6 +377,14 @@ def test_random_files_match_the_record_oracle(tmp_path, kind, seed):
         for name in ("item_code", "source_code", "run", "label_code"):
             assert np.array_equal(getattr(again, name), getattr(new, name))
         assert again.label_table == new.label_table
+
+
+@pytest.mark.parametrize("kind", sorted(SPECS))
+@pytest.mark.parametrize("seed", range(6))
+def test_sorted_key_files_match_the_record_oracle(tmp_path, kind, seed):
+    """The same files with sorted keys, as save_dataset writes them: every
+    line starts with its item id."""
+    test_random_files_match_the_record_oracle(tmp_path, kind, seed, sort_keys=True)
 
 
 @pytest.mark.parametrize("kind", sorted(SPECS))
@@ -514,6 +522,21 @@ ERROR_FILES = {
     "bad role": _line() + _line("i2", role="boss"),
     "not an object": _line() + "[1, 2]\n",
     "fault before a duplicate": _line() + _line() + _line("i3", labels=("omega",)),
+    # the lines below share their text after the item id with an earlier line
+    "known tail, extra data": _line() + _line("i2").strip() + "x\n",
+    "known tail, unterminated item id": _line() + '{"item_id": "i2\n',
+    "known tail, bad escape in item id": _line() + _line("i2").replace("i2", "i\\x2"),
+    "known tail, raw control character in item id": _line() + _line("i2").replace("i2", "i\t2"),
+    "known tail, raw control character at the end of the item id": (
+        _line() + _line("i2").replace("i2", "i2\x1f")),
+    "escaped item id repeats": _line("é").replace("\\u00e9", "é") + _line("é"),
+    "tail repeats item_id": (_line("a").replace("}\n", ', "item_id": "i1"}\n')
+                             + _line("b").replace("}\n", ', "item_id": "i1"}\n')),
+    "tail repeats item_id, escaped": (
+        _line("a").replace("}\n", ', "\\u0069tem_id": "i1"}\n')
+        + _line("b").replace("}\n", ', "\\u0069tem_id": "i1"}\n')),
+    "integer item ids repeat": _line(5) + _line("5") + _line(5),
+    "spaced item id repeats": _line() + _line().replace('{"item_id": "i1"', '{ "item_id":"i1"'),
 }
 
 
@@ -524,6 +547,52 @@ def test_ingest_errors_unchanged(tmp_path, case):
     spec = SPECS["multiclass"]
     message = raised(old_load_dataset, path, spec)
     assert raised(load_dataset, path, spec) == message
+
+
+def test_item_ids_of_every_form_match_the_oracle(tmp_path):
+    """Lines that share their text after the item id, with item ids that are
+    escaped, astral, a lone surrogate, spaced differently, or overridden by a
+    later item_id key, load as the record oracle loads them."""
+    spec = SPECS["multiclass"]
+    ids = ['plain', 'q\\"uote', 'back\\\\slash', '\\u00e9t\\u00e9', 'été-raw', '\\ud800',
+           '\\ud83d\\ude00', '😀x', 'tab\\tbed', '\\u0000nul']
+    lines = []
+    for name, label in (("e", "alpha"), ("c", "beta")):
+        tail = f', "labels": ["{label}"], "run": 0, "source": {{"name": "{name}", "role": "crowd"}}}}'
+        lines += [f'{{"item_id": "{i}"{tail}' for i in ids]
+        lines.append(f'{{ "item_id":"spaced"{tail}')
+        lines.append(f'{{"item_id": "overridden"{tail[:-1]}, "item_id": "over-{name}"}}')
+        lines.append(f'{{"item_id": "x"{tail[:-1]}, "\\u0069tem_id": "esc-over-{name}"}}')
+    path = tmp_path / "ann.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    new, old = load_dataset(path, spec), old_load_dataset(path, spec)
+    assert len(new) == len(lines)
+    assert {"\ud800", "😀", "été", "over-e", "esc-over-c"} <= set(new.item_ids())
+    assert_same_dataset(new, old)
+    assert_same_analyses(new, old)
+
+
+@pytest.mark.parametrize("hits_first", [False, True])
+def test_more_distinct_tails_than_the_memo_holds(tmp_path, hits_first):
+    """Past core._TAIL_MEMO_SIZE distinct tails the memo takes no more, and
+    once it has missed more lines than it served the rest of the file skips
+    it.  Whether it stays on (5,000 hits first) or is dropped (the distinct
+    tails first), the dataset is the oracle's."""
+    spec = SPECS["multiclass"]
+    source = {"name": "m", "role": "model"}
+
+    def rows(prefix, n_items, runs):
+        return [{"item_id": f"{prefix}{i}", "labels": [LABELS[run % 5]], "run": run,
+                 "source": source} for run in runs for i in range(n_items)]
+
+    distinct = rows("d", 1, range(100, 100 + core._TAIL_MEMO_SIZE + 50))
+    repeated = rows("r", 1000, range(5))
+    again = rows("s", 100, range(5))
+    ordered = repeated + distinct + again if hits_first else distinct + repeated + again
+    path = write_jsonl(tmp_path / "ann.jsonl", ordered, sort_keys=True)
+    new, old = load_dataset(path, spec), old_load_dataset(path, spec)
+    assert len(new) == len(ordered)
+    assert_same_dataset(new, old)
 
 
 def test_records_constructor_errors_unchanged():

@@ -191,6 +191,29 @@ class TestDatasetIO:
         with pytest.raises(ValidationError, match="bad.jsonl:2"):
             load_dataset(path, spec)
 
+    @pytest.mark.parametrize("run", ["1.7", "true", "false", "-0.5", "1e999", "NaN"])
+    def test_run_that_is_not_a_whole_number_rejected(self, tmp_path, run):
+        """A bool or a fractional run is an error on its own line, not a run
+        index truncated by int(): `true` and `1.7` would load as run 1 and
+        read as a duplicate of line 1."""
+        spec = make_spec()
+        path = tmp_path / "bad.jsonl"
+        line = '{"item_id": "i", "source": {"role": "expert", "name": "e"}, "run": %s, ' \
+               '"labels": ["alpha"]}\n'
+        path.write_text(line % "1" + line % run)
+        with pytest.raises(ValidationError, match=r"bad.jsonl:2: bad annotation record") as exc:
+            load_dataset(path, spec)
+        assert "duplicate" not in str(exc.value)
+
+    def test_whole_number_runs_still_accepted(self, tmp_path):
+        spec = make_spec()
+        path = tmp_path / "ann.jsonl"
+        line = '{"item_id": "%s", "source": {"role": "expert", "name": "e"}, "run": %s, ' \
+               '"labels": ["alpha"]}\n'
+        path.write_text(line % ("i1", "2.0") + line % ("i2", '"3"') + line % ("i3", "-0.0")
+                        + line % ("i1", "4") + line % ("i2", "2.0"))
+        assert [rec.run_index for rec in load_dataset(path, spec).records] == [2, 3, 0, 4, 2]
+
     def test_unknown_label_rejected(self, tmp_path):
         spec = make_spec()
         path = tmp_path / "bad.jsonl"

@@ -319,6 +319,30 @@ class TestAnnotationCache:
         with pytest.raises(ValidationError, match=":2:"):
             AnnotationCache(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("raw_response", 7), ("raw_response", None), ("key", 5), ("key", ["k2"]),
+        ("model", None), ("parsed", "ab"), ("parsed", ["positive", 1]), ("parsed", {}),
+        ("failure", 3), ("failure", ["empty response"]),
+    ])
+    def test_entry_of_wrong_type_names_line(self, tmp_path, field, value):
+        """Each field has the type CacheEntry declares, or the load fails on its line
+        instead of a replay failing later."""
+        path = tmp_path / "cache.jsonl"
+        bad = {**self.entry("k2").to_json(), field: value}
+        path.write_text(self.HEADER + self.line("k1") + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=f":3: bad cache entry \\({field} must be"):
+            AnnotationCache(path)
+
+    def test_null_parsed_and_failure_text_load(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        failed = {**self.entry("k2", raw="mumble").to_json(), "parsed": None,
+                  "failure": "no label found"}
+        path.write_text(self.HEADER + self.line("k1") + json.dumps(failed) + "\n",
+                        encoding="utf-8")
+        cache = AnnotationCache(path)
+        assert cache.get("k1").parsed == ("positive",)
+        assert cache.get("k2").parsed is None and cache.get("k2").failure == "no label found"
+
     def test_missing_file_starts_empty(self, tmp_path):
         cache = AnnotationCache(tmp_path / "absent.jsonl")
         assert len(cache) == 0 and cache.get("k") is None
