@@ -17,19 +17,20 @@ Every kappa the package reports takes one path, _Codes: it codes the label
 columns once, picks the weight matrix for the task kind and decides once per
 distinct label whether kappa rejects it; each kappa is then one bincount of two
 code arrays.  kappa_for_kind (behind cohen_kappa and weighted_kappa),
-mean_pairwise_kappa, routing.sweep and sensitivity_curve all use it.
+mean_pairwise_kappa_codes (behind mean_pairwise_kappa), routing.sweep and
+sensitivity_curve all use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import chain, combinations
+from itertools import combinations
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import LabelValue, TaskKind, TaskSpec, ValidationError
+from .core import LabelValue, TaskKind, TaskSpec, ValidationError, _code_maps
 
 __all__ = [
     "set_weight",
@@ -228,24 +229,40 @@ def mean_pairwise_kappa(
     `sources` maps annotator name -> {item_id -> label}.  With exactly two
     annotators the full pair report is returned (mean equals the pair kappa);
     with more, the summary carries the pair list and the unweighted mean.
-
-    All sources are coded once, into one items x sources matrix (-1 where a
-    source lacks the item); each pair is then its two columns where both are
-    present.  Kappa counts label pairs, so the row order does not change it.
-    A pair reports the first bad label it holds, as kappa_for_kind on its
-    label lists in sorted item order would.
+    The maps are coded into one items x sources matrix for
+    mean_pairwise_kappa_codes.
     """
-    names = list(sources)
+    items, table, matrix = _code_maps(list(sources.values()))
+    return mean_pairwise_kappa_codes(list(sources), items, table, matrix, kind, spec, min_common)
+
+
+def mean_pairwise_kappa_codes(
+    names: Sequence[str],
+    items: Sequence,
+    table: Sequence[LabelValue],
+    matrix: np.ndarray,
+    kind: TaskKind,
+    spec: TaskSpec | None = None,
+    min_common: int = 2,
+) -> AgreementReport:
+    """mean_pairwise_kappa of an items x sources code matrix.
+
+    `matrix[r, j]` is the code into `table` of source `names[j]`'s label for
+    `items[r]`, or -1 where it has none (Dataset.code_matrix gives this).  The
+    labels used are coded once for kappa; each pair is then its two columns
+    where both are present.  Kappa counts label pairs, so the row order does
+    not change it, and rows no source labels are not counted.  A pair reports
+    the first bad label it holds, as kappa_for_kind on its label lists in
+    sorted item order would.
+    """
     if len(names) < 2:
         raise ValidationError("need at least 2 annotators")
-    maps = list(sources.values())
-    codes = _Codes(kind, spec, *(m.values() for m in maps))
-    items = list(dict.fromkeys(chain.from_iterable(maps)))
-    row = {item: i for i, item in enumerate(items)}
-    matrix = np.full((len(items), len(maps)), -1, dtype=np.intp)
-    for col, (m, code) in enumerate(zip(maps, codes.columns)):
-        matrix[np.fromiter(map(row.__getitem__, m), np.intp, len(m)), col] = code
     present = matrix >= 0
+    used = np.unique(matrix[present])
+    codes = _Codes(kind, spec, [table[c] for c in used.tolist()])
+    rank = np.full(len(table) + 1, -1, dtype=np.intp)  # the last entry keeps -1 at -1
+    rank[used] = codes.columns[0]
+    matrix = rank[matrix]
     pair_reports = []
     pairs = []
     for a, b in combinations(range(len(names)), 2):
@@ -268,6 +285,7 @@ def mean_pairwise_kappa(
     if len(pairs) == 1:
         return replace(pair_reports[0], pairwise=tuple(pairs), mean_kappa=mean)
     return AgreementReport(
-        kappa=mean, p_o=float("nan"), p_e=float("nan"), n_items=len(matrix),
+        kappa=mean, p_o=float("nan"), p_e=float("nan"),
+        n_items=int(np.count_nonzero(present.any(axis=1))),
         weighted=codes.weighted, pairwise=tuple(pairs), mean_kappa=mean,
     )

@@ -2,9 +2,10 @@
 
 Subcommands: agreement, baseline-compare, annotate, fsd, route-sweep,
 equivalence, mix-sensitivity, simulate.  Every run writes exactly one JSON
-manifest beside its outputs recording inputs (with digests), seed, version,
-and timings.  Exit codes: 0 success, 1 bad input or usage, 2 runtime or
-transport failure.
+manifest beside its outputs recording the inputs (with digests), the output
+names, the seed, the version, a digest of the options, and when the run
+`started` and `finished`; it records no per-stage timings.  Exit codes:
+0 success, 1 bad input or usage, 2 runtime or transport failure.
 """
 
 from __future__ import annotations
@@ -18,23 +19,30 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
-from .agreement import mean_pairwise_kappa
-from .confidence import fsd_from_samples
+from .agreement import mean_pairwise_kappa_codes
+from .agreement import mean_pairwise_kappa  # unused here, but perfbench/tracing.py wraps this name
+from .confidence import fsd_from_codes
+from .confidence import fsd_from_samples  # unused here, but perfbench/tracing.py wraps this name
 from .core import (
     Dataset,
     Role,
     SiliconError,
+    SourceId,
     TaskSpec,
     TieRule,
     ValidationError,
+    _JSONL_ENCODER,
     atomic_open,
     load_dataset,
     load_task_spec,
     majority_reference,
     save_dataset,
 )
-from .equivalence import build_match_matrix, fit_equivalence
+from .equivalence import build_match_matrix_codes, fit_equivalence
+from .equivalence import build_match_matrix  # unused here, but perfbench/tracing.py wraps this name
 from .gateway import (
     GatewayError,
     annotate,
@@ -135,17 +143,23 @@ def _ensure_outdir(path: str) -> str:
     return path
 
 
-def _source_maps(dataset: Dataset, role: Role | None = None) -> dict[str, dict]:
-    """source name -> {item -> label} (run 0) for the sources of `role` (all if
-    None), erroring on name collisions."""
-    out = {}
-    for source in dataset.sources():
-        if role is not None and source.role is not role:
-            continue
-        if source.name in out:
+def _role_sources(dataset: Dataset, role: Role | None = None) -> list[SourceId]:
+    """The sources of `role` (all if None) in first-seen order, erroring on
+    name collisions."""
+    sources = [s for s in dataset.sources() if role is None or s.role is role]
+    names = set()
+    for source in sources:
+        if source.name in names:
             raise ValidationError(f"duplicate source name across roles: {source.name!r}")
-        out[source.name] = dataset.label_map(source)
-    return out
+        names.add(source.name)
+    return sources
+
+
+def _pairwise_kappa(dataset: Dataset, sources: list[SourceId], spec: TaskSpec):
+    """mean_pairwise_kappa of the sources' run-0 labels, read off the code matrix."""
+    return mean_pairwise_kappa_codes([s.name for s in sources], dataset.item_ids(),
+                                     dataset.label_table, dataset.code_matrix(sources),
+                                     spec.kind, spec)
 
 
 def _merge_datasets(spec: TaskSpec, paths: list[str]) -> Dataset:
@@ -197,13 +211,13 @@ def cmd_agreement(args) -> int:
     spec = _load_task(args)
     paths = [args.a] + ([args.b] if args.b else [])
     dataset = _merge_datasets(spec, paths)
-    sources = _source_maps(dataset)
+    sources = _role_sources(dataset)
     if len(sources) < 2:
         raise ValidationError("agreement needs at least 2 annotation sources")
-    rep = mean_pairwise_kappa(sources, spec.kind, spec)
+    rep = _pairwise_kappa(dataset, sources, spec)
     report = _report_json(rep)
     report["task_id"] = spec.task_id
-    report["sources"] = sorted(sources)
+    report["sources"] = sorted(s.name for s in sources)
     _write_json(args.out, report)
     outputs = [args.out]
     if args.confusion_csv and rep.observed is not None:
@@ -221,12 +235,12 @@ def cmd_baseline_compare(args) -> int:
     dataset = _merge_datasets(spec, [args.expert, args.crowd])
     by_role = {}
     for role in (Role.EXPERT, Role.CROWD):
-        maps = _source_maps(dataset, role)
-        if len(maps) < 2:
+        sources = _role_sources(dataset, role)
+        if len(sources) < 2:
             raise ValidationError(
-                f"need at least 2 {role.value} annotators, found {len(maps)}"
+                f"need at least 2 {role.value} annotators, found {len(sources)}"
             )
-        by_role[role.value] = mean_pairwise_kappa(maps, spec.kind, spec)
+        by_role[role.value] = _pairwise_kappa(dataset, sources, spec)
     expert_kappa = by_role["expert"].kappa
     crowd_kappa = by_role["crowd"].kappa
     delta = expert_kappa - crowd_kappa
@@ -282,11 +296,24 @@ def cmd_annotate(args) -> int:
 
 
 def _fsd_scores(dataset: Dataset, source_name: str | None):
+    """FSD of every item the focal source labels, from one count pass over its
+    records.
+
+    Returns the source, its labels in LabelValue order, and five lists over
+    the items in item_ids() order: item id, fsd, top and second label (as
+    indices into those labels; second is -1 for unanimous runs) and n_samples.
+    """
     sources = dataset.sources()
     if source_name:
         matching = [s for s in sources if s.name == source_name]
         if not matching:
             raise ValidationError(f"source {source_name!r} not in dataset")
+        if len(matching) > 1:
+            roles = ", ".join(s.role.value for s in matching)
+            raise ValidationError(
+                f"source name {source_name!r} is used by several roles ({roles}); "
+                f"it does not pick one source"
+            )
         source = matching[0]
     elif len(sources) == 1:
         source = sources[0]
@@ -294,38 +321,44 @@ def _fsd_scores(dataset: Dataset, source_name: str | None):
         raise ValidationError(
             f"dataset has {len(sources)} sources; pick one with --source"
         )
-    runs = dataset.runs(source)
-    scores = {}
-    for item in dataset.item_ids():
-        if item not in runs:
-            continue
-        labels = runs[item]
-        if len(labels) < 2:
-            raise ValidationError(
-                f"item {item!r} has {len(labels)} runs from {source.name!r}; need >= 2"
-            )
-        scores[item] = fsd_from_samples(labels)
-    return source, scores
+    table = dataset.label_table
+    order = sorted(range(len(table)), key=lambda c: table[c].indices)
+    rank = np.empty(len(table), dtype=np.int64)
+    rank[order] = np.arange(len(table))
+    rows = np.flatnonzero(dataset.source_code == sources.index(source))
+    items, fsd, top, second, n = fsd_from_codes(dataset.item_code[rows],
+                                                rank[dataset.label_code[rows]])
+    short = np.flatnonzero(n < 2)
+    item_ids = dataset.item_ids()
+    if len(short):
+        k = short[0]
+        raise ValidationError(
+            f"item {item_ids[items[k]]!r} has {n[k]} runs from {source.name!r}; need >= 2"
+        )
+    columns = ([item_ids[i] for i in items.tolist()], fsd.tolist(), top.tolist(),
+               second.tolist(), n.tolist())
+    return source, [table[c] for c in order], columns
 
 
 def cmd_fsd(args) -> int:
     started = _now()
     spec = _load_task(args)
     dataset = load_dataset(args.runs, spec)
-    source, scores = _fsd_scores(dataset, args.source)
+    source, labels, columns = _fsd_scores(dataset, args.source)
     with atomic_open(args.out) as fh:
-        for item, score in scores.items():
-            fh.write(json.dumps({
-                "item_id": item,
-                "source": source.to_json(),
-                "fsd": round(score.fsd, 6),
-                "top_label": score.top_label.to_names(spec),
-                "second_label": (
-                    score.second_label.to_names(spec) if score.second_label else None
-                ),
-                "n_samples": score.n_samples,
-                "method": score.method,
-            }, sort_keys=True, ensure_ascii=False) + "\n")
+        # each line is json.dumps(record, sort_keys=True, ensure_ascii=False),
+        # joined from fragments: the source and every distinct label list are
+        # dumped once, the item ids go through the same encoder without
+        # building one per call
+        source_json = json.dumps(source.to_json(), sort_keys=True, ensure_ascii=False)
+        names = [json.dumps(lab.to_names(spec), sort_keys=True, ensure_ascii=False)
+                 for lab in labels] + ["null"]  # names[-1]: no second label
+        encode = _JSONL_ENCODER.encode
+        fh.writelines(
+            f'{{"fsd": {round(fsd, 6)!r}, "item_id": {encode(item)}, "method": "sampling", '
+            f'"n_samples": {n}, "second_label": {names[second]}, "source": {source_json}, '
+            f'"top_label": {names[top]}}}\n'
+            for item, fsd, top, second, n in zip(*columns))
     _write_manifest("fsd", args, [args.task, args.runs], [args.out], started)
     return 0
 
@@ -334,9 +367,9 @@ def cmd_route_sweep(args) -> int:
     started = _now()
     spec = _load_task(args)
     focal_ds = load_dataset(args.focal, spec)
-    source, scores = _fsd_scores(focal_ds, args.source)
-    focal_labels = {item: s.top_label for item, s in scores.items()}
-    fsd = {item: s.fsd for item, s in scores.items()}
+    source, labels, (items, scores, top, _, _) = _fsd_scores(focal_ds, args.source)
+    focal_labels = dict(zip(items, map(labels.__getitem__, top)))
+    fsd = dict(zip(items, scores))
     aux_labels = {}
     for path in args.aux:
         ds = load_dataset(path, spec)
@@ -383,11 +416,13 @@ def cmd_equivalence(args) -> int:
     started = _now()
     spec = _load_task(args)
     dataset = _merge_datasets(spec, list(args.models))
-    model_maps = _source_maps(dataset, Role.MODEL)
-    if len(model_maps) < 2:
+    models = _role_sources(dataset, Role.MODEL)
+    if len(models) < 2:
         raise ValidationError("equivalence needs at least 2 model sources")
     reference = _reference_map(args.reference, spec, seed=args.seed)
-    matrix = build_match_matrix(model_maps, reference, baseline_model=args.baseline)
+    matrix = build_match_matrix_codes([s.name for s in models], dataset.item_ids(),
+                                      dataset.label_table, dataset.code_matrix(models),
+                                      reference, baseline_model=args.baseline)
     report = fit_equivalence(
         matrix, correction=args.correction, tost_margin=args.tost_margin
     )

@@ -9,9 +9,10 @@ two options it reduces to |2p - 1|.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .core import LabelValue, ValidationError
 
@@ -31,26 +32,55 @@ class FsdScore:
             raise ValidationError(f"fsd out of range: {self.fsd}")
 
 
+def fsd_from_codes(item: np.ndarray, rank: np.ndarray):
+    """First-second distance of every item from (item code, label rank) pairs.
+
+    One pair per sample: `item` codes the item, and `rank` the label by its
+    place in LabelValue order.  Returns five arrays over the distinct items in
+    ascending code order: the item codes, each item's fsd, the ranks of its
+    modal and runner-up labels (-1 when every sample agrees) and its sample
+    count.  Ties for either place go to the smaller rank.  The work is one
+    np.unique count per distinct (item, rank) pair and one lexsort, so memory
+    stays O(samples) however many labels there are.
+    """
+    item = np.asarray(item, dtype=np.int64)
+    rank = np.asarray(rank, dtype=np.int64)
+    if len(item) == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, np.zeros(0), empty, empty, empty
+    width = int(rank.max()) + 1   # keys stay below records**2, in int64 range
+    pairs, count = np.unique(item * width + rank, return_counts=True)
+    pair_item, pair_rank = np.divmod(pairs, width)
+    order = np.lexsort((pair_rank, -count, pair_item))
+    pair_item, pair_rank, count = pair_item[order], pair_rank[order], count[order]
+    first = np.flatnonzero(np.r_[True, pair_item[1:] != pair_item[:-1]])
+    n = np.add.reduceat(count, first)
+    has_second = np.r_[first[1:], len(pair_item)] - first > 1
+    runner_up = np.minimum(first + 1, len(pair_item) - 1)
+    second = np.where(has_second, pair_rank[runner_up], -1)
+    fsd = (count[first] - np.where(has_second, count[runner_up], 0)) / n
+    return pair_item[first], fsd, pair_rank[first], second, n
+
+
 def fsd_from_samples(samples: Sequence[LabelValue]) -> FsdScore:
     """(count of mode - count of runner-up) / n over repeated generations.
 
     Unanimous samples give 1.0 (missing runner-up counts 0), a tied mode gives
     0.0.  Ties for either rank are broken toward the lexicographically smallest
     label so the reported labels are deterministic; the score itself is
-    tie-order invariant.
+    tie-order invariant.  One item of fsd_from_codes.
     """
     n = len(samples)
     if n < 2:
         raise ValidationError("need at least 2 samples")
-    counts = Counter(samples)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    top_label, top = ranked[0]
-    if len(ranked) == 1:
-        return FsdScore(fsd=1.0, top_label=top_label, second_label=None,
-                        n_samples=n, method="sampling")
-    second_label, second = ranked[1]
-    return FsdScore(fsd=(top - second) / n, top_label=top_label,
-                    second_label=second_label, n_samples=n, method="sampling")
+    labels = sorted(set(samples))
+    rank = {lab: r for r, lab in enumerate(labels)}
+    _, fsd, top, second, _ = fsd_from_codes(
+        np.zeros(n, dtype=np.int64), np.fromiter(map(rank.__getitem__, samples), np.int64, n))
+    second = int(second[0])
+    return FsdScore(fsd=float(fsd[0]), top_label=labels[top[0]],
+                    second_label=labels[second] if second >= 0 else None,
+                    n_samples=n, method="sampling")
 
 
 def fsd_from_probabilities(option_probs: Mapping[LabelValue, float]) -> FsdScore:

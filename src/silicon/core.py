@@ -15,6 +15,7 @@ from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from json.decoder import scanstring
 from typing import Iterable, Mapping, Sequence
 
@@ -626,6 +627,21 @@ def _sorted_ids(ids: Iterable) -> list:
     except TypeError:
         types = " and ".join(sorted({type(i).__name__ for i in ids}))
         raise ValidationError(f"item ids mix {types} and cannot be sorted") from None
+
+
+def _code_maps(maps: Sequence[Mapping]) -> tuple[list, list[LabelValue], np.ndarray]:
+    """The {item -> label} maps as one code matrix: the items in first-seen
+    order, the distinct labels in first-seen order, and an items x maps array
+    of codes into those labels, -1 where a map lacks the item (the layout of
+    Dataset.code_matrix)."""
+    items = list(dict.fromkeys(chain.from_iterable(maps)))
+    row = {item: r for r, item in enumerate(items)}
+    code: dict = {}
+    matrix = np.full((len(items), len(maps)), -1, dtype=np.intp)
+    for col, m in enumerate(maps):
+        matrix[np.fromiter(map(row.__getitem__, m), np.intp, len(m)), col] = np.fromiter(
+            (code.setdefault(lab, len(code)) for lab in m.values()), np.intp, len(m))
+    return items, list(code), matrix
 
 
 def _rng_from_seed(seed) -> np.random.Generator:

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import betaincinv, chdtrc, ndtr, ndtri
 
-from .core import LabelValue, ValidationError, _sorted_ids
+from .core import LabelValue, ValidationError, _code_maps, _sorted_ids
 
 __all__ = [
     "MatchMatrix",
@@ -88,31 +88,53 @@ def build_match_matrix(
     """Exact-equality matches of each model against the reference, item by item.
 
     Every model must cover every reference item (coverage gaps are an error,
-    not silently dropped).  Label sets match only when identical.
+    not silently dropped).  Label sets match only when identical.  The maps
+    are coded into one items x models matrix for build_match_matrix_codes.
     """
-    models = tuple(model_labels)
+    items, table, matrix = _code_maps(list(model_labels.values()))
+    return build_match_matrix_codes(tuple(model_labels), items, table, matrix, reference,
+                                    baseline_model)
+
+
+def build_match_matrix_codes(
+    models: Sequence[str],
+    items: Sequence,
+    table: Sequence[LabelValue],
+    matrix: np.ndarray,
+    reference: Mapping[str, LabelValue],
+    baseline_model: str | None = None,
+) -> MatchMatrix:
+    """build_match_matrix of an items x models code matrix.
+
+    `matrix[r, j]` is the code into `table` of model `models[j]`'s label for
+    `items[r]`, or -1 where it has none (Dataset.code_matrix gives this).
+    Each reference label is coded into `table` once, and the matches are one
+    comparison of the reference rows with their codes.
+    """
+    models = tuple(models)
     if len(models) < 2:
         raise ValidationError("need at least 2 models")
-    items = tuple(_sorted_ids(reference))
-    if len(items) < 2:
+    ref_items = tuple(_sorted_ids(reference))
+    if len(ref_items) < 2:
         raise ValidationError("need at least 2 reference items")
-    missing = {
-        name: [i for i in items if i not in labels]
-        for name, labels in model_labels.items()
-        if any(i not in labels for i in items)
-    }
-    if missing:
-        detail = "; ".join(f"{name}: {ids[:5]!r}" for name, ids in missing.items())
+    row = {item: r for r, item in enumerate(items)}
+    at = np.fromiter((row.get(item, -1) for item in ref_items), np.intp, len(ref_items))
+    # row -1 picks the appended row of -1s: an item no model labels
+    codes = np.vstack((matrix, np.full((1, len(models)), -1, dtype=matrix.dtype)))[at]
+    missing = codes < 0
+    if missing.any():
+        detail = "; ".join(
+            f"{name}: {[ref_items[r] for r in np.flatnonzero(lacks)[:5].tolist()]!r}"
+            for name, lacks in zip(models, missing.T) if lacks.any()
+        )
         raise ValidationError(f"models missing reference items ({detail})")
-    matches = np.zeros((len(items), len(models)))
-    for j, name in enumerate(models):
-        labels = model_labels[name]
-        for i, item in enumerate(items):
-            matches[i, j] = 1.0 if labels[item] == reference[item] else 0.0
+    code = {lab: c for c, lab in enumerate(table)}
+    ref = np.fromiter((code.get(reference[item], -1) for item in ref_items),
+                      np.intp, len(ref_items))
     return MatchMatrix(
-        items=items,
+        items=ref_items,
         models=models,
-        matches=matches,
+        matches=(codes == ref[:, None]).astype(float),
         baseline_model=baseline_model or models[0],
     )
 

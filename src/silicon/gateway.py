@@ -406,15 +406,27 @@ class AnnotationCache:
                                                 f"{parsed!r}")
                     if failure is not None and not isinstance(failure, str):
                         raise TypeError(f"failure must be null or a string: {failure!r}")
+                    # float() and int() would coerce a bool, a fraction or a string
+                    temperature, index = obj["temperature"], obj["sample_index"]
+                    if type(temperature) not in (float, int):
+                        raise TypeError(f"temperature must be a number, not "
+                                        f"{type(temperature).__name__}")
+                    if type(index) is not int:
+                        raise TypeError(f"sample_index must be an integer, not "
+                                        f"{type(index).__name__}")
+                    created = obj.get("created", "")
+                    if not isinstance(created, str):
+                        raise TypeError(f"created must be a string, not "
+                                        f"{type(created).__name__}")
                     entry = CacheEntry(
                         key=key,
                         model=model,
-                        temperature=float(obj["temperature"]),
-                        sample_index=int(obj["sample_index"]),
+                        temperature=float(temperature),
+                        sample_index=index,
                         raw_response=raw,
                         parsed=tuple(parsed) if parsed is not None else None,
                         failure=failure,
-                        created=obj.get("created", ""),
+                        created=created,
                     )
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ValidationError(f"{self.path}:{lineno}: bad cache entry ({exc})") from exc

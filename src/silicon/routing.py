@@ -13,7 +13,10 @@ the auxiliary cost; sweep() measures the actual trade-off.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
+from itertools import compress, count
+from operator import not_
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -77,25 +80,46 @@ def route(
     missing_aux = [name for name in plan.auxiliaries if name not in aux_labels]
     if missing_aux:
         raise ValidationError(f"no labels supplied for auxiliaries: {missing_aux!r}")
-    final: dict[str, LabelValue] = {}
-    routed = set()
-    for item, focal_label in focal_labels.items():
-        if item not in fsd:
-            raise ValidationError(f"missing fsd for item {item!r}")
-        score = fsd[item]
-        if not 0.0 <= score <= 1.0:
-            raise ValidationError(f"fsd out of range for item {item!r}: {score}")
-        if score >= plan.tau:
-            final[item] = focal_label
-            continue
-        votes = [focal_label]
-        for name in plan.auxiliaries:
-            if item not in aux_labels[name]:
-                raise ValidationError(f"auxiliary {name!r} lacks a label for item {item!r}")
-            votes.append(aux_labels[name][item])
-        final[item] = majority_vote(votes, spec, plan.tie_rule, seed, focal=focal_label)
-        routed.add(item)
+    items = list(focal_labels)
+    # Each item is checked in turn: fsd present, fsd in range, then (if
+    # routed) each auxiliary's label, then its vote.  items[:stop] pass the
+    # first three checks and `fault` is the failure at items[stop]; a vote
+    # before it may still fail first.
+    stop, fault = len(items), None
+    k = _first(map(not_, map(fsd.__contains__, items)))
+    if k is not None:
+        stop, fault = k, ValidationError(f"missing fsd for item {items[k]!r}")
+    scores = list(map(fsd.__getitem__, items[:stop]))
+    values = np.array(scores)  # no dtype: comparing a string or None raises, as in Python
+    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))  # nan included
+    if len(bad):
+        k = int(bad[0])
+        stop, fault = k, ValidationError(f"fsd out of range for item {items[k]!r}: {scores[k]}")
+    at = np.flatnonzero(values[:stop] < plan.tau).tolist()
+    routed = list(map(items.__getitem__, at))
+    for name in plan.auxiliaries:
+        k = _first(map(not_, map(aux_labels[name].__contains__, routed)))
+        if k is not None and at[k] < stop:
+            stop, fault = at[k], ValidationError(
+                f"auxiliary {name!r} lacks a label for item {routed[k]!r}")
+    del routed[bisect_left(at, stop):]
+    # the vote depends only on the labels (the seed is the same for every
+    # item), so each distinct (focal, aux...) tuple is voted once, in the
+    # order of its first item
+    votes = list(zip(*(map(labels.__getitem__, routed) for labels in
+                       (focal_labels, *(aux_labels[name] for name in plan.auxiliaries)))))
+    voted = {key: majority_vote(key, spec, plan.tie_rule, seed, focal=key[0])
+             for key in dict.fromkeys(votes)}
+    if fault is not None:
+        raise fault
+    final = dict(focal_labels)
+    final.update(zip(routed, map(voted.__getitem__, votes)))
     return RoutingResult(final=final, routed=frozenset(routed), tau=plan.tau)
+
+
+def _first(flags) -> int | None:
+    """Position of the first true flag, or None."""
+    return next(compress(count(), flags), None)
 
 
 def sweep(

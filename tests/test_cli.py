@@ -277,6 +277,37 @@ class TestFsd:
         assert cli.run(["fsd", "--task", task, "--runs", runs,
                         "--out", str(tmp_path / "fsd.jsonl")]) == 1
 
+    def test_source_name_shared_by_roles_rejected(self, tmp_path, capsys):
+        task = write_task(tmp_path)
+        rows = [(f"i{j}", role, "m1", run, ["red"])
+                for j in range(3) for role in ("expert", "model") for run in range(2)]
+        runs = write_records(tmp_path / "runs.jsonl", rows)
+        out = tmp_path / "fsd.jsonl"
+        assert cli.run(["fsd", "--task", task, "--runs", runs, "--source", "m1",
+                        "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "'m1'" in err and "expert, model" in err
+        assert not out.exists()
+
+    def test_lines_match_one_dumps_per_record(self, tmp_path):
+        task = write_task(tmp_path)
+        rows = [(7, "model", "m\u00e9", run, [lab])
+                for run, lab in enumerate(["blue", "red", "blue", "green"])]
+        rows += [("i\"1", "model", "m\u00e9", run, ["green"]) for run in range(2)]
+        runs = write_records(tmp_path / "runs.jsonl", rows)
+        out = tmp_path / "fsd.jsonl"
+        assert cli.run(["fsd", "--task", task, "--runs", runs, "--out", str(out)]) == 0
+        want = [
+            {"item_id": 7, "source": {"role": "model", "name": "m\u00e9"}, "fsd": 0.25,
+             "top_label": ["blue"], "second_label": ["red"], "n_samples": 4,
+             "method": "sampling"},
+            {"item_id": "i\"1", "source": {"role": "model", "name": "m\u00e9"}, "fsd": 1.0,
+             "top_label": ["green"], "second_label": None, "n_samples": 2,
+             "method": "sampling"},
+        ]
+        assert out.read_text(encoding="utf-8") == "".join(
+            json.dumps(w, sort_keys=True, ensure_ascii=False) + "\n" for w in want)
+
 
 def routing_inputs(tmp_path):
     task = write_task(tmp_path)
@@ -328,6 +359,22 @@ class TestRouteSweep:
                         "--aux", aux1, "--aux", aux1,
                         "--reference", reference,
                         "--out", str(tmp_path / "sweep")]) == 1
+
+    def test_source_name_shared_by_roles_rejected(self, tmp_path, capsys):
+        task, focal, aux1, aux2, reference = routing_inputs(tmp_path)
+        with open(focal, encoding="utf-8") as fh:
+            rows = [json.loads(line) for line in fh]
+        with open(focal, "a", encoding="utf-8") as fh:
+            for row in rows:
+                row["source"] = {"role": "crowd", "name": "m-focal"}
+                fh.write(json.dumps(row) + "\n")
+        out = tmp_path / "sweep"
+        assert cli.run(["route-sweep", "--task", task, "--focal", focal,
+                        "--source", "m-focal", "--aux", aux1, "--aux", aux2,
+                        "--reference", reference, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "'m-focal'" in err and "model, crowd" in err
+        assert not out.exists()
 
 
 class TestEquivalence:

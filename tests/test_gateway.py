@@ -333,6 +333,30 @@ class TestAnnotationCache:
         with pytest.raises(ValidationError, match=f":3: bad cache entry \\({field} must be"):
             AnnotationCache(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("sample_index", 1.5), ("sample_index", True), ("sample_index", 1.0),
+        ("sample_index", "1"), ("sample_index", None),
+        ("temperature", True), ("temperature", "0.7"), ("temperature", None),
+        ("created", 5), ("created", None),
+    ])
+    def test_numeric_field_of_wrong_type_names_line(self, tmp_path, field, value):
+        """sample_index is a JSON integer, temperature a number and created a
+        string; nothing is coerced into them."""
+        path = tmp_path / "cache.jsonl"
+        bad = {**self.entry("k2").to_json(), field: value}
+        path.write_text(self.HEADER + self.line("k1") + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=f":3: bad cache entry \\({field} must be"):
+            AnnotationCache(path)
+
+    def test_int_temperature_and_absent_created_load(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        entry = {**self.entry("k2").to_json(), "temperature": 1, "sample_index": 3}
+        del entry["created"]
+        path.write_text(self.HEADER + json.dumps(entry) + "\n", encoding="utf-8")
+        loaded = AnnotationCache(path).get("k2")
+        assert (loaded.temperature, loaded.sample_index, loaded.created) == (1.0, 3, "")
+        assert type(loaded.temperature) is float
+
     def test_null_parsed_and_failure_text_load(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         failed = {**self.entry("k2", raw="mumble").to_json(), "parsed": None,
