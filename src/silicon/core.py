@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
@@ -649,17 +648,87 @@ def _rng_from_seed(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _pick(candidates: list, tie_rule: TieRule, seed, what: str):
-    # candidates sorted ascending; callers guarantee non-empty
-    if len(candidates) == 1:
-        return candidates[0]
-    if tie_rule is TieRule.ERROR:
-        raise ValidationError(f"unresolved tie among {what}: {candidates!r}")
-    if tie_rule is TieRule.RANDOM_SEEDED:
-        if seed is None:
+def _vote(codes: np.ndarray, table: Sequence[LabelValue], spec: TaskSpec,
+          tie_rule: TieRule, seed, focal: np.ndarray | None = None) -> list[LabelValue]:
+    """The majority vote of every row of `codes`, under majority_vote's rules.
+
+    `codes` is rows x voters, each code an index into `table` or -1 where a
+    voter has no label; every row holds at least one vote.  The labels in
+    `table` must already fit `spec`.  `focal` is each row's focal label as a
+    code into `table` (read by keep-focal; it is not a vote).  Returns each
+    row's voted label.  A row the tie rule cannot settle raises majority_vote's
+    error for that row, first row first.
+
+    No step loops over rows.  Each row's category counts come from a
+    label -> category membership table, and every array is categories x rows,
+    so a reduction over the categories is a few passes over the rows.  The tie
+    draws do not depend on the row: majority_vote starts a fresh Philox(seed)
+    for every pick and for each row's coin flips, so the pick among m
+    candidates is one draw per m, and the j-th exact-half category of any row
+    gets the j-th coin flip.
+    """
+    rows, k = len(codes), spec.n_categories
+    keep_focal = tie_rule is TieRule.KEEP_FOCAL
+    if keep_focal and focal is None and rows:
+        raise ValidationError("keep-focal needs a focal label; plain majorities have none")
+    if not rows:
+        return []
+    member = np.zeros((k, len(table) + 1), dtype=bool)  # the last column is code -1, no label
+    for code, label in enumerate(table):
+        member[label.indices, code] = True
+    counts = np.zeros((k, rows), dtype=np.intp)
+    n = np.zeros(rows, dtype=np.intp)
+    for column in codes.T:
+        counts += member[:, column]
+        n += column >= 0
+    focal_set = member[:, focal] if keep_focal else None
+    seeded = tie_rule is TieRule.RANDOM_SEEDED and seed is not None
+
+    if spec.kind is not TaskKind.MULTILABEL:
+        what, half = "modal labels", np.zeros((k, rows), dtype=bool)
+        included = np.zeros((k, rows), dtype=bool)
+        pick = np.ones(rows, dtype=bool)
+    else:  # strict majorities, then exact-half ties, then the max-count fallback
+        what, included, half = "max-count categories", 2 * counts > n, 2 * counts == n
+        if keep_focal:
+            included |= half & focal_set
+        elif seeded and half.any():
+            rng = _rng_from_seed(seed)
+            flips = np.array([rng.integers(2) for _ in range(half.sum(axis=0).max())]) == 1
+            included |= half & flips[np.cumsum(half, axis=0) - 1]
+        pick = ~included.any(axis=0)
+        if keep_focal:
+            included |= focal_set & pick
+            pick[:] = False
+    cands = counts == counts.max(axis=0)
+    if keep_focal:  # a single label keeps the focal label when it is a mode
+        cands = np.where((cands & focal_set).any(axis=0), focal_set, cands)
+    n_cands = cands.sum(axis=0)
+    unsettled = half.any(axis=0) | (pick & (n_cands > 1))
+    if tie_rule in (TieRule.ERROR, TieRule.RANDOM_SEEDED) and not seeded and unsettled.any():
+        r = int(np.argmax(unsettled))
+        if tie_rule is TieRule.RANDOM_SEEDED:
             raise ValidationError("tie_rule=random-seeded requires a seed")
-        return candidates[int(_rng_from_seed(seed).integers(len(candidates)))]
-    return candidates[0]  # lowest index
+        if half[:, r].any():
+            raise ValidationError(
+                f"per-category ties at exactly half: {np.flatnonzero(half[:, r]).tolist()!r}")
+        raise ValidationError(
+            f"unresolved tie among {what}: {np.flatnonzero(cands[:, r]).tolist()!r}")
+    draws = np.zeros(k + 1, dtype=np.intp)  # the candidate a pick among m takes, lowest first
+    if seeded:
+        for m in np.unique(n_cands[pick & (n_cands > 1)]).tolist():
+            draws[m] = _rng_from_seed(seed).integers(m)
+    included |= cands & pick & (np.cumsum(cands, axis=0) == draws[n_cands] + 1)
+
+    # one bytes key per category set: the table's labels, then each row's vote
+    bits = np.packbits(np.hstack((member[:, :-1], included)), axis=0, bitorder="little")
+    keys = np.ascontiguousarray(bits.T).view(f"V{len(bits)}").ravel().tolist()
+    voted = dict(zip(keys, table))
+    for key in dict.fromkeys(keys[len(table):]):
+        if key not in voted:
+            mask = int.from_bytes(key, "little")
+            voted[key] = LabelValue(tuple(j for j in range(k) if mask >> j & 1))
+    return list(map(voted.__getitem__, keys[len(table):]))
 
 
 def majority_vote(
@@ -681,50 +750,19 @@ def majority_vote(
     keep-focal needs the `focal` label (routing passes the focal model's): tied
     modes keep it when it is among them (else the lowest index wins),
     exact-half categories follow it, and an empty strict majority keeps it whole.
+
+    The labels are checked against `spec`, then voted as one row of `_vote`.
     """
     if len(labels) == 0:
         raise ValidationError("majority_vote needs at least one label")
-    keep_focal = tie_rule is TieRule.KEEP_FOCAL
-    if keep_focal and focal is None:
+    if tie_rule is TieRule.KEEP_FOCAL and focal is None:
         raise ValidationError("keep-focal needs a focal label; plain majorities have none")
-    for lab in labels:
+    table = [*labels] + ([] if focal is None else [focal])
+    for lab in table:
         spec.validate_label(lab)
-    if focal is not None:
-        spec.validate_label(focal)
-
     n = len(labels)
-    if spec.kind is not TaskKind.MULTILABEL:
-        counts = Counter(lab.index for lab in labels)
-        best = max(counts.values())
-        cands = sorted(k for k, c in counts.items() if c == best)
-        if keep_focal and focal.index in cands:
-            return focal
-        return LabelValue.single(_pick(cands, tie_rule, seed, "modal labels"))
-
-    counts = Counter()
-    for lab in labels:
-        counts.update(lab.indices)
-    included = {k for k, c in counts.items() if 2 * c > n}
-    tied = sorted(k for k, c in counts.items() if 2 * c == n)
-    if tied:
-        if keep_focal:
-            included.update(k for k in tied if k in focal.indices)
-        elif tie_rule is TieRule.ERROR:
-            raise ValidationError(f"per-category ties at exactly half: {tied!r}")
-        elif tie_rule is TieRule.RANDOM_SEEDED:
-            if seed is None:
-                raise ValidationError("tie_rule=random-seeded requires a seed")
-            rng = _rng_from_seed(seed)
-            for k in tied:
-                if rng.integers(2) == 1:
-                    included.add(k)
-    if not included:
-        if keep_focal:
-            return focal
-        best = max(counts.values())
-        cands = sorted(k for k, c in counts.items() if c == best)
-        included = {_pick(cands, tie_rule, seed, "max-count categories")}
-    return LabelValue.of(included)
+    return _vote(np.arange(n)[None, :], table, spec, tie_rule, seed,
+                 None if focal is None else np.array([n]))[0]
 
 
 def majority_reference(
@@ -736,19 +774,13 @@ def majority_reference(
     """Majority-vote labels per item across the dataset's sources (optionally one role).
 
     Items annotated by a single source pass through unchanged.  Uses run 0 of
-    each source.  Items with the same votes share one majority_vote call.
+    each source.  Every item is voted at once from the code matrix, whose
+    labels ingest has already checked.
     """
     sources = [s for s in dataset.sources() if role is None or s.role == role]
     if not sources:
         raise ValidationError("no sources to aggregate")
-    labels = dataset.label_table
-    voted: dict[tuple, LabelValue] = {}
-    out: dict[str, LabelValue] = {}
-    for item, row in zip(dataset.item_ids(), dataset.code_matrix(sources).tolist()):
-        votes = tuple(code for code in row if code >= 0)
-        if votes:
-            if votes not in voted:
-                voted[votes] = majority_vote([labels[c] for c in votes], dataset.spec,
-                                             tie_rule=tie_rule, seed=seed)
-            out[item] = voted[votes]
-    return out
+    matrix = dataset.code_matrix(sources)
+    rows = np.flatnonzero((matrix >= 0).any(axis=1))
+    voted = _vote(matrix[rows], dataset.label_table, dataset.spec, tie_rule, seed)
+    return dict(zip(map(dataset.item_ids().__getitem__, rows.tolist()), voted))

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import betaincinv, chdtrc, ndtr, ndtri
 
 from .core import LabelValue, ValidationError, _code_maps, _sorted_ids
 
@@ -260,6 +259,8 @@ def _cluster_sandwich(x, y, beta, n_clusters: int, correction: str) -> np.ndarra
 
 
 def _exact_ci(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
+    from scipy.special import betaincinv  # imported here: only equivalence loads scipy
+
     alpha = 1.0 - level
     # betaincinv(a, b, q) is the beta(a, b) quantile at q
     lo = 0.0 if successes == 0 else float(
@@ -304,6 +305,8 @@ def fit_equivalence(
     5% against a +/-margin log-odds band (reported per model, not the primary
     verdict).
     """
+    from scipy.special import chdtrc, ndtr, ndtri  # imported here, as in _exact_ci
+
     models = matrix.models
     baseline = matrix.baseline_model
     n_items = len(matrix.items)

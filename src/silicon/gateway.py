@@ -36,6 +36,11 @@ from importlib import resources
 from typing import Callable, Mapping, Sequence
 from urllib.parse import unquote, urlsplit
 
+try:
+    import fcntl
+except ImportError:  # no flock (Windows): appends from several processes are not serialized
+    fcntl = None
+
 from .core import LabelValue, Role, SiliconError, SourceId, TaskKind, TaskSpec, ValidationError
 from .core import _JSONL_ENCODER, Dataset
 
@@ -344,23 +349,24 @@ class AnnotationCache:
     """Append-only JSONL response cache.
 
     The first line is a header naming the digest algorithm; each following
-    line is one CacheEntry.  Writes are serialized through one lock; existing
-    entries are never rewritten (duplicate keys keep the first occurrence).
+    line is one CacheEntry.  Writes are serialized through one lock, and
+    across processes by an exclusive flock on the file for each append;
+    existing entries are never rewritten (duplicate keys keep the first
+    occurrence).
 
     A final line that has no newline and does not decode is what a kill
     mid-append leaves behind: it is skipped on load, kept in dropped_tail,
-    and cut off the file before the next append.  Any other undecodable line
-    is an error naming its line number.
+    and cut off the file before the next append, if it is still the file's
+    end then.  Any other undecodable line is an error naming its line number.
     """
 
     def __init__(self, path):
         self.path = str(path)
         self._lock = threading.Lock()
         self._entries: dict[str, CacheEntry] = {}
-        self._header_written = False
+        self._header_written = False         # the file is known to start with a header
         self.dropped_tail = b""
         self._torn_at: int | None = None     # file offset of dropped_tail, until cut off
-        self._unterminated = False           # last line is complete but lacks its newline
         if os.path.exists(self.path):
             self._load()
 
@@ -380,7 +386,6 @@ class AnnotationCache:
                         raise ValidationError(f"{self.path}:{lineno}: bad {what} ({exc})") from exc
                     self.dropped_tail, self._torn_at = raw, start
                     return
-                self._unterminated = not terminated
                 if not self._header_written:
                     if (not isinstance(obj, dict) or obj.get("cache_format") != 1
                             or obj.get("digest") != _DIGEST):
@@ -439,7 +444,13 @@ class AnnotationCache:
         return self._entries.get(key)
 
     def put(self, *entries: CacheEntry) -> None:
-        """Append the entries whose keys are new, with one open of the file."""
+        """Append the entries whose keys are new, with one open of the file.
+
+        Other processes may have appended since this cache loaded, so under
+        the flock the file as it is now decides what else is written: a
+        header if it holds only blank lines, and a newline if it does not end
+        with one.
+        """
         with self._lock:
             new = {}
             for entry in entries:
@@ -447,18 +458,27 @@ class AnnotationCache:
                     new.setdefault(entry.key, entry)
             if not new:
                 return
-            if self._torn_at is not None:
-                os.truncate(self.path, self._torn_at)
-                self._torn_at = None
-            with open(self.path, "a", encoding="utf-8") as fh:
-                if self._unterminated:
-                    fh.write("\n")
-                    self._unterminated = False
+            text = "".join(_JSONL_ENCODER.encode(entry.to_json()) + "\n" for entry in new.values())
+            with open(self.path, "a+b") as fh:
+                if fcntl is not None:
+                    fcntl.flock(fh, fcntl.LOCK_EX)  # released when the file closes
+                end = fh.seek(0, os.SEEK_END)
+                if self._torn_at is not None:
+                    fh.seek(self._torn_at)
+                    if fh.read(len(self.dropped_tail) + 1) == self.dropped_tail:
+                        end = fh.truncate(self._torn_at)
+                    self._torn_at = None
+                head = b""
+                if end:
+                    fh.seek(end - 1)
+                    if fh.read(1) != b"\n":
+                        head = b"\n"
                 if not self._header_written:
-                    fh.write(json.dumps({"cache_format": 1, "digest": _DIGEST}) + "\n")
+                    fh.seek(0)
+                    if not fh.read(end).strip():
+                        head += json.dumps({"cache_format": 1, "digest": _DIGEST}).encode() + b"\n"
                     self._header_written = True
-                for entry in new.values():
-                    fh.write(_JSONL_ENCODER.encode(entry.to_json()) + "\n")
+                fh.write(head + text.encode("utf-8"))
             self._entries.update(new)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .agreement import _Codes
 from .agreement import kappa_for_kind  # unused here, but perfbench/tracing.py wraps this name
-from .core import LabelValue, TaskSpec, TieRule, ValidationError, majority_vote
+from .core import LabelValue, TaskSpec, TieRule, ValidationError, _vote
 
 __all__ = ["RoutingPlan", "RoutingResult", "SweepPoint", "route", "sweep"]
 
@@ -71,11 +71,13 @@ def route(
 ) -> RoutingResult:
     """Escalate low-confidence items (fsd < plan.tau, strictly) to a model vote.
 
-    Votes are the focal label plus one label per auxiliary, aggregated by
-    core.majority_vote under the plan's tie rule with the focal label as the
-    keep-focal fallback (the default): single-label ties keep the focal label
-    when it is among the modal candidates; multilabel exact-half categories
-    follow the focal's choice, and an empty strict majority keeps it whole.
+    Votes are the focal label plus one label per auxiliary, aggregated under
+    core.majority_vote's rules and the plan's tie rule, with the focal label
+    as the keep-focal fallback (the default): single-label ties keep the focal
+    label when it is among the modal candidates; multilabel exact-half
+    categories follow the focal's choice, and an empty strict majority keeps
+    it whole.  Every routed item is voted at once by core._vote, with the
+    focal label as its first column.
     """
     missing_aux = [name for name in plan.auxiliaries if name not in aux_labels]
     if missing_aux:
@@ -103,17 +105,31 @@ def route(
             stop, fault = at[k], ValidationError(
                 f"auxiliary {name!r} lacks a label for item {routed[k]!r}")
     del routed[bisect_left(at, stop):]
-    # the vote depends only on the labels (the seed is the same for every
-    # item), so each distinct (focal, aux...) tuple is voted once, in the
-    # order of its first item
-    votes = list(zip(*(map(labels.__getitem__, routed) for labels in
-                       (focal_labels, *(aux_labels[name] for name in plan.auxiliaries)))))
-    voted = {key: majority_vote(key, spec, plan.tie_rule, seed, focal=key[0])
-             for key in dict.fromkeys(votes)}
+    # the routed votes as one code matrix over their distinct labels; a row
+    # holding a label the task rejects faults, after the votes of the rows
+    # before it, which are voted over the labels those rows hold
+    code: dict = {}
+    codes = np.array([[code.setdefault(lab, len(code)) for lab in map(labels.__getitem__, routed)]
+                      for labels in (focal_labels, *(aux_labels[n] for n in plan.auxiliaries))],
+                     dtype=np.intp).T
+    table, rejected = list(code), {}
+    for c, label in enumerate(table):
+        try:
+            spec.validate_label(label)
+        except ValidationError as exc:
+            rejected[c] = exc
+    if rejected:
+        bad = np.isin(codes, list(rejected))
+        r = _first(bad.any(axis=1).tolist())
+        fault = rejected[int(codes[r, np.argmax(bad[r])])]
+        del routed[r:]
+        used, inverse = np.unique(codes[:r], return_inverse=True)
+        table, codes = [table[c] for c in used.tolist()], inverse.reshape(r, codes.shape[1])
+    voted = _vote(codes, table, spec, plan.tie_rule, seed, focal=codes[:, 0])
     if fault is not None:
         raise fault
     final = dict(focal_labels)
-    final.update(zip(routed, map(voted.__getitem__, votes)))
+    final.update(zip(routed, voted))
     return RoutingResult(final=final, routed=frozenset(routed), tau=plan.tau)
 
 

@@ -2,7 +2,8 @@
 per-item, dict-based code they replaced.
 
 The oracles below are copies of the earlier `cli._fsd_scores` (with the
-Counter-based `fsd_from_samples`), `routing.route` (one vote per routed item),
+Counter-based `fsd_from_samples`), `routing.route` (one frozen
+`majority_vote` call per routed item, see vote_oracle.py),
 `cli._source_maps`, `agreement.mean_pairwise_kappa` and
 `equivalence.build_match_matrix`.  Results, error types, error texts and which
 fault is reported first must all agree on seeded random inputs.
@@ -35,10 +36,10 @@ from silicon.core import (
     TieRule,
     ValidationError,
     _sorted_ids,
-    majority_vote,
 )
 from silicon.equivalence import MatchMatrix, build_match_matrix, build_match_matrix_codes
 from silicon.routing import RoutingPlan, RoutingResult, route
+from vote_oracle import oracle_majority_vote
 
 SPEC = TaskSpec(task_id="t", kind=TaskKind.MULTICLASS, label_universe=("a", "b", "c"))
 MSPEC = TaskSpec(task_id="tm", kind=TaskKind.MULTILABEL,
@@ -110,7 +111,7 @@ def oracle_route(plan, focal_labels, fsd, aux_labels, spec, seed=None):
             if item not in aux_labels[name]:
                 raise ValidationError(f"auxiliary {name!r} lacks a label for item {item!r}")
             votes.append(aux_labels[name][item])
-        final[item] = majority_vote(votes, spec, plan.tie_rule, seed, focal=focal_label)
+        final[item] = oracle_majority_vote(votes, spec, plan.tie_rule, seed, focal=focal_label)
         routed.add(item)
     return RoutingResult(final=final, routed=frozenset(routed), tau=plan.tau)
 
@@ -406,13 +407,21 @@ class TestRoute:
     @SPECS
     @TIE_RULES
     def test_one_vote_per_distinct_label_tuple(self, spec, tie_rule, monkeypatch):
+        """Items routed with the same (focal, aux...) labels get that tuple's one
+        vote, the frozen majority_vote's, from a single kernel call per route
+        and no majority_vote call."""
         calls = []
 
-        def counting_vote(labels, *args, **kwargs):
-            calls.append(tuple(labels))
-            return majority_vote(labels, *args, **kwargs)
+        def counting_vote(codes, *args, **kwargs):
+            calls.append(len(codes))
+            return vote(codes, *args, **kwargs)
 
-        monkeypatch.setattr(routing, "majority_vote", counting_vote)
+        def no_vote(*args, **kwargs):
+            raise AssertionError("majority_vote called")
+
+        vote = routing._vote
+        monkeypatch.setattr(routing, "_vote", counting_vote)
+        monkeypatch.setattr(core, "majority_vote", no_vote)
         rng = np.random.default_rng(201)
         for _ in range(20):
             focal, fsd, names, aux = routing_case(rng, spec, faults=False)
@@ -420,14 +429,13 @@ class TestRoute:
             calls.clear()
             got = outcome(route, plan, focal, fsd, aux, spec, 3)
             routed = [i for i in focal if fsd[i] < plan.tau]
-            tuples = list(dict.fromkeys(
-                (focal[i], *(aux[name][i] for name in names)) for i in routed))
+            assert calls == [len(routed)]
             if got[0] == "ok":
-                assert calls == tuples
                 assert got[1].routed == frozenset(routed)
-            else:  # the error tie rule stops at the first tied tuple
-                assert calls == tuples[:len(calls)]
-        assert len(calls) <= len(tuples)
+                for i in routed:
+                    votes = [focal[i], *(aux[name][i] for name in names)]
+                    assert got[1].final[i] == oracle_majority_vote(votes, spec, tie_rule, 3,
+                                                                   focal=focal[i])
 
 
 # --------------------------------------------------- kappa and match matrix

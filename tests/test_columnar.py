@@ -30,9 +30,9 @@ from silicon.core import (
     ValidationError,
     load_dataset,
     majority_reference,
-    majority_vote,
     save_dataset,
 )
+from vote_oracle import oracle_majority_vote
 
 # ------------------------------------------------------------- frozen oracle
 
@@ -155,7 +155,8 @@ def old_majority_reference(dataset, role=None, tie_rule=TieRule.LOWEST_INDEX, se
     for item in dataset.item_ids():
         votes = [m[item] for m in per_source if item in m]
         if votes:
-            out[item] = majority_vote(votes, dataset.spec, tie_rule=tie_rule, seed=seed)
+            out[item] = oracle_majority_vote(votes, dataset.spec, tie_rule=tie_rule,
+                                             seed=seed)
     return out
 
 

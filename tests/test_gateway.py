@@ -3,7 +3,11 @@ import gc
 import hashlib
 import itertools
 import json
+import os
+import pathlib
 import socket
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -427,6 +431,86 @@ class TestAnnotationCache:
         cache.put(self.entry("k2"))
         assert path.read_text(encoding="utf-8") == (
             self.HEADER + self.line("k1") + self.line("k2"))
+
+    def test_two_caches_on_a_torn_tail_keep_every_entry(self, tmp_path):
+        """The second cache's put must not cut off what the first appended
+        after cutting the same torn tail."""
+        path = tmp_path / "cache.jsonl"
+        torn = self.line("kx").encode("utf-8")[:30]
+        path.write_bytes((self.HEADER + self.line("k1")).encode("utf-8") + torn)
+        a, b = AnnotationCache(path), AnnotationCache(path)
+        a.put(self.entry("k2"), self.entry("k3"))
+        b.put(self.entry("k4"))
+        assert path.read_text(encoding="utf-8") == (
+            self.HEADER + self.line("k1") + self.line("k2") + self.line("k3") + self.line("k4"))
+        assert len(AnnotationCache(path)) == 4
+
+    def test_two_caches_on_a_new_path_write_one_header(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        a, b = AnnotationCache(path), AnnotationCache(path)
+        a.put(self.entry("k1"))
+        b.put(self.entry("k2"))
+        assert path.read_text(encoding="utf-8") == self.HEADER + self.line("k1") + self.line("k2")
+        assert len(AnnotationCache(path)) == 2
+
+    def test_a_newline_another_cache_left_off_is_added(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(self.HEADER, encoding="utf-8")
+        a = AnnotationCache(path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(self.line("k1").rstrip("\n"))
+        a.put(self.entry("k2"))
+        assert path.read_text(encoding="utf-8") == self.HEADER + self.line("k1") + self.line("k2")
+
+    @pytest.mark.parametrize("start", ["absent", "torn tail"])
+    def test_processes_appending_at_once(self, tmp_path, start):
+        """Four processes (more than the cores CI has) load one cache, wait
+        for a shared start, then each put 40 entries one at a time: the file
+        reloads with one header and every entry."""
+        path = tmp_path / "cache.jsonl"
+        if start == "torn tail":
+            path.write_bytes((self.HEADER + self.line("k0")).encode("utf-8")
+                             + self.line("kx").encode("utf-8")[:30])
+        go = tmp_path / "go"
+        script = (
+            "import json, os, sys, time\n"
+            "from silicon.gateway import AnnotationCache, CacheEntry\n"
+            "path, go, worker = sys.argv[1], sys.argv[2], sys.argv[3]\n"
+            "cache = AnnotationCache(path)\n"
+            "open(f'{go}-{worker}', 'w').close()\n"
+            "while not os.path.exists(go):\n"
+            "    time.sleep(0.001)\n"
+            "for k in range(40):\n"
+            "    cache.put(CacheEntry(key=f'w{worker}-{k}', model='m', temperature=0.0,\n"
+            "                         sample_index=0, raw_response='positive' * 50,\n"
+            "                         parsed=('positive',), failure=None, created=''))\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+        procs = [subprocess.Popen([sys.executable, "-c", script, str(path), str(go), str(w)],
+                                  env=env) for w in range(4)]
+        try:
+            deadline = time.monotonic() + 60
+            while not all(os.path.exists(f"{go}-{w}") for w in range(4)):  # all loaded
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            go.touch()
+            for proc in procs:
+                assert proc.wait(timeout=60) == 0
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines.count(self.HEADER.strip()) == 1 and lines[0] == self.HEADER.strip()
+        reloaded = AnnotationCache(path)
+        assert reloaded.dropped_tail == b""
+        want = {f"w{w}-{k}" for w in range(4) for k in range(40)}
+        if start == "torn tail":
+            want.add("k0")
+        assert set(reloaded._entries) == want and len(lines) == len(want) + 1
 
     def test_mid_file_garbage_names_line(self, tmp_path):
         path = tmp_path / "cache.jsonl"
