@@ -51,7 +51,8 @@ from .gateway import (
     load_endpoint,
     load_prompt_config,
 )
-from .noise_sim import SimConfig, SimResult, contrast, load_sim_config, simulate
+from .noise_sim import _check_contrast_pair, contrast, load_sim_config, simulate_many
+from .noise_sim import simulate  # unused here, but perfbench/tracing.py wraps this name
 from .routing import RoutingPlan, sweep
 from .sensitivity import MixConfig, sensitivity_curve
 
@@ -476,7 +477,7 @@ def cmd_simulate(args) -> int:
     started = _now()
     if args.sweep_e and args.sweep_coupling:
         raise UsageError("--sweep-e and --sweep-coupling are mutually exclusive")
-    sweep_field = None
+    sweep_field, values = None, []
     if args.sweep_e:
         sweep_field, values = "error_rate", _parse_float_list(args.sweep_e, "error rate")
     elif args.sweep_coupling:
@@ -488,26 +489,18 @@ def cmd_simulate(args) -> int:
         if variant is not None:
             variant = replace(variant, seed=args.seed)
 
-    # each distinct config is simulated once: a sweep point or the contrast's
-    # base or variant often repeats one already run
-    results: dict[SimConfig, SimResult] = {}
-
-    def run_config(c: SimConfig) -> SimResult:
-        if c not in results:
-            results[c] = simulate(c)
-        return results[c]
-
-    result = run_config(cfg)
-    if sweep_field:
-        rows = []
-        for v in values:
-            r = run_config(replace(cfg, **{sweep_field: v}))
-            rows.append([
-                v, r.truth_agreement, r.reference_agreement, r.co_label_term,
-                r.slope, r.chance_rate, r.measurement_error,
-                r.identity_residual, r.std_error,
-            ])
-    report = None if variant is None else contrast(cfg, variant, run=run_config)
+    if variant is not None:
+        _check_contrast_pair(cfg, variant)
+    points = [replace(cfg, **{sweep_field: v}) for v in values]
+    # one kernel call for every distinct config: the base, the sweep points and
+    # the variant share their draws, and a repeated config is simulated once
+    grid = list(dict.fromkeys([cfg, *points] + ([variant] if variant is not None else [])))
+    results = dict(zip(grid, simulate_many(grid)))
+    result = results[cfg]
+    rows = [[v, r.truth_agreement, r.reference_agreement, r.co_label_term,
+             r.slope, r.chance_rate, r.measurement_error, r.identity_residual, r.std_error]
+            for v, r in zip(values, map(results.__getitem__, points))]
+    report = None if variant is None else contrast(cfg, variant, run=results.__getitem__)
 
     _ensure_outdir(args.out)
     json_path = os.path.join(args.out, "result.json")

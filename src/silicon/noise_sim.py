@@ -25,19 +25,30 @@ of each distinct row are built once, and an item's label is the number of its
 row's cumulative sums, all but the last, that are at or below its uniform.
 Every estimator is read off one K x K x K count table of (true label, model
 label, reference label).
+
+simulate_many() is the one kernel; simulate() runs it on one config.  Configs
+with the same (seed, n_samples, n_classes) draw the same uniforms, so one call
+spawns their four streams once, draws each stream once, and builds each label
+vector once per distinct input: the truth per priors, the reference per
+(priors, error_rate), the model's label per (priors, llm_confusion).  Each
+config then applies only its coupling overlay, moving the coupled items'
+counts in a copy of the shared table.  Results are bit-identical to one
+simulate() per config.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, fields
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .core import ValidationError, _rng_from_seed
 
-__all__ = ["SimConfig", "SimResult", "ContrastReport", "simulate", "contrast", "load_sim_config"]
+__all__ = ["SimConfig", "SimResult", "ContrastReport", "simulate", "simulate_many", "contrast",
+           "load_sim_config"]
 
 _SIMPLEX_TOL = 1e-12
 _MIN_ITEMS = 100
@@ -100,16 +111,31 @@ class SimConfig:
                 raise ValidationError(f"bad sim config: unknown keys {unknown}; "
                                       f"expected some of {sorted(_CONFIG_KEYS)}")
             return cls(
-                n_classes=int(obj["n_classes"]),
-                priors=tuple(obj["priors"]),
-                error_rate=float(obj["error_rate"]),
-                llm_confusion=tuple(tuple(r) for r in obj["llm_confusion"]),
-                coupling=float(obj.get("coupling", 0.0)),
-                n_samples=int(obj.get("n_samples", 100_000)),
-                seed=int(obj.get("seed", 0)),
+                n_classes=_json_int(obj["n_classes"], "n_classes"),
+                priors=tuple(_json_number(x, "priors") for x in obj["priors"]),
+                error_rate=_json_number(obj["error_rate"], "error_rate"),
+                llm_confusion=tuple(tuple(_json_number(x, "llm_confusion") for x in r)
+                                    for r in obj["llm_confusion"]),
+                coupling=_json_number(obj.get("coupling", 0.0), "coupling"),
+                n_samples=_json_int(obj.get("n_samples", 100_000), "n_samples"),
+                seed=_json_int(obj.get("seed", 0), "seed"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad sim config: {exc}") from exc
+
+
+# float() and int() would coerce a bool, a fraction or a string, so a config
+# field must already be a JSON number, or a JSON integer where one is counted
+def _json_int(value, key: str) -> int:
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, not {type(value).__name__}")
+    return value
+
+
+def _json_number(value, key: str) -> float:
+    if type(value) not in (float, int):
+        raise TypeError(f"{key} must be a number, not {type(value).__name__}")
+    return float(value)
 
 
 # what a sim config file may hold: the SimConfig fields and an ignored "name"
@@ -189,34 +215,78 @@ def _redraw_rows(conf: np.ndarray) -> np.ndarray:
 
 
 def simulate(cfg: SimConfig) -> SimResult:
-    k = cfg.n_classes
-    n = cfg.n_samples
-    e = cfg.error_rate
-    streams = _streams(cfg.seed)
-    priors = np.asarray(cfg.priors)
-    conf = np.asarray(cfg.llm_confusion)
+    """One config's result: simulate_many() on a list of one."""
+    return simulate_many([cfg])[0]
 
-    y = _inverse_cdf(priors[None, :], 0, streams[0].random(n))
+
+def simulate_many(cfgs: Sequence[SimConfig]) -> list[SimResult]:
+    """The result of every config, in order, each bit for bit its own run's.
+
+    Configs that share (seed, n_samples, n_classes) share their draws, as the
+    module docstring says; equal configs share one result.
+    """
+    by_group: dict[tuple[int, int, int], dict[SimConfig, None]] = {}
+    for cfg in cfgs:
+        by_group.setdefault((cfg.seed, cfg.n_samples, cfg.n_classes), {})[cfg] = None
+    results: dict[SimConfig, SimResult] = {}
+    for (seed, n, k), group in by_group.items():
+        results.update(_simulate_group(seed, n, k, list(group)))
+    return [results[cfg] for cfg in cfgs]
+
+
+def _simulate_group(seed: int, n: int, k: int,
+                    cfgs: list[SimConfig]) -> dict[SimConfig, SimResult]:
+    streams = _streams(seed)
+    # u holds one stream's uniforms at a time, freed once every label drawn
+    # from them is built, so a sweep peaks near one config's memory
+    u = streams[0].random(n)
+    y = {p: _inverse_cdf(np.asarray(p)[None, :], 0, u) for p in {c.priors: None for c in cfgs}}
 
     # reference: right w.p. 1 - e, else uniform over the K - 1 other classes
-    wrong = np.flatnonzero(streams[1].random(n) < e)
+    u = streams[1].random(n)
     offsets = streams[1].integers(1, k, size=n)
-    ref = y.copy()
-    ref[wrong] = (y[wrong] + offsets[wrong]) % k
+    ref = {(p, e): np.where(u < e, (y[p] + offsets) % k, y[p])
+           for p, e in {(c.priors, c.error_rate): None for c in cfgs}}
+    del offsets
 
-    yhat = _inverse_cdf(conf, y, streams[2].random(n))
+    u = streams[2].random(n)
+    yhat = {(p, conf): _inverse_cdf(np.asarray(conf), y[p], u)
+            for p, conf in {(c.priors, c.llm_confusion): None for c in cfgs}}
+    del u
 
-    if cfg.coupling != 0.0:
-        hit = np.flatnonzero(streams[3].random(n) < abs(cfg.coupling))
-        if cfg.coupling > 0:
-            yhat[hit] = ref[hit]
-        elif hit.size:
-            # redraw from the confusion row with the reference label zeroed out
-            yhat[hit] = _inverse_cdf(_redraw_rows(conf), y[hit] * k + ref[hit],
-                                     streams[3].random(hit.size))
+    # each item's cell (y * K + yhat) * K + ref of the count table, per
+    # distinct uncoupled draw
+    codes = {(p, e, conf): (y[p] * k + yhat[p, conf]) * k + ref[p, e]
+             for p, e, conf in {(c.priors, c.error_rate, c.llm_confusion): None for c in cfgs}}
+    del y, ref, yhat
+    size = k ** 3
+    base_counts = {key: np.bincount(c, minlength=size) for key, c in codes.items()}
 
-    # counts[y, yhat, ref]: every estimator below is read off this one table
-    counts = np.bincount((y * k + yhat) * k + ref, minlength=k ** 3).reshape(k, k, k)
+    if any(c.coupling != 0.0 for c in cfgs):
+        u = streams[3].random(n)   # a negative coupling's redraw continues stream 3 from here
+    out = {}
+    for cfg in cfgs:
+        key = (cfg.priors, cfg.error_rate, cfg.llm_confusion)
+        counts = base_counts[key]
+        if cfg.coupling != 0.0:
+            # the hit items move from their uncoupled cell to their coupled one
+            old = codes[key][u < abs(cfg.coupling)]
+            y_hit, ref_hit = old // (k * k), old % k
+            if cfg.coupling > 0:
+                new = ref_hit
+            else:
+                # redraw from the confusion row with the reference label zeroed out
+                new = _inverse_cdf(_redraw_rows(np.asarray(cfg.llm_confusion)),
+                                   y_hit * k + ref_hit, copy.deepcopy(streams[3]).random(old.size))
+            counts = (counts - np.bincount(old, minlength=size)
+                      + np.bincount((y_hit * k + new) * k + ref_hit, minlength=size))
+        out[cfg] = _estimate(counts.reshape(k, k, k), n, cfg.error_rate)
+    return out
+
+
+def _estimate(counts: np.ndarray, n: int, e: float) -> SimResult:
+    """Every estimator off counts[y, yhat, ref]."""
+    k = counts.shape[0]
     diag = np.arange(k)
     truth_agreement = int(counts[diag, diag, :].sum()) / n
     reference_agreement = int(counts[:, diag, diag].sum()) / n
@@ -295,22 +365,28 @@ def _binom_se(p: float, n: int) -> float:
     return float(np.sqrt(p * (1.0 - p) / n))
 
 
-def contrast(base_cfg: SimConfig, variant_cfg: SimConfig,
-             run: Callable[[SimConfig], SimResult] | None = None) -> ContrastReport:
-    """Simulate both configs and compare. They must share the reference process.
-
-    `run` maps a config to its result (default: simulate); a caller that has
-    already simulated either config passes a lookup that reuses it.
-    """
+def _check_contrast_pair(base_cfg: SimConfig, variant_cfg: SimConfig) -> None:
+    """A contrast compares two models against one reference process."""
     if base_cfg.n_classes != variant_cfg.n_classes:
         raise ValidationError("contrast requires matching n_classes")
     if base_cfg.priors != variant_cfg.priors:
         raise ValidationError("contrast requires matching priors")
     if base_cfg.error_rate != variant_cfg.error_rate:
         raise ValidationError("contrast requires a shared reference error_rate")
-    run = run or simulate
-    base = run(base_cfg)
-    variant = run(variant_cfg)
+
+
+def contrast(base_cfg: SimConfig, variant_cfg: SimConfig,
+             run: Callable[[SimConfig], SimResult] | None = None) -> ContrastReport:
+    """Simulate both configs and compare. They must share the reference process.
+
+    `run` maps a config to its result (default: one simulate_many call for
+    both); a caller that has already simulated both passes a lookup.
+    """
+    _check_contrast_pair(base_cfg, variant_cfg)
+    if run is None:
+        base, variant = simulate_many([base_cfg, variant_cfg])
+    else:
+        base, variant = run(base_cfg), run(variant_cfg)
 
     d_ref = variant.reference_agreement - base.reference_agreement
     d_truth = variant.truth_agreement - base.truth_agreement

@@ -569,6 +569,23 @@ class TestSimulate:
                         "--contrast", variant,
                         "--out", str(tmp_path / "sim")]) == 1
 
+    @pytest.mark.parametrize("variant_kw", [
+        {"error_rate": 0.4}, {"n_classes": 2, "priors": [0.5, 0.5],
+                              "llm_confusion": [[0.8, 0.2], [0.2, 0.8]]},
+        {"priors": [0.5, 0.25, 0.25]},
+    ])
+    def test_contrast_mismatch_checked_before_simulating(self, tmp_path, monkeypatch,
+                                                          variant_kw):
+        calls = []
+        monkeypatch.setattr(cli, "simulate_many", calls.append)
+        variant = self.config(tmp_path, name="variant.json", **variant_kw)
+        out = tmp_path / "sim"
+        assert cli.run(["simulate", "--config", self.config(tmp_path),
+                        "--sweep-coupling", self.COUPLINGS, "--contrast", variant,
+                        "--out", str(out)]) == 1
+        assert calls == []
+        assert not out.exists()
+
     COUPLINGS = "0,0.1,0.2,0.3,0.4,0.5"
 
     def expected_outputs(self, tmp_path, base_path, variant_path, seed=None):
@@ -608,19 +625,19 @@ class TestSimulate:
         base = self.config(tmp_path)
         variant = self.config(tmp_path, name="variant.json", **variant_kw)
         seen = []
-        real = cli.simulate
+        real = cli.simulate_many
 
-        def counting(cfg):
-            seen.append(cfg)
-            return real(cfg)
+        def counting(cfgs):
+            seen.extend(cfgs)
+            return real(cfgs)
 
-        monkeypatch.setattr(cli, "simulate", counting)
+        monkeypatch.setattr(cli, "simulate_many", counting)
         out = tmp_path / "sim"
         assert cli.run(["simulate", "--config", base, "--sweep-coupling", self.COUPLINGS,
                         "--contrast", variant, "--out", str(out)]) == 0
         assert len(seen) == calls
         assert len(set(seen)) == calls
-        monkeypatch.setattr(cli, "simulate", real)
+        monkeypatch.setattr(cli, "simulate_many", real)
         want = self.expected_outputs(tmp_path, base, variant)
         for name in ("result.json", "sweep.csv", "contrast.json"):
             assert (out / name).read_bytes() == (want / name).read_bytes(), name

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from silicon.noise_sim import (
     _streams,
     contrast,
     simulate,
+    simulate_many,
 )
 
 
@@ -289,7 +293,61 @@ class TestKernelOracle:
         assert simulate(cfg) == oracle_simulate(cfg)
 
 
+class TestSimulateMany:
+    def test_bit_equal_to_oracle_on_a_mixed_grid(self):
+        cfgs = []
+        for seed in (1, 2):
+            for n in (100, 2500):
+                base = replace(_kernel_cfg(4, 0.2, 0.0, 7), seed=seed, n_samples=n)
+                other_priors = replace(base, priors=(0.4, 0.3, 0.2, 0.1))
+                other_conf = replace(base, llm_confusion=uniform_cfg(k=4).llm_confusion)
+                for cfg in (base, other_priors, other_conf):
+                    cfgs += [replace(cfg, coupling=c) for c in (0.0, 0.3, -0.3, 1.0, -1.0)]
+                    cfgs += [replace(cfg, error_rate=e, coupling=-0.3) for e in (0.0, 0.1, 1.0)]
+        cfgs += cfgs[::7]   # duplicates, out of order
+        got = simulate_many(cfgs)
+        assert len(got) == len(cfgs)
+        for cfg, result in zip(cfgs, got):
+            assert result == oracle_simulate(cfg), cfg
+
+    def test_single_config_and_empty_list(self):
+        cfg = uniform_cfg(coupling=-0.4, n=1000, seed=2)
+        assert simulate_many([cfg]) == [simulate(cfg)] == [oracle_simulate(cfg)]
+        assert simulate_many([]) == []
+
+    def test_sweep_peak_memory_near_one_simulate(self):
+        base = uniform_cfg(k=3, e=0.15, n=1_000_000, seed=17, diag=0.75)
+        sweep = [replace(base, coupling=c) for c in (0.0, 0.1, -0.2, 0.3, -0.4, 0.5)]
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(lambda: simulate(sweep[-2]))
+        assert peak(lambda: simulate_many(sweep)) <= 1.25 * one
+
+
 class TestContrastReuse:
+    def test_default_run_is_one_kernel_call(self, monkeypatch):
+        import silicon.noise_sim as noise_sim
+
+        base, variant = uniform_cfg(n=1000, seed=4), uniform_cfg(n=1000, seed=4, coupling=0.3)
+        calls = []
+        real = noise_sim.simulate_many
+
+        def counting(cfgs):
+            calls.append(list(cfgs))
+            return real(cfgs)
+
+        monkeypatch.setattr(noise_sim, "simulate_many", counting)
+        report = contrast(base, variant)
+        assert calls == [[base, variant]]
+        assert (report.base, report.variant) == (oracle_simulate(base), oracle_simulate(variant))
+
     def test_run_lookup_is_used_for_both_configs(self):
         base, variant = uniform_cfg(n=1000, seed=4), uniform_cfg(n=1000, seed=4, coupling=0.3)
         seen = []
@@ -320,6 +378,28 @@ class TestConfigKeys:
         del obj["coupling"]
         with pytest.raises(ValidationError, match=r"unknown keys \['couplng'\]"):
             SimConfig.from_json(obj)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.9), ("seed", True), ("seed", 1.0), ("seed", "1"),
+        ("n_samples", "500"), ("n_samples", 500.7), ("n_samples", False),
+        ("n_classes", 3.0), ("n_classes", True),
+        ("coupling", True), ("coupling", "0.1"), ("coupling", None),
+        ("error_rate", "0.1"), ("error_rate", False),
+        ("priors", ["0.5", 0.25, 0.25]), ("priors", [True, 0.0, 0.0]),
+        ("llm_confusion", [[1, 0, 0], [0, True, 0], [0, 0, 1]]),
+        ("llm_confusion", [[1, 0, 0], [0, 1, 0], [0, 0, "1"]]),
+    ])
+    def test_numbers_are_not_coerced(self, field, value):
+        obj = {**uniform_cfg(k=3, n=500).to_json(), field: value}
+        with pytest.raises(ValidationError, match=f"bad sim config: {field} must be"):
+            SimConfig.from_json(obj)
+
+    def test_json_integers_are_numbers(self):
+        obj = {**uniform_cfg(k=3, n=500).to_json(), "coupling": 0, "error_rate": 1,
+               "priors": [1, 0, 0], "llm_confusion": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+        cfg = SimConfig.from_json(obj)
+        assert (cfg.coupling, cfg.error_rate, cfg.priors) == (0.0, 1.0, (1.0, 0.0, 0.0))
+        assert all(type(x) is float for row in cfg.llm_confusion for x in row)
 
     def test_non_object_is_rejected(self):
         with pytest.raises(ValidationError, match="bad sim config"):
