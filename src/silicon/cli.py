@@ -35,6 +35,7 @@ from .core import (
     TieRule,
     ValidationError,
     _JSONL_ENCODER,
+    _json_value,
     atomic_open,
     load_dataset,
     load_task_spec,
@@ -270,10 +271,14 @@ def cmd_annotate(args) -> int:
             line = line.strip()
             if not line:
                 continue
-            try:
+            try:  # extra keys are allowed: an item is data, not config
                 obj = json.loads(line)
-                items.append((obj["item_id"], obj["text"]))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                item_id, text = obj["item_id"], obj["text"]
+                if type(item_id) not in (str, int) or not item_id:
+                    raise TypeError(f"item_id must be a non-empty string or a non-zero integer, "
+                                    f"not {item_id!r}")
+                items.append((item_id, _json_value(text, str, "text")))
+            except (ValueError, KeyError, TypeError) as exc:
                 raise ValidationError(f"{args.items}:{lineno}: bad item ({exc})") from exc
     cache = AnnotationCache(args.cache)
     if cache.dropped_tail:

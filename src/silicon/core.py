@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from json.decoder import scanstring
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -178,24 +178,74 @@ class TaskSpec:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "TaskSpec":
+        _json_object(obj, _TASK_KEYS, "task spec")
         try:
             return cls(
-                task_id=obj["task_id"],
-                kind=TaskKind(obj["kind"]),
-                label_universe=tuple(obj["labels"]),
-                agreement_threshold=float(obj.get("threshold", 0.5)),
+                task_id=_json_value(obj["task_id"], str, "task_id"),
+                kind=TaskKind(_json_value(obj["kind"], str, "kind")),
+                label_universe=tuple(_json_value(name, str, "labels")
+                                     for name in _json_value(obj["labels"], list, "labels")),
+                agreement_threshold=_json_value(obj.get("threshold", 0.5), float, "threshold"),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad task spec: {exc}") from exc
 
 
+_TASK_KEYS = frozenset({"task_id", "kind", "labels", "threshold"})
+
+
 def load_task_spec(path) -> TaskSpec:
+    with _read_json(path) as obj:
+        return TaskSpec.from_json(obj)
+
+
+# Every JSON input is read the same way: no value is coerced, and a config
+# object may hold only the keys its reader knows.
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
+               list: "a list"}
+
+
+@contextmanager
+def _read_json(path):
+    """Yield the JSON value in the file at `path`.  A file that is not valid
+    JSON, and a ValidationError raised in the block, are errors naming the file."""
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    return TaskSpec.from_json(obj)
+    try:
+        yield obj
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _json_value(value, kind: type, name: str, null: bool = False):
+    """`value` if it is a JSON value of `kind`, else a TypeError naming `name`.
+
+    `kind` is str, int (a JSON integer, not a bool), float (a JSON integer or
+    fraction, returned as a float; a ValueError if no float holds it), bool or
+    list; `null` also lets None through.
+    """
+    if type(value) is kind or value is None and null:
+        return value
+    if kind is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{name} is too large a number") from None
+    raise TypeError(f"{name} must be {_KIND_NAMES[kind]}{' or null' if null else ''}, "
+                    f"not {type(value).__name__}")
+
+
+def _json_object(obj, known: AbstractSet[str], what: str) -> None:
+    """Reject `obj` unless it is a JSON object whose keys are all in `known`."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"bad {what}: expected a JSON object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        raise ValidationError(f"bad {what}: unknown keys {unknown}; "
+                              f"expected some of {sorted(known)}")
 
 
 @dataclass(frozen=True, order=True)

@@ -23,7 +23,7 @@ the report total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -154,20 +154,7 @@ class ModelComparison:
     tost_equivalent: bool | None = None
 
     def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "accuracy": self.accuracy,
-            "coefficient": self.coefficient,
-            "se": self.se,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "wald_z": self.wald_z,
-            "wald_p": self.wald_p,
-            "verdict": self.verdict,
-            "separated": self.separated,
-            "method": self.method,
-            "tost_equivalent": self.tost_equivalent,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -188,22 +175,7 @@ class EquivalenceReport:
     separation_flag: bool
 
     def to_json(self) -> dict:
-        return {
-            "baseline_model": self.baseline_model,
-            "baseline_accuracy": self.baseline_accuracy,
-            "intercept": self.intercept,
-            "intercept_se": self.intercept_se,
-            "comparisons": [c.to_json() for c in self.comparisons],
-            "lr_stat": self.lr_stat,
-            "lr_df": self.lr_df,
-            "lr_p": self.lr_p,
-            "n_items": self.n_items,
-            "n_obs": self.n_obs,
-            "converged": self.converged,
-            "n_iter": self.n_iter,
-            "cluster_correction": self.cluster_correction,
-            "separation_flag": self.separation_flag,
-        }
+        return {**asdict(self), "comparisons": [c.to_json() for c in self.comparisons]}
 
 
 def _log_likelihood(y: np.ndarray, mu: np.ndarray) -> float:

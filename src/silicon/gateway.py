@@ -22,6 +22,7 @@ import hashlib
 import http.client
 import json
 import math
+import operator
 import os
 import re
 import selectors
@@ -42,7 +43,7 @@ except ImportError:  # no flock (Windows): appends from several processes are no
     fcntl = None
 
 from .core import LabelValue, Role, SiliconError, SourceId, TaskKind, TaskSpec, ValidationError
-from .core import _JSONL_ENCODER, Dataset
+from .core import _JSONL_ENCODER, Dataset, _json_object, _json_value, _read_json
 
 __all__ = [
     "GatewayError",
@@ -73,6 +74,8 @@ __all__ = [
 
 REPLAY_ENV = "SILICON_REPLAY"
 _DIGEST = "sha256"
+# the first line of every response cache
+_HEADER = json.dumps({"cache_format": 1, "digest": _DIGEST}, sort_keys=True)
 
 
 class GatewayError(SiliconError):
@@ -345,6 +348,14 @@ class CacheEntry:
         }
 
 
+# The type of each CacheEntry field in a cache line, in field order.  A line
+# may leave out parsed and failure (null) and created ("").
+_ENTRY_KINDS = {"key": str, "model": str, "temperature": float, "sample_index": int,
+                "raw_response": str, "parsed": list, "failure": str, "created": str}
+_ENTRY_DEFAULTS = {"parsed": None, "failure": None, "created": ""}
+_entry_values = operator.itemgetter(*_ENTRY_KINDS)
+
+
 class AnnotationCache:
     """Append-only JSONL response cache.
 
@@ -387,54 +398,34 @@ class AnnotationCache:
                     self.dropped_tail, self._torn_at = raw, start
                     return
                 if not self._header_written:
-                    if (not isinstance(obj, dict) or obj.get("cache_format") != 1
-                            or obj.get("digest") != _DIGEST):
+                    if json.dumps(obj, sort_keys=True) != _HEADER:
                         raise ValidationError(f"{self.path}: unsupported cache header {obj!r}")
                     self._header_written = True
                     continue
                 try:
-                    key, model, raw = obj["key"], obj["model"], obj["raw_response"]
-                    parsed, failure = obj.get("parsed"), obj.get("failure")
-                    if not (isinstance(key, str) and isinstance(model, str)
-                            and isinstance(raw, str)):
-                        name = next(n for n in ("key", "model", "raw_response")
-                                    if not isinstance(obj[n], str))
-                        raise TypeError(f"{name} must be a string, not "
-                                        f"{type(obj[name]).__name__}")
-                    if parsed is not None:
-                        if not isinstance(parsed, list):
-                            raise TypeError(f"parsed must be null or a list of strings: "
-                                            f"{parsed!r}")
+                    try:  # eight keys that all look up are the fields, as put() writes them
+                        if len(obj) != len(_ENTRY_KINDS):
+                            raise KeyError
+                        values = _entry_values(obj)
+                    except (KeyError, TypeError):
+                        _json_object(obj, _ENTRY_KINDS.keys(), "cache entry")
+                        values = _entry_values({**_ENTRY_DEFAULTS, **obj})
+                    key, model, temperature, index, raw, parsed, failure, created = values
+                    if not (type(key) is str and type(model) is str and type(raw) is str
+                            and type(created) is str and type(temperature) in (float, int)
+                            and type(index) is int and (failure is None or type(failure) is str)
+                            and (parsed is None or type(parsed) is list
+                                 and all(type(label) is str for label in parsed))):
+                        for (name, kind), value in zip(_ENTRY_KINDS.items(), values):
+                            _json_value(value, kind, name, null=name in ("parsed", "failure"))
                         for label in parsed:
-                            if not isinstance(label, str):
-                                raise TypeError(f"parsed must be null or a list of strings: "
-                                                f"{parsed!r}")
-                    if failure is not None and not isinstance(failure, str):
-                        raise TypeError(f"failure must be null or a string: {failure!r}")
-                    # float() and int() would coerce a bool, a fraction or a string
-                    temperature, index = obj["temperature"], obj["sample_index"]
-                    if type(temperature) not in (float, int):
-                        raise TypeError(f"temperature must be a number, not "
-                                        f"{type(temperature).__name__}")
-                    if type(index) is not int:
-                        raise TypeError(f"sample_index must be an integer, not "
-                                        f"{type(index).__name__}")
-                    created = obj.get("created", "")
-                    if not isinstance(created, str):
-                        raise TypeError(f"created must be a string, not "
-                                        f"{type(created).__name__}")
-                    entry = CacheEntry(
-                        key=key,
-                        model=model,
-                        temperature=float(temperature),
-                        sample_index=index,
-                        raw_response=raw,
-                        parsed=tuple(parsed) if parsed is not None else None,
-                        failure=failure,
-                        created=created,
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
+                            _json_value(label, str, "parsed")
+                    entry = CacheEntry(key, model, float(temperature), index, raw,
+                                       None if parsed is None else tuple(parsed), failure, created)
+                except (KeyError, TypeError, OverflowError) as exc:
                     raise ValidationError(f"{self.path}:{lineno}: bad cache entry ({exc})") from exc
+                except ValidationError as exc:  # not an object, or an unknown key
+                    raise ValidationError(f"{self.path}:{lineno}: {exc}") from exc
                 self._entries.setdefault(entry.key, entry)
 
     def __len__(self):
@@ -476,7 +467,7 @@ class AnnotationCache:
                 if not self._header_written:
                     fh.seek(0)
                     if not fh.read(end).strip():
-                        head += json.dumps({"cache_format": 1, "digest": _DIGEST}).encode() + b"\n"
+                        head += _HEADER.encode() + b"\n"
                     self._header_written = True
                 fh.write(head + text.encode("utf-8"))
             self._entries.update(new)
@@ -857,8 +848,6 @@ def annotations_to_dataset(
     return Dataset.from_rows(spec, rows), failures
 
 
-# the keys an endpoint or prompt config may hold; any other is an error, so a
-# misspelt field is never silently left at its default
 _ENDPOINT_KEYS = frozenset({"name", "base_url", "api_key_env", "max_in_flight", "timeout",
                             "supports_n", "retry"})
 _RETRY_KEYS = frozenset({"max_attempts", "backoff"})
@@ -866,69 +855,55 @@ _PROMPT_KEYS = frozenset({"guideline_text", "guideline_file", "strategy", "place
                           "persona_text", "temperature", "n_samples"})
 
 
-def _check_keys(obj, known: frozenset, what: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValidationError(f"bad {what}: expected a JSON object, got {type(obj).__name__}")
-    unknown = sorted(set(obj) - known)
-    if unknown:
-        raise ValidationError(f"bad {what}: unknown keys {unknown}; "
-                              f"expected some of {sorted(known)}")
-
-
 def load_endpoint(path) -> ModelEndpoint:
-    with open(path, encoding="utf-8") as fh:
+    """The endpoint config at `path`, read as core reads every JSON config."""
+    with _read_json(path) as obj:
+        _json_object(obj, _ENDPOINT_KEYS, "endpoint config")
+        retry = obj.get("retry", {})
+        _json_object(retry, _RETRY_KEYS, "endpoint config retry")
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    _check_keys(obj, _ENDPOINT_KEYS, "endpoint config")
-    retry = obj.get("retry", {})
-    _check_keys(retry, _RETRY_KEYS, "endpoint config retry")
-    supports_n = obj.get("supports_n", True)
-    if not isinstance(supports_n, bool):
-        raise ValidationError(
-            f"bad endpoint config: supports_n must be true or false, got {supports_n!r}")
-    try:
-        return ModelEndpoint(
-            name=obj["name"],
-            base_url=obj["base_url"],
-            api_key_env=obj["api_key_env"],
-            max_in_flight=int(obj.get("max_in_flight", 4)),
-            timeout=float(obj.get("timeout", 60.0)),
-            supports_n=supports_n,
-            retry=RetryPolicy(
-                max_attempts=int(retry.get("max_attempts", 3)),
-                backoff=tuple(retry.get("backoff", (1.0, 2.0, 4.0))),
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad endpoint config: {exc}") from exc
+            return ModelEndpoint(
+                name=_json_value(obj["name"], str, "name"),
+                base_url=_json_value(obj["base_url"], str, "base_url"),
+                api_key_env=_json_value(obj["api_key_env"], str, "api_key_env"),
+                max_in_flight=_json_value(obj.get("max_in_flight", 4), int, "max_in_flight"),
+                timeout=_json_value(obj.get("timeout", 60.0), float, "timeout"),
+                supports_n=_json_value(obj.get("supports_n", True), bool, "supports_n"),
+                retry=RetryPolicy(
+                    max_attempts=_json_value(retry.get("max_attempts", 3), int,
+                                             "retry.max_attempts"),
+                    backoff=tuple(_json_value(b, float, "retry.backoff") for b in _json_value(
+                        retry.get("backoff", [1.0, 2.0, 4.0]), list, "retry.backoff")),
+                ),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"bad endpoint config: {exc}") from exc
 
 
 def load_prompt_config(path, spec: TaskSpec) -> PromptConfig:
+    """The prompt config at `path`, read as core reads every JSON config; a
+    guideline_file is read relative to it."""
     path = str(path)
-    with open(path, encoding="utf-8") as fh:
+    with _read_json(path) as obj:
+        _json_object(obj, _PROMPT_KEYS, "prompt config")
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    _check_keys(obj, _PROMPT_KEYS, "prompt config")
-    guideline = obj.get("guideline_text")
-    if guideline is None and "guideline_file" in obj:
-        gpath = os.path.join(os.path.dirname(os.path.abspath(path)), obj["guideline_file"])
-        with open(gpath, encoding="utf-8") as fh:
-            guideline = fh.read()
-    if guideline is None:
-        raise ValidationError(f"{path}: needs guideline_text or guideline_file")
-    try:
-        return PromptConfig(
-            task=spec,
-            guideline_text=guideline,
-            strategy=Strategy(obj.get("strategy", "base")),
-            placement=Placement(obj.get("placement", "system")),
-            persona_text=obj.get("persona_text"),
-            temperature=float(obj.get("temperature", 1.0)),
-            n_samples=int(obj.get("n_samples", 5)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad prompt config: {exc}") from exc
+            guideline = _json_value(obj.get("guideline_text"), str, "guideline_text", null=True)
+            if guideline is None and "guideline_file" in obj:
+                gpath = os.path.join(os.path.dirname(os.path.abspath(path)),
+                                     _json_value(obj["guideline_file"], str, "guideline_file"))
+                with open(gpath, encoding="utf-8") as fh:
+                    guideline = fh.read()
+            if guideline is None:
+                raise ValidationError("needs guideline_text or guideline_file")
+            return PromptConfig(
+                task=spec,
+                guideline_text=guideline,
+                strategy=Strategy(_json_value(obj.get("strategy", "base"), str, "strategy")),
+                placement=Placement(_json_value(obj.get("placement", "system"), str,
+                                                "placement")),
+                persona_text=_json_value(obj.get("persona_text"), str, "persona_text", null=True),
+                temperature=_json_value(obj.get("temperature", 1.0), float, "temperature"),
+                n_samples=_json_value(obj.get("n_samples", 5), int, "n_samples"),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bad prompt config: {exc}") from exc

@@ -39,13 +39,12 @@ simulate() per config.
 from __future__ import annotations
 
 import copy
-import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ValidationError, _rng_from_seed
+from .core import ValidationError, _json_object, _json_value, _read_json, _rng_from_seed
 
 __all__ = ["SimConfig", "SimResult", "ContrastReport", "simulate", "simulate_many", "contrast",
            "load_sim_config"]
@@ -103,39 +102,27 @@ class SimConfig:
     @classmethod
     def from_json(cls, obj: Mapping) -> "SimConfig":
         """The keys of to_json(), plus an optional "name" that only labels the
-        file and is ignored.  Any other key is an error, so a misspelt field
-        is never silently left at its default."""
+        file and is ignored; read as core reads every JSON config."""
+        _json_object(obj, _CONFIG_KEYS, "sim config")
         try:
-            unknown = sorted(set(obj) - _CONFIG_KEYS)
-            if unknown:
-                raise ValidationError(f"bad sim config: unknown keys {unknown}; "
-                                      f"expected some of {sorted(_CONFIG_KEYS)}")
             return cls(
-                n_classes=_json_int(obj["n_classes"], "n_classes"),
-                priors=tuple(_json_number(x, "priors") for x in obj["priors"]),
-                error_rate=_json_number(obj["error_rate"], "error_rate"),
-                llm_confusion=tuple(tuple(_json_number(x, "llm_confusion") for x in r)
-                                    for r in obj["llm_confusion"]),
-                coupling=_json_number(obj.get("coupling", 0.0), "coupling"),
-                n_samples=_json_int(obj.get("n_samples", 100_000), "n_samples"),
-                seed=_json_int(obj.get("seed", 0), "seed"),
+                n_classes=_json_value(obj["n_classes"], int, "n_classes"),
+                priors=_json_numbers(obj["priors"], "priors"),
+                error_rate=_json_value(obj["error_rate"], float, "error_rate"),
+                llm_confusion=tuple(_json_numbers(row, "llm_confusion")
+                                    for row in _json_value(obj["llm_confusion"], list,
+                                                           "llm_confusion")),
+                coupling=_json_value(obj.get("coupling", 0.0), float, "coupling"),
+                n_samples=_json_value(obj.get("n_samples", 100_000), int, "n_samples"),
+                seed=_json_value(obj.get("seed", 0), int, "seed"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad sim config: {exc}") from exc
 
 
-# float() and int() would coerce a bool, a fraction or a string, so a config
-# field must already be a JSON number, or a JSON integer where one is counted
-def _json_int(value, key: str) -> int:
-    if type(value) is not int:
-        raise TypeError(f"{key} must be an integer, not {type(value).__name__}")
-    return value
-
-
-def _json_number(value, key: str) -> float:
-    if type(value) not in (float, int):
-        raise TypeError(f"{key} must be a number, not {type(value).__name__}")
-    return float(value)
+def _json_numbers(value, name: str) -> tuple[float, ...]:
+    """A JSON list of numbers as a tuple of floats."""
+    return tuple(_json_value(x, float, name) for x in _json_value(value, list, name))
 
 
 # what a sim config file may hold: the SimConfig fields and an ignored "name"
@@ -143,12 +130,8 @@ _CONFIG_KEYS = frozenset(f.name for f in fields(SimConfig)) | {"name"}
 
 
 def load_sim_config(path) -> SimConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    return SimConfig.from_json(obj)
+    with _read_json(path) as obj:
+        return SimConfig.from_json(obj)
 
 
 @dataclass(frozen=True)
@@ -164,17 +147,7 @@ class SimResult:
     n_samples: int
 
     def to_json(self) -> dict:
-        return {
-            "truth_agreement": self.truth_agreement,
-            "reference_agreement": self.reference_agreement,
-            "co_label_term": self.co_label_term,
-            "slope": self.slope,
-            "chance_rate": self.chance_rate,
-            "measurement_error": self.measurement_error,
-            "identity_residual": self.identity_residual,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-        }
+        return asdict(self)
 
 
 def _streams(seed: int, count: int = 4) -> list[np.random.Generator]:
@@ -346,19 +319,7 @@ class ContrastReport:
     identity_consistent: bool
 
     def to_json(self) -> dict:
-        return {
-            "base": self.base.to_json(),
-            "variant": self.variant.to_json(),
-            "delta_reference_agreement": self.delta_reference_agreement,
-            "delta_truth_agreement": self.delta_truth_agreement,
-            "delta_co_label_term": self.delta_co_label_term,
-            "se_delta_reference": self.se_delta_reference,
-            "se_delta_truth": self.se_delta_truth,
-            "reference_gain": self.reference_gain,
-            "error_reduced": self.error_reduced,
-            "error_increased": self.error_increased,
-            "identity_consistent": self.identity_consistent,
-        }
+        return asdict(self)
 
 
 def _binom_se(p: float, n: int) -> float:

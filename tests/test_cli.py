@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from silicon import __version__, cli
-from silicon.gateway import REPLAY_ENV
+from silicon.gateway import REPLAY_ENV, AnnotationCache, HttpTransport
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -712,3 +712,119 @@ class TestAtomicOutputs:
         assert len(calls) == 2
         assert out.read_bytes() == earlier
         assert sorted(os.listdir(tmp_path)) == before
+
+
+# (input, field, value) for every JSON reader: a bool, a numeric string, a
+# fraction where an integer belongs, null, a string where a list belongs and
+# an unknown key, wherever the input has such a field, and a number no float holds
+BAD_INPUTS = [
+    ("task", "threshold", True), ("task", "threshold", "0.7"), ("task", "threshold", None),
+    ("task", "labels", "ab"), ("task", "treshold", 0.5), ("task", "threshold", 10**400),
+    ("sim", "coupling", True), ("sim", "seed", "1"), ("sim", "n_samples", 2000.5),
+    ("sim", "error_rate", None), ("sim", "priors", "abc"), ("sim", "couplng", 0.5),
+    ("endpoint", "supports_n", 1), ("endpoint", "timeout", "10"),
+    ("endpoint", "max_in_flight", 2.5), ("endpoint", "name", None),
+    ("endpoint", "max_in_fligth", 2),
+    ("retry", "max_attempts", True), ("retry", "max_attempts", "1"),
+    ("retry", "max_attempts", 1.5), ("retry", "backoff", None), ("retry", "backoff", "1,2"),
+    ("retry", "max_attemps", 1),
+    ("prompt", "temperature", True), ("prompt", "n_samples", "5"),
+    ("prompt", "n_samples", 2.9), ("prompt", "n_samples", None), ("prompt", "n_sample", 5),
+    ("cache", "sample_index", True), ("cache", "temperature", "0.7"),
+    ("cache", "sample_index", 1.5), ("cache", "model", None), ("cache", "parsed", "ab"),
+    ("cache", "model_name", "mock-focal"),
+    ("item", "item_id", True), ("item", "text", 5), ("item", "item_id", 1.5),
+    ("item", "text", None),
+]
+
+
+class TestStrictJsonInputs:
+    """Every JSON input is read as it is written: a value of the wrong type or
+    an unknown config key is bad input, named in the error, before any request."""
+
+    @pytest.fixture
+    def posts(self, monkeypatch):
+        """The payloads HttpTransport would have sent, each answered 'support'."""
+        sent = []
+
+        def post(transport, payload):
+            sent.append(payload)
+            return {"choices": [{"message": {"content": "support"}}] * payload["n"]}
+
+        monkeypatch.setenv("SILICON_MOCK_KEY", "sk-test")
+        monkeypatch.setattr(HttpTransport, "post", post)
+        return sent
+
+    def inputs(self, tmp_path, what=None, field=None, value=None):
+        """annotate's argv on copies of the bundled inputs, with `field` of
+        input `what` set to `value`; the cache holds one entry and misses every
+        item, so every item would be sent."""
+        objs = {name: json.loads((DATA / f"{file}.json").read_text(encoding="utf-8"))
+                for name, file in (("task", "task"), ("endpoint", "endpoint_focal"),
+                                   ("prompt", "prompt_focal"))}
+        objs["retry"] = objs["endpoint"]["retry"]
+        header, first = (DATA / "replay_cache.jsonl").read_text(encoding="utf-8").splitlines()[:2]
+        objs["cache"] = {**json.loads(first), "key": "0" * 64}
+        items = [json.loads(line) for line in
+                 (DATA / "items.jsonl").read_text(encoding="utf-8").splitlines()]
+        objs["item"] = items[-1]
+        if what is not None:
+            objs[what][field] = value
+        (tmp_path / "guideline.txt").write_bytes((DATA / "guideline.txt").read_bytes())
+        paths = {}
+        for name in ("task", "endpoint", "prompt"):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(objs[name]), encoding="utf-8")
+        paths["cache"] = tmp_path / "cache.jsonl"
+        paths["cache"].write_text(f"{header}\n{json.dumps(objs['cache'])}\n", encoding="utf-8")
+        paths["items"] = tmp_path / "items.jsonl"
+        paths["items"].write_text("".join(json.dumps(i) + "\n" for i in items),
+                                  encoding="utf-8")
+        return ["annotate", "--task", str(paths["task"]), "--items", str(paths["items"]),
+                "--endpoint", str(paths["endpoint"]), "--prompt", str(paths["prompt"]),
+                "--cache", str(paths["cache"]), "--out", str(tmp_path / "out.jsonl")]
+
+    def test_good_inputs_are_sent(self, tmp_path, posts):
+        """The control for the cases below: unchanged, every item is sent."""
+        assert cli.run(self.inputs(tmp_path)) == 0
+        assert len(posts) == 24 and (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("what, field, value", BAD_INPUTS)
+    def test_wrong_type_or_unknown_key_is_bad_input(self, tmp_path, capsys, posts,
+                                                    what, field, value):
+        if what == "sim":
+            argv = ["simulate", "--config", TestSimulate().config(tmp_path, **{field: value}),
+                    "--out", str(tmp_path / "sim")]
+            file = "sim.json"
+        else:
+            argv = self.inputs(tmp_path, what, field, value)
+            file = {"retry": "endpoint", "item": "items"}.get(what, what)
+            file += ".jsonl" if what in ("cache", "item") else ".json"
+        assert cli.run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and file in err
+        assert posts == []
+        assert not (tmp_path / "out.jsonl").exists() and not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("field, value", [("item_id", ""), ("item_id", ["x"]),
+                                              ("item_id", 0), ("text", 5)])
+    def test_items_checked_before_any_request(self, tmp_path, capsys, posts, field, value):
+        argv = self.inputs(tmp_path, "item", field, value)
+        assert cli.run(argv) == 1
+        assert ":24: bad item (" in capsys.readouterr().err
+        assert posts == []
+
+    def test_extra_item_keys_are_allowed(self, tmp_path, posts):
+        assert cli.run(self.inputs(tmp_path, "item", "source", "forum")) == 0
+        assert len(posts) == 24
+
+    def test_endpoint_name_not_a_string_sends_nothing(self, tmp_path, capsys, posts):
+        """A name that is not a string would key and label every response it paid for."""
+        argv = self.inputs(tmp_path, "endpoint", "name", 5)
+        cache = tmp_path / "cache.jsonl"
+        cache.write_bytes((DATA / "replay_cache.jsonl").read_bytes())
+        assert cli.run(argv) == 1
+        assert "name must be a string, not int" in capsys.readouterr().err
+        assert posts == []
+        assert cache.read_bytes() == (DATA / "replay_cache.jsonl").read_bytes()
+        assert len(AnnotationCache(cache)) == len(cache.read_bytes().splitlines()) - 1

@@ -14,8 +14,10 @@ from silicon.core import (
     TaskSpec,
     TieRule,
     ValidationError,
+    _json_value,
     atomic_open,
     load_dataset,
+    load_task_spec,
     majority_reference,
     majority_vote,
     save_dataset,
@@ -80,6 +82,68 @@ class TestTaskSpec:
         spec = make_spec()
         again = TaskSpec.from_json(spec.to_json())
         assert again == spec
+
+    @pytest.mark.parametrize("change, message", [
+        ({"labels": "ab"}, "labels must be a list, not str"),
+        ({"labels": [1, 2]}, "labels must be a string, not int"),
+        ({"treshold": 0.7}, r"unknown keys \['treshold'\]"),
+        ({"threshold": None}, "threshold must be a number, not NoneType"),
+        ({"threshold": True}, "threshold must be a number, not bool"),
+        ({"threshold": "0.7"}, "threshold must be a number, not str"),
+        ({"task_id": 5}, "task_id must be a string, not int"),
+        ({"kind": ["multiclass"]}, "kind must be a string, not list"),
+    ])
+    def test_from_json_coerces_nothing(self, change, message):
+        with pytest.raises(ValidationError, match=f"bad task spec: {message}"):
+            TaskSpec.from_json({**make_spec().to_json(), **change})
+
+    def test_from_json_needs_an_object(self):
+        with pytest.raises(ValidationError, match="expected a JSON object, got list"):
+            TaskSpec.from_json([["task_id", "t"]])
+
+    def test_integer_threshold_is_a_number(self):
+        spec = TaskSpec.from_json({**make_spec().to_json(), "threshold": 1})
+        assert spec.agreement_threshold == 1.0 and type(spec.agreement_threshold) is float
+
+    def test_load_names_the_file(self, tmp_path):
+        path = tmp_path / "task.json"
+        path.write_text(json.dumps({**make_spec().to_json(), "labels": "ab"}), encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"^{path}: bad task spec: labels must be"):
+            load_task_spec(path)
+
+
+class TestJsonValue:
+    @pytest.mark.parametrize("value, kind, expected", [
+        ("a", str, "a"), (3, int, 3), (3, float, 3.0), (0.5, float, 0.5),
+        (False, bool, False), ([1], list, [1]),
+    ])
+    def test_value_of_its_kind_passes(self, value, kind, expected):
+        out = _json_value(value, kind, "x")
+        assert out == expected and type(out) is type(expected)
+
+    @pytest.mark.parametrize("value, kind, message", [
+        (True, int, "x must be an integer, not bool"),
+        (2.0, int, "x must be an integer, not float"),
+        ("2", int, "x must be an integer, not str"),
+        (True, float, "x must be a number, not bool"),
+        ("0.5", float, "x must be a number, not str"),
+        (1, bool, "x must be true or false, not int"),
+        (5, str, "x must be a string, not int"),
+        ("ab", list, "x must be a list, not str"),
+        (None, str, "x must be a string, not NoneType"),
+    ])
+    def test_nothing_is_coerced(self, value, kind, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            _json_value(value, kind, "x")
+
+    def test_integer_beyond_float_range(self):
+        with pytest.raises(ValueError, match="^x is too large a number$"):
+            _json_value(10**400, float, "x")
+
+    def test_null(self):
+        assert _json_value(None, str, "x", null=True) is None
+        with pytest.raises(TypeError, match="^x must be a list or null, not str$"):
+            _json_value("ab", list, "x", null=True)
 
 
 class TestDatasetIO:

@@ -352,6 +352,50 @@ class TestAnnotationCache:
         with pytest.raises(ValidationError, match=f":3: bad cache entry \\({field} must be"):
             AnnotationCache(path)
 
+    def test_temperature_beyond_float_range_names_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        bad = {**self.entry("k2").to_json(), "temperature": 10**400}
+        path.write_text(self.HEADER + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=":2: bad cache entry \\(int too large"):
+            AnnotationCache(path)
+
+    @pytest.mark.parametrize("header", [
+        {"cache_format": True, "digest": "sha256"}, {"cache_format": 1.0, "digest": "sha256"},
+        {"cache_format": 1, "digest": "sha256", "note": "x"}, {"cache_format": 1}, [1],
+    ])
+    def test_header_is_not_coerced(self, tmp_path, header):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps(header) + "\n" + self.line("k1"), encoding="utf-8")
+        with pytest.raises(ValidationError, match="unsupported cache header"):
+            AnnotationCache(path)
+
+    @pytest.mark.parametrize("drop", [(), ("created",)])
+    def test_entry_with_unknown_key_names_line(self, tmp_path, drop):
+        """Unknown keys are rejected whether or not the line holds all eight fields."""
+        path = tmp_path / "cache.jsonl"
+        bad = {**self.entry("k2").to_json(), "model_name": "mock-a"}
+        for key in drop:
+            del bad[key]
+        path.write_text(self.HEADER + self.line("k1") + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError,
+                           match=r":3: bad cache entry: unknown keys \['model_name'\]"):
+            AnnotationCache(path)
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"abcdefgh"', "7", "null"])
+    def test_entry_that_is_not_an_object_names_line(self, tmp_path, line):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(self.HEADER + line + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=":2: bad cache entry: expected a JSON object"):
+            AnnotationCache(path)
+
+    def test_entry_missing_a_required_field_names_it(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        bad = self.entry("k2").to_json()
+        del bad["sample_index"]
+        path.write_text(self.HEADER + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=":2: bad cache entry \\('sample_index'\\)"):
+            AnnotationCache(path)
+
     def test_int_temperature_and_absent_created_load(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         entry = {**self.entry("k2").to_json(), "temperature": 1, "sample_index": 3}
@@ -1066,6 +1110,14 @@ class TestConfigLoaders:
         ({"timeout": 0}, "timeout must be a positive"),
         ({"timeout": float("nan")}, "timeout must be a positive"),
         ({"timeout": float("inf")}, "timeout must be a positive"),
+        ({"name": 5}, "name must be a string, not int"),
+        ({"api_key_env": None}, "api_key_env must be a string, not NoneType"),
+        ({"max_in_flight": True}, "max_in_flight must be an integer, not bool"),
+        ({"max_in_flight": 2.0}, "max_in_flight must be an integer, not float"),
+        ({"timeout": "60"}, "timeout must be a number, not str"),
+        ({"retry": {"max_attempts": "3"}}, "retry.max_attempts must be an integer, not str"),
+        ({"retry": {"backoff": "1,2"}}, "retry.backoff must be a list, not str"),
+        ({"retry": {"backoff": [1, True]}}, "retry.backoff must be a number, not bool"),
     ])
     def test_load_endpoint_is_strict(self, tmp_path, change, message):
         path = tmp_path / "endpoint.json"
@@ -1110,6 +1162,13 @@ class TestConfigLoaders:
     @pytest.mark.parametrize("change,message", [
         ({"n_sample": 7}, r"unknown keys \['n_sample'\]"),
         ({"temperature": float("nan")}, "temperature must be >= 0"),
+        ({"temperature": True}, "temperature must be a number, not bool"),
+        ({"n_samples": 2.9}, "n_samples must be an integer, not float"),
+        ({"n_samples": "5"}, "n_samples must be an integer, not str"),
+        ({"strategy": 5}, "strategy must be a string, not int"),
+        ({"persona_text": 5}, "persona_text must be a string or null, not int"),
+        ({"guideline_text": ["g"]}, "guideline_text must be a string or null, not list"),
+        ({"guideline_text": None, "guideline_file": 5}, "guideline_file must be a string, not int"),
     ])
     def test_load_prompt_config_is_strict(self, tmp_path, change, message):
         path = tmp_path / "prompt.json"
