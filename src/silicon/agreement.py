@@ -15,10 +15,10 @@ are the distinct label sets actually observed, never the power set.
 
 Every kappa the package reports takes one path, _Codes: it codes the label
 columns once, picks the weight matrix for the task kind and decides once per
-distinct label whether kappa rejects it; each kappa is then one bincount of two
-code arrays.  kappa_for_kind (behind cohen_kappa and weighted_kappa),
-mean_pairwise_kappa_codes (behind mean_pairwise_kappa), routing.sweep and
-sensitivity_curve all use it.
+distinct label whether kappa rejects it; each kappa is then an integer count
+table over those codes, finished by one float path.  kappa_for_kind (behind
+cohen_kappa and weighted_kappa), mean_pairwise_kappa_codes (behind
+mean_pairwise_kappa), routing.sweep and sensitivity_curve all use it.
 """
 
 from __future__ import annotations
@@ -137,6 +137,13 @@ class _Codes:
     into them.  `errors[k]` is the ValidationError kappa raises for cats[k],
     or None, and `weights` the disagreement weights over `cats`: set weights
     for multilabel tasks, 1 - identity otherwise.
+
+    Every kappa starts from an integer K x K count table over `cats`
+    (K = len(cats)): `table` counts the code pairs of two aligned columns.
+    A caller whose columns differ from an already tabled pair in a few items
+    builds its table with `moved`, which shifts those items' counts from their
+    old `cells` to their new ones.  `kappa` (the full report) and `score`
+    (kappa and degeneracy only) finish a table with one float path.
     """
 
     def __init__(self, kind: TaskKind, spec: TaskSpec | None, *columns: Iterable[LabelValue]):
@@ -161,18 +168,31 @@ class _Codes:
             if hits:
                 raise self.errors[col[min(hits, key=key)]]
 
-    def kappa(self, ca: np.ndarray, cb: np.ndarray) -> AgreementReport:
-        """Kappa of two aligned code arrays.
+    def cells(self, ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+        """The flat index into a count table of each (ca, cb) code pair."""
+        return ca * len(self.cats) + cb
 
-        Only the codes either side uses become categories, with the weights
-        restricted to them, so K, the matrix layout and every float operation
-        are those of coding the two label lists on their own.
-        """
-        n = len(ca)
-        used, inv = np.unique(np.concatenate((ca, cb)), return_inverse=True)
-        k = len(used)
-        weights = self.weights[np.ix_(used, used)]
-        observed = np.bincount(inv[:n] * k + inv[n:], minlength=k * k).reshape(k, k).astype(float)
+    def table(self, ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+        """The K x K int counts of the code pairs of two aligned code arrays."""
+        k = len(self.cats)
+        return np.bincount(self.cells(ca, cb), minlength=k * k).reshape(k, k)
+
+    @staticmethod
+    def moved(table: np.ndarray, leave: np.ndarray, enter: np.ndarray) -> np.ndarray:
+        """A copy of `table` with one count moved from flat cell leave[j] to
+        flat cell enter[j], for every j."""
+        size = table.size
+        return table + (np.bincount(enter, minlength=size)
+                        - np.bincount(leave, minlength=size)).reshape(table.shape)
+
+    def _finish(self, table: np.ndarray):
+        """Kappa's float steps on `table`, restricted to the categories either
+        side uses, so K, the matrix layout and every float operation are those
+        of coding the two label lists on their own."""
+        used = np.flatnonzero(table.any(axis=1) | table.any(axis=0))
+        weights = self.weights.take(used, axis=0).take(used, axis=1)
+        observed = table.take(used, axis=0).take(used, axis=1).astype(float)
+        n = int(table.sum())
         marg_a = observed.sum(axis=1) / n
         marg_b = observed.sum(axis=0) / n
         expected = n * np.outer(marg_a, marg_b)
@@ -180,10 +200,21 @@ class _Codes:
         den = float((weights * expected).sum())
         # den <= 0: all mass on one category for both annotators, so chance agreement is total
         degenerate = den <= 0.0
+        kappa = (1.0 if num <= 0.0 else 0.0) if degenerate else 1.0 - num / den
+        return kappa, degenerate, n, num, den, used, observed, expected, weights
+
+    def score(self, table: np.ndarray) -> tuple[float, bool]:
+        """(kappa, degenerate) of a count table, without the report."""
+        return self._finish(table)[:2]
+
+    def kappa(self, ca: np.ndarray, cb: np.ndarray) -> AgreementReport:
+        """The AgreementReport of two aligned code arrays: their table, finished."""
+        kappa, degenerate, n, num, den, used, observed, expected, weights = self._finish(
+            self.table(ca, cb))
         return AgreementReport(
-            kappa=(1.0 if num <= 0.0 else 0.0) if degenerate else 1.0 - num / den,
-            p_o=1.0 - num / n, p_e=1.0 - den / n, n_items=n, degenerate=degenerate,
-            weighted=self.weighted, categories=tuple(self.cats[u] for u in used),
+            kappa=kappa, p_o=1.0 - num / n, p_e=1.0 - den / n, n_items=n,
+            degenerate=degenerate, weighted=self.weighted,
+            categories=tuple(self.cats[u] for u in used),
             observed=observed, expected=expected, weights=weights,
         )
 
@@ -249,11 +280,11 @@ def mean_pairwise_kappa_codes(
 
     `matrix[r, j]` is the code into `table` of source `names[j]`'s label for
     `items[r]`, or -1 where it has none (Dataset.code_matrix gives this).  The
-    labels used are coded once for kappa; each pair is then its two columns
-    where both are present.  Kappa counts label pairs, so the row order does
-    not change it, and rows no source labels are not counted.  A pair reports
-    the first bad label it holds, as kappa_for_kind on its label lists in
-    sorted item order would.
+    labels used are coded once for kappa; each pair is then the count table,
+    one bincount, of its two columns where both are present.  Kappa counts
+    label pairs, so the row order does not change it, and rows no source
+    labels are not counted.  A pair reports the first bad label it holds, as
+    kappa_for_kind on its label lists in sorted item order would.
     """
     if len(names) < 2:
         raise ValidationError("need at least 2 annotators")

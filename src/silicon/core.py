@@ -472,29 +472,30 @@ class _Columns:
 
     def add_obj(self, obj, path: str, lineno: int) -> tuple[int, int, int]:
         """One parsed JSON record; errors name `path:lineno`.  Returns its
-        (source, run, label) codes."""
+        (source, run, label) codes.  Nothing is coerced: `role` and `name` are
+        strings, `labels` a list of strings, `item_id` a string or an integer
+        and `run` an integer (see _json_value)."""
         try:
+            role, name = obj["source"]["role"], obj["source"]["name"]
             try:
-                source = self.source_keys[obj["source"]["role"], obj["source"]["name"]]
+                source = self.source_keys[role, name]
             except (KeyError, TypeError):
-                role, name = obj["source"]["role"], obj["source"]["name"]
-                source = self.source(SourceId(role=Role(role), name=name))
-                if isinstance(name, str):
-                    self.source_keys[role, name] = source
+                source = self.source(SourceId(role=Role(_json_value(role, str, "role")),
+                                              name=_json_value(name, str, "name")))
+                self.source_keys[role, name] = source
+            names = _json_value(obj["labels"], list, "labels")
             try:
-                label = self.label_keys[tuple(obj["labels"])]
+                label = self.label_keys[tuple(names)]
             except (KeyError, TypeError):
-                # from_names only takes len() of and iterates the list, as tuple() does
-                label = self.label(LabelValue.from_names(obj["labels"], self.spec))
-                self.label_keys[tuple(obj["labels"])] = label
+                for n in names:
+                    _json_value(n, str, "each label")
+                label = self.label(LabelValue.from_names(names, self.spec))
+                self.label_keys[tuple(names)] = label
             item_id = obj["item_id"]
-            run = obj.get("run", 0)
-            if type(run) is not int:
-                # int() would truncate a bool or a fractional float silently
-                if isinstance(run, bool) or (isinstance(run, float) and not run.is_integer()):
-                    raise ValueError(f"run index must be a whole number, got {run!r}")
-                run = int(run)
-            return self.add(item_id, source, run, label)
+            if type(item_id) not in (str, int):
+                raise TypeError(f"item_id must be a string or an integer, "
+                                f"not {type(item_id).__name__}")
+            return self.add(item_id, source, _json_value(obj.get("run", 0), int, "run"), label)
         except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise ValidationError(f"{path}:{lineno}: bad annotation record ({exc})") from exc
 
@@ -573,10 +574,15 @@ def load_dataset(path, spec: TaskSpec) -> Dataset:
             if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
                 raise ValidationError(f"{path}: CSV must have columns {sorted(needed)}")
             for lineno, row in enumerate(reader, start=2):
+                try:
+                    run = int(row["run"])  # CSV cells are text: the one explicit conversion
+                except ValueError as exc:
+                    raise ValidationError(
+                        f"{path}:{lineno}: bad annotation record ({exc})") from exc
                 add({
                     "item_id": row["item_id"],
                     "source": {"role": row["role"], "name": row["name"]},
-                    "run": row["run"],
+                    "run": run,
                     "labels": [row["label"]],
                 }, path, lineno)
     else:

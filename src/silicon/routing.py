@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .agreement import _Codes
+from .agreement import _Codes, _indices
 from .agreement import kappa_for_kind  # unused here, but perfbench/tracing.py wraps this name
 from .core import LabelValue, TaskSpec, TieRule, ValidationError, _vote
 
@@ -108,11 +108,15 @@ def route(
     # the routed votes as one code matrix over their distinct labels; a row
     # holding a label the task rejects faults, after the votes of the rows
     # before it, which are voted over the labels those rows hold
-    code: dict = {}
-    codes = np.array([[code.setdefault(lab, len(code)) for lab in map(labels.__getitem__, routed)]
-                      for labels in (focal_labels, *(aux_labels[n] for n in plan.auxiliaries))],
+    columns = [list(map(labels.__getitem__, routed))
+               for labels in (focal_labels, *(aux_labels[n] for n in plan.auxiliaries))]
+    first: dict = {}  # label indices -> label, in first-seen order; the tuples hash in C
+    for col in columns:
+        first.update(zip(map(_indices, col), col))
+    code = dict(zip(first, count()))
+    codes = np.array([list(map(code.__getitem__, map(_indices, col))) for col in columns],
                      dtype=np.intp).T
-    table, rejected = list(code), {}
+    table, rejected = list(first.values()), {}
     for c, label in enumerate(table):
         try:
             spec.validate_label(label)
@@ -154,7 +158,9 @@ def sweep(
     The plan's own tau is ignored.  An item's vote does not depend on tau, so
     items are routed once, at the largest tau; each point then takes the voted
     label where fsd < tau and the focal label elsewhere, exactly as route()
-    at that tau would.
+    at that tau would.  The (focal, reference) count table is built once, and
+    a point's table is that table with each item it routes moved from its
+    (focal, reference) cell to its (voted, reference) cell.
     """
     items = [i for i in focal_labels if i in reference]
     if len(items) < 2:
@@ -168,18 +174,19 @@ def sweep(
                    [reference[i] for i in items])
     focal_codes, voted_codes, ref_codes = codes.columns
     scores = np.array([fsd[i] for i in items], dtype=float)
+    base = codes.table(focal_codes, ref_codes)
+    leave, enter = codes.cells(focal_codes, ref_codes), codes.cells(voted_codes, ref_codes)
     points = []
     for p in plans:
         routed = scores < p.tau
-        final = np.where(routed, voted_codes, focal_codes)
-        codes.check(final, ref_codes)
-        rep = codes.kappa(final, ref_codes)
+        codes.check(np.where(routed, voted_codes, focal_codes), ref_codes)
+        kappa, degenerate = codes.score(codes.moved(base, leave[routed], enter[routed]))
         n_routed = int(np.count_nonzero(routed))
         points.append(SweepPoint(
             tau=p.tau,
-            kappa=rep.kappa,
+            kappa=kappa,
             q=n_routed / len(items),
             n_routed=n_routed,
-            degenerate=rep.degenerate,
+            degenerate=degenerate,
         ))
     return points

@@ -102,6 +102,12 @@ def sensitivity_curve(
     (cfg.seed, a, r), so curves are bit-reproducible.  Each replicate swaps
     in crowd labels at the positions mix_baseline would draw, which gives
     exactly the numbers of kappa_for_kind on the mixed labels.
+
+    The (llm, expert) count table is built once.  A replicate's table is that
+    table with each swapped item moved from its (llm, expert) cell to its
+    (llm, crowd) cell, and only the crowd labels swapped in are checked: the
+    first rejected one by position is the error a check of the whole mixed
+    column would raise.  One replicate's table is held at a time.
     """
     items = _sorted_ids(set(llm) & set(expert))
     if len(items) < 2:
@@ -111,18 +117,19 @@ def sensitivity_curve(
                    [crowd[i] for i in items if i in crowd])
     llm_codes, expert_codes, crowd_codes = codes.columns
     codes.check(llm_codes, expert_codes)
-    kappa_ref = codes.kappa(llm_codes, expert_codes).kappa
+    base = codes.table(llm_codes, expert_codes)
+    kappa_ref = codes.score(base)[0]
     _check_crowd(items, crowd)
+    leave, enter = codes.cells(llm_codes, expert_codes), codes.cells(llm_codes, crowd_codes)
 
     out = []
     for a_idx, alpha in enumerate(cfg.alphas):
         gaps = []
         for rep in range(cfg.replicates):
-            mixed = expert_codes.copy()
             swapped = _swap_positions(len(items), alpha, _replicate_seed(cfg.seed, a_idx, rep))
-            mixed[swapped] = crowd_codes[swapped]
-            codes.check(mixed)
-            gaps.append(abs(kappa_ref - codes.kappa(llm_codes, mixed).kappa))
+            codes.check(crowd_codes[swapped], key=swapped.__getitem__)
+            table = codes.moved(base, leave[swapped], enter[swapped])
+            gaps.append(abs(kappa_ref - codes.score(table)[0]))
         out.append(AlphaGap(
             alpha=alpha,
             mean_gap=float(np.mean(gaps)),

@@ -4,27 +4,20 @@ per-item, dict-based code they replaced.
 The oracles below are copies of the earlier `cli._fsd_scores` (with the
 Counter-based `fsd_from_samples`), `routing.route` (one frozen
 `majority_vote` call per routed item, see vote_oracle.py),
-`cli._source_maps`, `agreement.mean_pairwise_kappa` and
-`equivalence.build_match_matrix`.  Results, error types, error texts and which
-fault is reported first must all agree on seeded random inputs.
+`cli._source_maps` and `equivalence.build_match_matrix`; mean pairwise
+kappa is checked against the label-list oracle in kappa_oracle.py.
+Results, error types, error texts and which fault is reported first must
+all agree on seeded random inputs.
 """
 
 import json
 from collections import Counter
-from dataclasses import replace
-from itertools import chain, combinations
 
 import numpy as np
 import pytest
 
 from silicon import cli, core, routing
-from silicon.agreement import (
-    AgreementReport,
-    PairKappa,
-    _Codes,
-    mean_pairwise_kappa,
-    mean_pairwise_kappa_codes,
-)
+from silicon.agreement import mean_pairwise_kappa, mean_pairwise_kappa_codes
 from silicon.confidence import FsdScore, fsd_from_samples
 from silicon.core import (
     Dataset,
@@ -39,6 +32,7 @@ from silicon.core import (
 )
 from silicon.equivalence import MatchMatrix, build_match_matrix, build_match_matrix_codes
 from silicon.routing import RoutingPlan, RoutingResult, route
+from kappa_oracle import old_mean_pairwise_kappa
 from vote_oracle import oracle_majority_vote
 
 SPEC = TaskSpec(task_id="t", kind=TaskKind.MULTICLASS, label_universe=("a", "b", "c"))
@@ -125,44 +119,6 @@ def oracle_source_maps(dataset, role=None):
             raise ValidationError(f"duplicate source name across roles: {source.name!r}")
         out[source.name] = dataset.label_map(source)
     return out
-
-
-def oracle_mean_pairwise_kappa(sources, kind, spec=None, min_common=2):
-    names = list(sources)
-    if len(names) < 2:
-        raise ValidationError("need at least 2 annotators")
-    maps = list(sources.values())
-    codes = _Codes(kind, spec, *(m.values() for m in maps))
-    items = list(dict.fromkeys(chain.from_iterable(maps)))
-    row = {item: i for i, item in enumerate(items)}
-    matrix = np.full((len(items), len(maps)), -1, dtype=np.intp)
-    for col, (m, code) in enumerate(zip(maps, codes.columns)):
-        matrix[np.fromiter(map(row.__getitem__, m), np.intp, len(m)), col] = code
-    present = matrix >= 0
-    pair_reports = []
-    pairs = []
-    for a, b in combinations(range(len(names)), 2):
-        rows = np.flatnonzero(present[:, a] & present[:, b])
-        n = len(rows)
-        if n < min_common:
-            raise ValidationError(
-                f"annotators {names[a]!r} and {names[b]!r} share only {n} items "
-                f"(need >= {min_common})"
-            )
-        ca, cb = matrix[rows, a], matrix[rows, b]
-        codes.check(ca, cb, key=lambda k: items[rows[k]])
-        if n < 2:
-            raise ValidationError("need at least 2 items to measure agreement")
-        rep = codes.kappa(ca, cb)
-        pair_reports.append(rep)
-        pairs.append(PairKappa(names[a], names[b], rep.kappa, n))
-    mean = float(np.mean([p.kappa for p in pairs]))
-    if len(pairs) == 1:
-        return replace(pair_reports[0], pairwise=tuple(pairs), mean_kappa=mean)
-    return AgreementReport(
-        kappa=mean, p_o=float("nan"), p_e=float("nan"), n_items=len(matrix),
-        weighted=codes.weighted, pairwise=tuple(pairs), mean_kappa=mean,
-    )
 
 
 def oracle_build_match_matrix(model_labels, reference, baseline_model=None):
@@ -465,7 +421,7 @@ class TestKappaAndMatches:
         rng = np.random.default_rng(300)
         for case in range(60):
             ds = role_dataset(rng, spec, case % 2 == 0)
-            want = outcome(lambda: oracle_mean_pairwise_kappa(
+            want = outcome(lambda: old_mean_pairwise_kappa(
                 oracle_source_maps(ds, role), spec.kind, spec))
             got = outcome(lambda: cli._pairwise_kappa(ds, cli._role_sources(ds, role), spec))
             if same_outcome(got, want):
@@ -486,7 +442,7 @@ class TestKappaAndMatches:
             for kind in (TaskKind.MULTICLASS, TaskKind.MULTILABEL):
                 for check in (spec, None):
                     got = outcome(mean_pairwise_kappa, maps, kind, check)
-                    want = outcome(oracle_mean_pairwise_kappa, maps, kind, check)
+                    want = outcome(old_mean_pairwise_kappa, maps, kind, check)
                     if same_outcome(got, want):
                         same_report(got[1], want[1])
                     else:
@@ -507,7 +463,7 @@ class TestKappaAndMatches:
         assert len(rep.pairwise) == 3
         assert rep.n_items == 6
         assert len(ds.item_ids()) == 8
-        same_report(rep, oracle_mean_pairwise_kappa(
+        same_report(rep, old_mean_pairwise_kappa(
             oracle_source_maps(ds, Role.EXPERT), SPEC.kind, SPEC))
         # through the code matrix directly, with rows no source labels
         matrix = ds.code_matrix(experts)

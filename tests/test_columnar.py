@@ -2,22 +2,22 @@
 
 The oracle below is the record-per-object data path as it stood before the
 columns: a Dataset of AnnotationRecords validated record by record, label_map
-and runs as scans, majority_reference over label maps, and mean pairwise kappa
-validating every label of every pair.  Every report, table and error message
-of the new code must equal the oracle's, floats bit for bit.
+and runs as scans, and majority_reference over label maps; mean pairwise kappa
+validating every label of every pair is in kappa_oracle.py.  Every report,
+table and error message of the new code must equal the oracle's, floats bit
+for bit.
 """
 
 import csv
 import json
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from silicon import cli, core
-from silicon.agreement import AgreementReport, PairKappa, cohen_kappa, mean_pairwise_kappa
+from silicon.agreement import cohen_kappa, mean_pairwise_kappa
 from silicon.core import (
     AnnotationRecord,
     Dataset,
@@ -32,6 +32,7 @@ from silicon.core import (
     majority_reference,
     save_dataset,
 )
+from kappa_oracle import assert_reports_equal, old_cohen_kappa, old_mean_pairwise_kappa
 from vote_oracle import oracle_majority_vote
 
 # ------------------------------------------------------------- frozen oracle
@@ -87,24 +88,41 @@ class OldDataset:
 
 
 def old_record_from_obj(obj, spec, where, sources, labels):
+    # Changed on purpose when ingest stopped coercing: role, name and each
+    # label must be strings, labels a list, item_id a string or an integer and
+    # run an integer.  The record path used to take int() of the run, iterate
+    # a string of labels as its characters, and take any name and item id.
     try:
+        role, name = obj["source"]["role"], obj["source"]["name"]
         try:
-            source = sources[obj["source"]["role"], obj["source"]["name"]]
+            source = sources[role, name]
         except (KeyError, TypeError):
-            source = SourceId(role=Role(obj["source"]["role"]), name=obj["source"]["name"])
-            if isinstance(source.name, str):
-                sources[source.role, source.name] = source
+            if type(role) is not str:
+                raise TypeError(f"role must be a string, not {type(role).__name__}")
+            role = Role(role)
+            if type(name) is not str:
+                raise TypeError(f"name must be a string, not {type(name).__name__}")
+            source = SourceId(role=role, name=name)
+            sources[role.value, name] = source
+        names = obj["labels"]
+        if type(names) is not list:
+            raise TypeError(f"labels must be a list, not {type(names).__name__}")
         try:
-            label = labels[tuple(obj["labels"])]
+            label = labels[tuple(names)]
         except (KeyError, TypeError):
-            label = LabelValue.from_names(obj["labels"], spec)
-            labels[tuple(obj["labels"])] = label
-        return AnnotationRecord(
-            item_id=obj["item_id"],
-            source=source,
-            labels=label,
-            run_index=int(obj.get("run", 0)),
-        )
+            for n in names:
+                if type(n) is not str:
+                    raise TypeError(f"each label must be a string, not {type(n).__name__}")
+            label = LabelValue.from_names(names, spec)
+            labels[tuple(names)] = label
+        item_id = obj["item_id"]
+        if type(item_id) not in (str, int):
+            raise TypeError(f"item_id must be a string or an integer, "
+                            f"not {type(item_id).__name__}")
+        run = obj.get("run", 0)
+        if type(run) is not int:
+            raise TypeError(f"run must be an integer, not {type(run).__name__}")
+        return AnnotationRecord(item_id=item_id, source=source, labels=label, run_index=run)
     except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"{where}: bad annotation record ({exc})") from exc
 
@@ -118,10 +136,15 @@ def old_load_dataset(path, spec):
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             for lineno, row in enumerate(reader, start=2):
+                try:
+                    run = int(row["run"])
+                except ValueError as exc:
+                    raise ValidationError(
+                        f"{path}:{lineno}: bad annotation record ({exc})") from exc
                 obj = {
                     "item_id": row["item_id"],
                     "source": {"role": row["role"], "name": row["name"]},
-                    "run": row["run"],
+                    "run": run,
                     "labels": [row["label"]],
                 }
                 records.append(old_record_from_obj(obj, spec, f"{path}:{lineno}", sources, labels))
@@ -158,98 +181,6 @@ def old_majority_reference(dataset, role=None, tie_rule=TieRule.LOWEST_INDEX, se
             out[item] = oracle_majority_vote(votes, dataset.spec, tie_rule=tie_rule,
                                              seed=seed)
     return out
-
-
-def old_set_weights(cats):
-    column = {c: j for j, c in enumerate(sorted({c for lab in cats for c in lab.indices}))}
-    member = np.zeros((len(cats), len(column)), dtype=np.int64)
-    for row, lab in enumerate(cats):
-        member[row, [column[c] for c in lab.indices]] = 1
-    size = member.sum(axis=1)
-    inter = member @ member.T
-    union = size[:, None] + size[None, :] - inter
-    m3 = 1 + (inter == np.minimum.outer(size, size)) + (inter == np.maximum.outer(size, size))
-    return (3 * union - inter * m3) / (3 * union)
-
-
-def old_tabulate(a, b):
-    if len(a) != len(b):
-        raise ValidationError(f"annotator lengths differ: {len(a)} vs {len(b)}")
-    if len(a) < 2:
-        raise ValidationError("need at least 2 items to measure agreement")
-    table = {lab.indices: lab for col in (a, b) for lab in col}
-    keys = sorted(table)
-    code = {key: i for i, key in enumerate(keys)}
-    return ([table[key] for key in keys],
-            np.array([code[lab.indices] for lab in a], dtype=np.intp),
-            np.array([code[lab.indices] for lab in b], dtype=np.intp))
-
-
-def old_kappa_codes(ca, cb, cats, weights, weighted_flag):
-    n = len(ca)
-    used, inv = np.unique(np.concatenate((ca, cb)), return_inverse=True)
-    k = len(used)
-    cats = [cats[u] for u in used]
-    weights = weights[np.ix_(used, used)]
-    observed = np.bincount(inv[:n] * k + inv[n:], minlength=k * k).reshape(k, k).astype(float)
-    marg_a = observed.sum(axis=1) / n
-    marg_b = observed.sum(axis=0) / n
-    expected = n * np.outer(marg_a, marg_b)
-    num = float((weights * observed).sum())
-    den = float((weights * expected).sum())
-    degenerate = den <= 0.0
-    return AgreementReport(
-        kappa=(1.0 if num <= 0.0 else 0.0) if degenerate else 1.0 - num / den,
-        p_o=1.0 - num / n, p_e=1.0 - den / n, n_items=n, degenerate=degenerate,
-        weighted=weighted_flag, categories=tuple(cats),
-        observed=observed, expected=expected, weights=weights,
-    )
-
-
-def old_cohen_kappa(a, b, spec=None):
-    for lab in list(a) + list(b):
-        if len(lab.indices) != 1:
-            raise ValidationError("cohen_kappa takes single labels; use weighted_kappa for sets")
-        if spec is not None:
-            spec.validate_label(lab)
-    cats, ca, cb = old_tabulate(a, b)
-    return old_kappa_codes(ca, cb, cats, 1.0 - np.eye(len(cats)), weighted_flag=False)
-
-
-def old_weighted_kappa(a, b, spec=None):
-    if spec is not None:
-        for lab in list(a) + list(b):
-            spec.validate_label(lab)
-    cats, ca, cb = old_tabulate(a, b)
-    return old_kappa_codes(ca, cb, cats, old_set_weights(cats), weighted_flag=True)
-
-
-def old_mean_pairwise_kappa(sources, kind, spec=None, min_common=2):
-    names = list(sources)
-    if len(names) < 2:
-        raise ValidationError("need at least 2 annotators")
-    pair_reports, pairs = [], []
-    for na, nb in combinations(names, 2):
-        common = sorted(set(sources[na]) & set(sources[nb]))
-        if len(common) < min_common:
-            raise ValidationError(
-                f"annotators {na!r} and {nb!r} share only {len(common)} items "
-                f"(need >= {min_common})"
-            )
-        la = [sources[na][i] for i in common]
-        lb = [sources[nb][i] for i in common]
-        kappa = old_weighted_kappa if kind is TaskKind.MULTILABEL else old_cohen_kappa
-        rep = kappa(la, lb, spec)
-        pair_reports.append(rep)
-        pairs.append(PairKappa(na, nb, rep.kappa, len(common)))
-    mean = float(np.mean([p.kappa for p in pairs]))
-    if len(pairs) == 1:
-        return replace(pair_reports[0], pairwise=tuple(pairs), mean_kappa=mean)
-    n_union = len({i for m in sources.values() for i in m})
-    return AgreementReport(
-        kappa=mean, p_o=float("nan"), p_e=float("nan"), n_items=n_union,
-        weighted=kind is TaskKind.MULTILABEL, pairwise=tuple(pairs), mean_kappa=mean,
-    )
 
 
 # ------------------------------------------------------------------ helpers
@@ -290,28 +221,6 @@ def write_jsonl(path, rows, sort_keys=False):
     path.write_text("".join(json.dumps(r, ensure_ascii=False, sort_keys=sort_keys) + "\n"
                             for r in rows), encoding="utf-8")
     return path
-
-
-def same_float(a, b):
-    if isinstance(a, float) and isinstance(b, float):
-        return (math.isnan(a) and math.isnan(b)) or (
-            a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
-    return a == b
-
-
-def assert_reports_equal(new, old):
-    for name in ("kappa", "p_o", "p_e", "mean_kappa"):
-        assert same_float(getattr(new, name), getattr(old, name)), name
-    for name in ("n_items", "degenerate", "weighted", "categories"):
-        assert getattr(new, name) == getattr(old, name), name
-    assert [(p.source_a, p.source_b, p.n_items) for p in new.pairwise] == [
-        (p.source_a, p.source_b, p.n_items) for p in old.pairwise]
-    assert all(same_float(p.kappa, q.kappa) for p, q in zip(new.pairwise, old.pairwise))
-    for name in ("observed", "expected", "weights"):
-        a, b = getattr(new, name), getattr(old, name)
-        assert (a is None) == (b is None), name
-        if a is not None:
-            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
 
 
 def source_maps(ds):
@@ -538,6 +447,22 @@ ERROR_FILES = {
         + _line("b").replace("}\n", ', "\\u0069tem_id": "i1"}\n')),
     "integer item ids repeat": _line(5) + _line("5") + _line(5),
     "spaced item id repeats": _line() + _line().replace('{"item_id": "i1"', '{ "item_id":"i1"'),
+    # nothing is coerced: each field has one JSON type
+    "labels a string": _line() + _line("i2").replace('["alpha"]', '"alpha"'),
+    # tuple("ε") is the memo key of ["ε"]: the type is checked before the memo
+    "labels a string that matches a known list": (
+        _line(labels=("ε",)) + _line("i2").replace('["alpha"]', '"\\u03b5"')),
+    "labels not strings": _line() + _line("i2", labels=(1,)),
+    "labels a nested list": _line() + _line("i2", labels=(["alpha"],)),
+    "role not a string": _line() + _line("i2", role=5),
+    "name not a string": _line() + _line("i2", name=5),
+    "bad role and name": _line() + _line("i2", role="boss", name=5),
+    "item_id true": _line() + _line(True),
+    "item_id a fraction": _line() + _line(1.5),
+    "item_id null": _line() + _line(None),
+    "run a numeric string": _line() + _line("i2", run="1"),
+    "run a whole float": _line() + _line("i2", run=2.0),
+    "run true": _line() + _line("i2", run=True),
 }
 
 

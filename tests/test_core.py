@@ -255,11 +255,12 @@ class TestDatasetIO:
         with pytest.raises(ValidationError, match="bad.jsonl:2"):
             load_dataset(path, spec)
 
-    @pytest.mark.parametrize("run", ["1.7", "true", "false", "-0.5", "1e999", "NaN"])
+    @pytest.mark.parametrize("run", ["1.7", "true", "false", "-0.5", "1e999", "NaN", '"1"', "1.0",
+                                     "-0.0", "null"])
     def test_run_that_is_not_a_whole_number_rejected(self, tmp_path, run):
-        """A bool or a fractional run is an error on its own line, not a run
-        index truncated by int(): `true` and `1.7` would load as run 1 and
-        read as a duplicate of line 1."""
+        """A run that is not a JSON integer is an error on its own line, not a
+        run index made by int(): `true`, `1.7`, `"1"` and `1.0` would load as
+        run 1 and read as a duplicate of line 1."""
         spec = make_spec()
         path = tmp_path / "bad.jsonl"
         line = '{"item_id": "i", "source": {"role": "expert", "name": "e"}, "run": %s, ' \
@@ -269,14 +270,53 @@ class TestDatasetIO:
             load_dataset(path, spec)
         assert "duplicate" not in str(exc.value)
 
-    def test_whole_number_runs_still_accepted(self, tmp_path):
+    def test_integer_runs_accepted(self, tmp_path):
         spec = make_spec()
         path = tmp_path / "ann.jsonl"
         line = '{"item_id": "%s", "source": {"role": "expert", "name": "e"}, "run": %s, ' \
                '"labels": ["alpha"]}\n'
-        path.write_text(line % ("i1", "2.0") + line % ("i2", '"3"') + line % ("i3", "-0.0")
-                        + line % ("i1", "4") + line % ("i2", "2.0"))
+        path.write_text(line % ("i1", "2") + line % ("i2", "3") + line % ("i3", "-0")
+                        + line % ("i1", "4") + line % ("i2", "2"))
         assert [rec.run_index for rec in load_dataset(path, spec).records] == [2, 3, 0, 4, 2]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("labels", '"ab"', "labels must be a list, not str"),
+        ("labels", '["a", 5]', "each label must be a string, not int"),
+        ("labels", '[["a"]]', "each label must be a string, not list"),
+        ("role", "5", "role must be a string, not int"),
+        ("name", "5", "name must be a string, not int"),
+        ("name", '["m"]', "name must be a string, not list"),
+        ("item_id", "true", "item_id must be a string or an integer, not bool"),
+        ("item_id", "1.5", "item_id must be a string or an integer, not float"),
+        ("item_id", "1.0", "item_id must be a string or an integer, not float"),
+        ("run", '"1"', "run must be an integer, not str"),
+        ("run", "2.0", "run must be an integer, not float"),
+    ])
+    def test_record_fields_are_not_coerced(self, tmp_path, field, value, message):
+        """Each field of a record has one JSON type: `"labels": "ab"` is not the
+        set {a, b}, and a name, item id or run of another type is not converted.
+        A line that repeats a good line's values, bar one field, is still an
+        error, whatever ingest remembers of the good line."""
+        spec = make_spec("multilabel", ("a", "b", "ab"))
+        fields = {"item_id": '"i2"', "role": '"model"', "name": '"m"', "run": "0",
+                  "labels": '["a", "b"]'}
+        line = '{{"item_id": {item_id}, "source": {{"role": {role}, "name": {name}}}, ' \
+               '"run": {run}, "labels": {labels}}}\n'
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line.format(**{**fields, "item_id": '"i1"'})
+                        + line.format(**{**fields, field: value}))
+        with pytest.raises(ValidationError) as exc:
+            load_dataset(path, spec)
+        assert str(exc.value) == f"{path}:2: bad annotation record ({message})"
+
+    def test_csv_runs_are_converted_from_text(self, tmp_path):
+        spec = make_spec()
+        path = tmp_path / "ann.csv"
+        path.write_text("item_id,role,name,run,label\ni1,expert,e,0,alpha\ni1,expert,e,2,beta\n")
+        assert [rec.run_index for rec in load_dataset(path, spec).records] == [0, 2]
+        path.write_text("item_id,role,name,run,label\ni1,expert,e,0,alpha\ni1,expert,e,1.0,beta\n")
+        with pytest.raises(ValidationError, match=r"ann.csv:3: bad annotation record"):
+            load_dataset(path, spec)
 
     def test_unknown_label_rejected(self, tmp_path):
         spec = make_spec()
@@ -321,8 +361,8 @@ class TestDatasetIO:
         cases = [
             (MULTI, line(["alpha", "omega"]), "omega"),
             (MULTI, line(["alpha", "beta"], role="boss"), "boss"),
-            (MULTI, line("alpha"), "unknown label 'a'"),
-            (MULTI, line([["alpha"]]), "unknown label"),
+            (MULTI, line("alpha"), "labels must be a list, not str"),
+            (MULTI, line([["alpha"]]), "each label must be a string, not list"),
             (SINGLE, line(["alpha", "beta"]), "exactly one label"),
         ]
         for spec, bad, message in cases:

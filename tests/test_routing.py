@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from silicon import agreement
-from silicon.agreement import cohen_kappa, kappa_for_kind
 from silicon.core import LabelValue, TaskKind, TaskSpec, TieRule, ValidationError
 from silicon.routing import RoutingPlan, route, sweep
+from kappa_oracle import old_cohen_kappa, old_kappa_for_kind
 
 
 def S(*indices):
@@ -168,8 +168,8 @@ class TestSweep:
         points = sweep(plan, [0.5], focal, fsd, aux, reference, SPEC)
         routed = route(RoutingPlan(focal="f", auxiliaries=("x", "y"), tau=0.5),
                        focal, fsd, aux, SPEC)
-        want = cohen_kappa([routed.final[i] for i in items],
-                           [reference[i] for i in items]).kappa
+        want = old_cohen_kappa([routed.final[i] for i in items],
+                               [reference[i] for i in items]).kappa
         assert points[0].kappa == want
 
     @pytest.mark.parametrize("spec", [SPEC, MSPEC], ids=["multiclass", "multilabel"])
@@ -191,8 +191,8 @@ class TestSweep:
         assert len(points) == len(taus)
         for point, tau in zip(points, taus):
             routed = route(replace(plan, tau=tau), focal, fsd, aux, spec, seed=5)
-            want = kappa_for_kind([routed.final[i] for i in shared],
-                                  [reference[i] for i in shared], spec.kind)
+            want = old_kappa_for_kind([routed.final[i] for i in shared],
+                                      [reference[i] for i in shared], spec.kind)
             n_routed = len(routed.routed & set(shared))
             assert (point.tau, point.kappa, point.n_routed, point.q, point.degenerate) == (
                 tau, want.kappa, n_routed, n_routed / len(shared), want.degenerate)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from silicon.agreement import cohen_kappa, kappa_for_kind
 from silicon.core import LabelValue, TaskKind, ValidationError
 from silicon.sensitivity import MixConfig, _replicate_seed, mix_baseline, sensitivity_curve
+from kappa_oracle import old_cohen_kappa, old_kappa_for_kind
 
 
 def S(i):
@@ -67,8 +67,8 @@ class TestSensitivityCurve:
         assert curve[0].mean_gap == 0.0
         assert curve[0].lo == curve[0].hi == 0.0
 
-        kappa_e = cohen_kappa([llm[i] for i in items], [expert[i] for i in items]).kappa
-        kappa_c = cohen_kappa([llm[i] for i in items], [crowd[i] for i in items]).kappa
+        kappa_e = old_cohen_kappa([llm[i] for i in items], [expert[i] for i in items]).kappa
+        kappa_c = old_cohen_kappa([llm[i] for i in items], [crowd[i] for i in items]).kappa
         assert curve[-1].mean_gap == abs(kappa_e - kappa_c)
         assert curve[-1].lo == curve[-1].hi == curve[-1].mean_gap
 
@@ -110,17 +110,18 @@ class TestSensitivityCurve:
 
 
 def curve_oracle(llm, expert, crowd, cfg, kind):
-    """Per-replicate gaps the direct way: mix_baseline, then kappa_for_kind on labels."""
+    """Per-replicate gaps the direct way: mix_baseline, then the frozen
+    label-list kappa on the mixed labels."""
     items = sorted(set(llm) & set(expert))
     expert_common = {i: expert[i] for i in items}
     llm_labels = [llm[i] for i in items]
-    kappa_ref = kappa_for_kind(llm_labels, [expert[i] for i in items], kind).kappa
+    kappa_ref = old_kappa_for_kind(llm_labels, [expert[i] for i in items], kind).kappa
     gaps = []
     for a_idx, alpha in enumerate(cfg.alphas):
         row = []
         for rep in range(cfg.replicates):
             mixed = mix_baseline(expert_common, crowd, alpha, _replicate_seed(cfg.seed, a_idx, rep))
-            row.append(abs(kappa_ref - kappa_for_kind(
+            row.append(abs(kappa_ref - old_kappa_for_kind(
                 llm_labels, [mixed[i] for i in items], kind).kappa))
         gaps.append(tuple(row))
     return gaps
@@ -168,7 +169,7 @@ class TestCurveMatchesDirectOracle:
             llm = {i: one for i in items}
             expert = {i: one for i in items}
             crowd = {i: (other if j % 10 == 0 else one) for j, i in enumerate(items)}
-            assert kappa_for_kind(list(llm.values()), list(expert.values()), kind).degenerate
+            assert old_kappa_for_kind(list(llm.values()), list(expert.values()), kind).degenerate
             self.check(llm, expert, crowd, kind)
 
     def test_crowd_labels_missing(self):
