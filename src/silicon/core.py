@@ -256,7 +256,11 @@ class SourceId:
     name: str
 
     def __post_init__(self):
+        if not isinstance(self.role, str):  # a Role is a str
+            raise ValidationError(f"role must be a string, not {type(self.role).__name__}")
         object.__setattr__(self, "role", Role(self.role))
+        if type(self.name) is not str:
+            raise ValidationError(f"name must be a string, not {type(self.name).__name__}")
         if not self.name:
             raise ValidationError("source name must be non-empty")
 
@@ -272,10 +276,20 @@ class AnnotationRecord:
     run_index: int = 0
 
     def __post_init__(self):
-        if not self.item_id:
-            raise ValidationError("item_id must be non-empty")
-        if self.run_index < 0:
-            raise ValidationError("run index must be >= 0")
+        _check_record(self.item_id, self.run_index)
+
+
+def _check_record(item_id, run) -> None:
+    """Reject an item id or run index that load_dataset would reject, in its words."""
+    if type(item_id) is not str and type(item_id) is not int:
+        raise ValidationError(
+            f"item_id must be a string or an integer, not {type(item_id).__name__}")
+    if type(run) is not int:
+        raise ValidationError(f"run must be an integer, not {type(run).__name__}")
+    if not item_id:
+        raise ValidationError("item_id must be non-empty")
+    if run < 0:
+        raise ValidationError("run index must be >= 0")
 
 
 class Dataset:
@@ -448,9 +462,13 @@ class _Columns:
         self.key_rows: list[tuple[int, int, int]] = []
 
     def source(self, source: SourceId) -> int:
+        if type(source) is not SourceId:
+            raise ValidationError(f"source must be a SourceId, not {type(source).__name__}")
         return self.sources.setdefault(source, len(self.sources))
 
     def label(self, label: LabelValue) -> int:
+        if type(label) is not LabelValue:
+            raise ValidationError(f"label must be a LabelValue, not {type(label).__name__}")
         code = self.labels.get(label.indices)
         if code is None:
             self.spec.validate_label(label)
@@ -461,10 +479,7 @@ class _Columns:
     def add(self, item_id, source: int, run: int, label: int) -> tuple[int, int, int]:
         """One row, checked as AnnotationRecord would check it; returns its
         (source, run, label) codes."""
-        if not item_id:
-            raise ValidationError("item_id must be non-empty")
-        if run < 0:
-            raise ValidationError("run index must be >= 0")
+        _check_record(item_id, run)
         key = source, run, label
         self.item_rows.append(self.items.setdefault(item_id, len(self.items)))
         self.key_rows.append(key)
@@ -480,8 +495,7 @@ class _Columns:
             try:
                 source = self.source_keys[role, name]
             except (KeyError, TypeError):
-                source = self.source(SourceId(role=Role(_json_value(role, str, "role")),
-                                              name=_json_value(name, str, "name")))
+                source = self.source(SourceId(role=role, name=name))
                 self.source_keys[role, name] = source
             names = _json_value(obj["labels"], list, "labels")
             try:
@@ -491,11 +505,7 @@ class _Columns:
                     _json_value(n, str, "each label")
                 label = self.label(LabelValue.from_names(names, self.spec))
                 self.label_keys[tuple(names)] = label
-            item_id = obj["item_id"]
-            if type(item_id) not in (str, int):
-                raise TypeError(f"item_id must be a string or an integer, "
-                                f"not {type(item_id).__name__}")
-            return self.add(item_id, source, _json_value(obj.get("run", 0), int, "run"), label)
+            return self.add(obj["item_id"], source, obj.get("run", 0), label)
         except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise ValidationError(f"{path}:{lineno}: bad annotation record ({exc})") from exc
 

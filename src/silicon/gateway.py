@@ -29,7 +29,7 @@ import selectors
 import ssl
 import threading
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -354,21 +354,63 @@ _ENTRY_KINDS = {"key": str, "model": str, "temperature": float, "sample_index": 
                 "raw_response": str, "parsed": list, "failure": str, "created": str}
 _ENTRY_DEFAULTS = {"parsed": None, "failure": None, "created": ""}
 _entry_values = operator.itemgetter(*_ENTRY_KINDS)
+_encode_str = json.encoder.encode_basestring  # how _JSONL_ENCODER writes a str
+
+
+def _entry_line(entry: CacheEntry) -> str:
+    """The cache line of `entry`, _JSONL_ENCODER.encode(entry.to_json()) + "\n".
+
+    It is joined from the JSON text of each field, in sorted-key order.  A
+    value that is not an exact int, finite float, str or None (a NaN or
+    infinite temperature, a bool, ...) goes through the encoder itself.
+    """
+    temperature, index, parsed, failure = (
+        entry.temperature, entry.sample_index, entry.parsed, entry.failure)
+    if ((type(temperature) is float and math.isfinite(temperature) or type(temperature) is int)
+            and type(index) is int and (parsed is None or type(parsed) is tuple)
+            and (failure is None or type(failure) is str)):
+        try:
+            names = "null" if parsed is None else "[" + ", ".join(map(_encode_str, parsed)) + "]"
+            return (f'{{"created": {_encode_str(entry.created)}, "failure": '
+                    f'{"null" if failure is None else _encode_str(failure)}, '
+                    f'"key": {_encode_str(entry.key)}, "model": {_encode_str(entry.model)}, '
+                    f'"parsed": {names}, '
+                    f'"raw_response": {_encode_str(entry.raw_response)}, '
+                    f'"sample_index": {index!r}, "temperature": {temperature!r}}}\n')
+        except TypeError:  # a field that is not a str
+            pass
+    return _JSONL_ENCODER.encode(entry.to_json()) + "\n"
+
+
+def _entry_lines(entries) -> bytes:
+    return "".join(map(_entry_line, entries)).encode("utf-8")
+
+
+_O_BINARY = getattr(os, "O_BINARY", 0)  # Windows: no newline translation
 
 
 class AnnotationCache:
     """Append-only JSONL response cache.
 
     The first line is a header naming the digest algorithm; each following
-    line is one CacheEntry.  Writes are serialized through one lock, and
-    across processes by an exclusive flock on the file for each append;
-    existing entries are never rewritten (duplicate keys keep the first
-    occurrence).
+    line is one CacheEntry.  Existing entries are never rewritten, and a key
+    is written once (a file that holds one twice keeps the first occurrence).
+
+    put() appends under one lock per cache and, across processes, an
+    exclusive flock on the file (where the platform has one), with one raw
+    open, fstat, write and close.  Under the flock it compares the file's
+    size with where this cache's own last load or append ended.  Unless they
+    match, another writer has been at the file since: put reads the bytes
+    after that point and checks each line as loading does.  It adds the
+    entries found there, so get() serves them, and writes only the entries
+    whose keys are still new.  It writes a header if the file has none, and
+    a newline first if the file does not end with one.
 
     A final line that has no newline and does not decode is what a kill
-    mid-append leaves behind: it is skipped on load, kept in dropped_tail,
-    and cut off the file before the next append, if it is still the file's
-    end then.  Any other undecodable line is an error naming its line number.
+    mid-append leaves behind.  Loading skips it and keeps it in
+    dropped_tail.  put cuts such a line off the file before it appends,
+    whether it was there at load or another writer left it since.  Any other
+    undecodable line is an error naming its line number.
     """
 
     def __init__(self, path):
@@ -377,56 +419,84 @@ class AnnotationCache:
         self._entries: dict[str, CacheEntry] = {}
         self._header_written = False         # the file is known to start with a header
         self.dropped_tail = b""
-        self._torn_at: int | None = None     # file offset of dropped_tail, until cut off
+        self._end = 0       # file offset after the last line read or written that has a newline
+        self._lines = 0     # the number of lines before _end
         if os.path.exists(self.path):
             self._load()
 
     def _load(self):
-        offset = 0
         with open(self.path, "rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                start, offset = offset, offset + len(raw)
-                if not raw.strip():
-                    continue
-                terminated = raw.endswith(b"\n")
-                try:
-                    obj = json.loads(raw.decode("utf-8"))
-                except ValueError as exc:
-                    if terminated:
-                        what = "cache entry" if self._header_written else "cache header"
-                        raise ValidationError(f"{self.path}:{lineno}: bad {what} ({exc})") from exc
-                    self.dropped_tail, self._torn_at = raw, start
-                    return
-                if not self._header_written:
-                    if json.dumps(obj, sort_keys=True) != _HEADER:
-                        raise ValidationError(f"{self.path}: unsupported cache header {obj!r}")
-                    self._header_written = True
-                    continue
-                try:
-                    try:  # eight keys that all look up are the fields, as put() writes them
-                        if len(obj) != len(_ENTRY_KINDS):
-                            raise KeyError
-                        values = _entry_values(obj)
-                    except (KeyError, TypeError):
-                        _json_object(obj, _ENTRY_KINDS.keys(), "cache entry")
-                        values = _entry_values({**_ENTRY_DEFAULTS, **obj})
-                    key, model, temperature, index, raw, parsed, failure, created = values
-                    if not (type(key) is str and type(model) is str and type(raw) is str
-                            and type(created) is str and type(temperature) in (float, int)
-                            and type(index) is int and (failure is None or type(failure) is str)
-                            and (parsed is None or type(parsed) is list
-                                 and all(type(label) is str for label in parsed))):
-                        for (name, kind), value in zip(_ENTRY_KINDS.items(), values):
-                            _json_value(value, kind, name, null=name in ("parsed", "failure"))
-                        for label in parsed:
-                            _json_value(label, str, "parsed")
-                    entry = CacheEntry(key, model, float(temperature), index, raw,
-                                       None if parsed is None else tuple(parsed), failure, created)
-                except (KeyError, TypeError, OverflowError) as exc:
-                    raise ValidationError(f"{self.path}:{lineno}: bad cache entry ({exc})") from exc
-                except ValidationError as exc:  # not an object, or an unknown key
-                    raise ValidationError(f"{self.path}:{lineno}: {exc}") from exc
-                self._entries.setdefault(entry.key, entry)
+            self.dropped_tail = self._scan(fh)
+
+    def _scan(self, fh) -> bytes:
+        """Add the entries of binary file fh, read from offset _end on (the
+        first occurrence of a key wins), and move _end and _lines past its
+        last line that has a newline.  Returns the line after that one if it
+        is a torn tail (it does not decode), else b"".
+        """
+        offset, lineno, line = self._end, self._lines, b"\n"
+        for lineno, line in enumerate(fh, start=lineno + 1):
+            start, offset = offset, offset + len(line)
+            if not line.strip():
+                continue
+            terminated = line.endswith(b"\n")
+            try:
+                obj = json.loads(line.decode("utf-8"))
+            except ValueError as exc:
+                if terminated:
+                    what = "cache entry" if self._header_written else "cache header"
+                    raise ValidationError(f"{self.path}:{lineno}: bad {what} ({exc})") from exc
+                self._end, self._lines = start, lineno - 1
+                return line
+            if not self._header_written:
+                if json.dumps(obj, sort_keys=True) != _HEADER:
+                    raise ValidationError(f"{self.path}: unsupported cache header {obj!r}")
+                self._header_written = True
+                continue
+            try:
+                try:  # eight keys that all look up are the fields, as put() writes them
+                    if len(obj) != len(_ENTRY_KINDS):
+                        raise KeyError
+                    values = _entry_values(obj)
+                except (KeyError, TypeError):
+                    _json_object(obj, _ENTRY_KINDS.keys(), "cache entry")
+                    values = _entry_values({**_ENTRY_DEFAULTS, **obj})
+                key, model, temperature, index, raw, parsed, failure, created = values
+                if not (type(key) is str and type(model) is str and type(raw) is str
+                        and type(created) is str and type(temperature) in (float, int)
+                        and type(index) is int and (failure is None or type(failure) is str)
+                        and (parsed is None or type(parsed) is list
+                             and all(type(label) is str for label in parsed))):
+                    for (name, kind), value in zip(_ENTRY_KINDS.items(), values):
+                        _json_value(value, kind, name, null=name in ("parsed", "failure"))
+                    for label in parsed:
+                        _json_value(label, str, "parsed")
+                entry = CacheEntry(key, model, float(temperature), index, raw,
+                                   None if parsed is None else tuple(parsed), failure, created)
+            except (KeyError, TypeError, OverflowError) as exc:
+                raise ValidationError(f"{self.path}:{lineno}: bad cache entry ({exc})") from exc
+            except ValidationError as exc:  # not an object, or an unknown key
+                raise ValidationError(f"{self.path}:{lineno}: {exc}") from exc
+            self._entries.setdefault(entry.key, entry)
+        if line.endswith(b"\n"):
+            self._end, self._lines = offset, lineno
+        else:
+            self._end, self._lines = start, lineno - 1
+        return b""
+
+    def _catch_up(self, fd: int, size: int) -> int:
+        """Read what other writers left after _end in the file open on fd,
+        and cut off a torn tail; returns the file's size after that."""
+        if size < self._end:  # replaced or cut outside this protocol: read all of it again
+            self._end = self._lines = 0
+            self._header_written = False
+        with os.fdopen(fd, "rb", closefd=False) as fh:
+            fh.seek(self._end)
+            tail = self._scan(fh)
+        if tail:
+            os.ftruncate(fd, self._end)
+            self.dropped_tail, size = tail, self._end
+        return size
 
     def __len__(self):
         return len(self._entries)
@@ -435,13 +505,7 @@ class AnnotationCache:
         return self._entries.get(key)
 
     def put(self, *entries: CacheEntry) -> None:
-        """Append the entries whose keys are new, with one open of the file.
-
-        Other processes may have appended since this cache loaded, so under
-        the flock the file as it is now decides what else is written: a
-        header if it holds only blank lines, and a newline if it does not end
-        with one.
-        """
+        """Append the entries whose keys are new, with one open of the file."""
         with self._lock:
             new = {}
             for entry in entries:
@@ -449,27 +513,31 @@ class AnnotationCache:
                     new.setdefault(entry.key, entry)
             if not new:
                 return
-            text = "".join(_JSONL_ENCODER.encode(entry.to_json()) + "\n" for entry in new.values())
-            with open(self.path, "a+b") as fh:
+            data = _entry_lines(new.values())
+            fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND | _O_BINARY, 0o666)
+            try:
                 if fcntl is not None:
-                    fcntl.flock(fh, fcntl.LOCK_EX)  # released when the file closes
-                end = fh.seek(0, os.SEEK_END)
-                if self._torn_at is not None:
-                    fh.seek(self._torn_at)
-                    if fh.read(len(self.dropped_tail) + 1) == self.dropped_tail:
-                        end = fh.truncate(self._torn_at)
-                    self._torn_at = None
-                head = b""
-                if end:
-                    fh.seek(end - 1)
-                    if fh.read(1) != b"\n":
-                        head = b"\n"
+                    fcntl.flock(fd, fcntl.LOCK_EX)  # released when the file closes
+                size = os.fstat(fd).st_size
+                if size != self._end:
+                    size = self._catch_up(fd, size)
+                    kept = {key: e for key, e in new.items() if key not in self._entries}
+                    if len(kept) < len(new):  # another writer has written some of them
+                        if not kept:
+                            return
+                        new, data = kept, _entry_lines(kept.values())
+                head = b"\n" if size != self._end else b""  # ends in a line that decodes
                 if not self._header_written:
-                    fh.seek(0)
-                    if not fh.read(end).strip():
-                        head += _HEADER.encode() + b"\n"
-                    self._header_written = True
-                fh.write(head + text.encode("utf-8"))
+                    head += _HEADER.encode() + b"\n"
+                data = head + data
+                written = 0
+                while written < len(data):
+                    written += os.write(fd, data[written:])
+            finally:
+                os.close(fd)
+            self._end = size + len(data)
+            self._lines += data.count(b"\n")
+            self._header_written = True
             self._entries.update(new)
 
 
@@ -696,10 +764,12 @@ def annotate(
     with its index and temperature.  Cache misses go to the endpoint with at
     most max_in_flight concurrent requests, sent before the cache hits are
     parsed.  The worker that receives a response parses it and appends its
-    entries to the cache at once, so a response that arrived is kept whatever
-    happens to the rest of the run.  Each distinct response text is parsed
-    once per call.  In replay mode (replay=True or SILICON_REPLAY=1) a miss
-    raises ReplayCacheMiss and no transport is ever constructed.  A request
+    entries, which share one timestamp, to the cache at once, so a response
+    that arrived is kept whatever happens to the rest of the run.  The calling
+    thread waits once, until every fetch has ended or one has raised, and
+    reads the results in submission order.  Each distinct response text is
+    parsed once per call.  In replay mode (replay=True or SILICON_REPLAY=1) a
+    miss raises ReplayCacheMiss and no transport is ever constructed.  A request
     whose transport failure survives the retry policy marks its samples (and
     any later ones of its item) as failures and the run continues.  An
     authentication error or an interrupt aborts: queued requests are dropped,
@@ -739,15 +809,16 @@ def annotate(
             f"replay mode refuses network calls"
         )
 
-    outcomes: dict[str, tuple[LabelValue | None, str | None]] = {}
+    outcomes: dict[str, tuple[LabelValue | None, str | None, tuple[str, ...] | None]] = {}
 
-    def outcome(raw: str) -> tuple[LabelValue | None, str | None]:
-        """(label, failure reason) of one response text; parse_response is pure."""
+    def outcome(raw: str) -> tuple[LabelValue | None, str | None, tuple[str, ...] | None]:
+        """(label, failure reason, label names) of one response text; parse_response is pure."""
         known = outcomes.get(raw)
         if known is None:
             parsed = parse_response(raw, cfg.task)
             known = outcomes[raw] = (
-                (parsed, None) if isinstance(parsed, LabelValue) else (None, parsed.reason)
+                (parsed, None, tuple(parsed.to_names(cfg.task)))
+                if isinstance(parsed, LabelValue) else (None, parsed.reason, None)
             )
         return known
 
@@ -778,18 +849,18 @@ def annotate(
             except BaseException:  # AuthError, or anything else that ends the run
                 abort.set()
                 raise
-            entries = []
+            entries, now = [], _now()
             for (s, key), text in zip(batch, texts):
-                label, failure = outcome(text)
+                label, failure, names = outcome(text)
                 entries.append(CacheEntry(
                     key=key,
                     model=endpoint.name,
                     temperature=cfg.temperature,
                     sample_index=s,
                     raw_response=text,
-                    parsed=tuple(label.to_names(cfg.task)) if label is not None else None,
+                    parsed=names,
                     failure=failure,
-                    created=_now(),
+                    created=now,
                 ))
                 fetched.append(SampleResult(
                     sample_index=s, raw=text, label=label, failure=failure, from_cache=False,
@@ -805,11 +876,12 @@ def annotate(
             pool = ThreadPoolExecutor(max_workers=endpoint.max_in_flight)
             futures = [pool.submit(fetch, item_id, missing[item_id]) for item_id in missing]
         for item_id, s, raw in hits:
-            label, failure = outcome(raw)
+            label, failure, _ = outcome(raw)
             results[item_id][s] = SampleResult(
                 sample_index=s, raw=raw, label=label, failure=failure, from_cache=True,
             )
-        for future in as_completed(futures):
+        wait(futures, return_when=FIRST_EXCEPTION)
+        for future in futures:  # in submission order; a failed fetch raises its error here
             item_id, fetched = future.result()
             for sample in fetched:
                 results[item_id][sample.sample_index] = sample

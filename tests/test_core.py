@@ -31,6 +31,21 @@ def make_spec(kind="multiclass", labels=("alpha", "beta", "gamma", "delta")):
 MULTI = make_spec("multilabel")
 SINGLE = make_spec("multiclass")
 
+# (field, JSON text, ingest's message) of record fields that ingest rejects
+UNCOERCED_FIELDS = [
+    ("labels", '"ab"', "labels must be a list, not str"),
+    ("labels", '["a", 5]', "each label must be a string, not int"),
+    ("labels", '[["a"]]', "each label must be a string, not list"),
+    ("role", "5", "role must be a string, not int"),
+    ("name", "5", "name must be a string, not int"),
+    ("name", '["m"]', "name must be a string, not list"),
+    ("item_id", "true", "item_id must be a string or an integer, not bool"),
+    ("item_id", "1.5", "item_id must be a string or an integer, not float"),
+    ("item_id", "1.0", "item_id must be a string or an integer, not float"),
+    ("run", '"1"', "run must be an integer, not str"),
+    ("run", "2.0", "run must be an integer, not float"),
+]
+
 
 class TestLabelValue:
     def test_canonical_construction(self):
@@ -279,19 +294,7 @@ class TestDatasetIO:
                         + line % ("i1", "4") + line % ("i2", "2"))
         assert [rec.run_index for rec in load_dataset(path, spec).records] == [2, 3, 0, 4, 2]
 
-    @pytest.mark.parametrize("field, value, message", [
-        ("labels", '"ab"', "labels must be a list, not str"),
-        ("labels", '["a", 5]', "each label must be a string, not int"),
-        ("labels", '[["a"]]', "each label must be a string, not list"),
-        ("role", "5", "role must be a string, not int"),
-        ("name", "5", "name must be a string, not int"),
-        ("name", '["m"]', "name must be a string, not list"),
-        ("item_id", "true", "item_id must be a string or an integer, not bool"),
-        ("item_id", "1.5", "item_id must be a string or an integer, not float"),
-        ("item_id", "1.0", "item_id must be a string or an integer, not float"),
-        ("run", '"1"', "run must be an integer, not str"),
-        ("run", "2.0", "run must be an integer, not float"),
-    ])
+    @pytest.mark.parametrize("field, value, message", UNCOERCED_FIELDS)
     def test_record_fields_are_not_coerced(self, tmp_path, field, value, message):
         """Each field of a record has one JSON type: `"labels": "ab"` is not the
         set {a, b}, and a name, item id or run of another type is not converted.
@@ -308,6 +311,68 @@ class TestDatasetIO:
         with pytest.raises(ValidationError) as exc:
             load_dataset(path, spec)
         assert str(exc.value) == f"{path}:2: bad annotation record ({message})"
+
+    @pytest.mark.parametrize("field, value, message", UNCOERCED_FIELDS)
+    def test_from_rows_rejects_what_ingest_rejects(self, field, value, message):
+        """The constructors check what load_dataset checks, in its words, so
+        no dataset built in Python saves a file that cannot be loaded.  A
+        label that is not a LabelValue is rejected as such."""
+        spec = make_spec("multilabel", ("a", "b", "ab"))
+        fields = {"item_id": "i2", "role": "model", "name": "m", "run": 0,
+                  "labels": LabelValue.of([0, 1]), field: json.loads(value)}
+
+        def row():
+            return (fields["item_id"], SourceId(role=fields["role"], name=fields["name"]),
+                    fields["labels"], fields["run"])
+
+        with pytest.raises(ValidationError) as exc:
+            Dataset.from_rows(spec, [("i1", SourceId(Role.MODEL, "m"), LabelValue.of([0]), 0),
+                                     row()])
+        if field == "labels":
+            kind = type(fields["labels"]).__name__
+            assert str(exc.value) == f"label must be a LabelValue, not {kind}"
+            return
+        assert str(exc.value) == message
+        if field in ("item_id", "run"):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                AnnotationRecord(fields["item_id"], SourceId(Role.MODEL, "m"),
+                                 fields["labels"], fields["run"])
+
+    def test_from_rows_rejects_a_source_that_is_not_a_source_id(self):
+        with pytest.raises(ValidationError, match="^source must be a SourceId, not tuple$"):
+            Dataset.from_rows(SINGLE, [("i1", ("expert", "e"), LabelValue.single(0), 0)])
+
+    def test_whatever_from_rows_accepts_survives_save_and_load(self, tmp_path):
+        """Random rows drawn from good and bad values of every field: each
+        dataset that from_rows builds loads back from its saved file unchanged."""
+        spec = make_spec("multilabel", ("a", "b", "ab"))
+        fields = [  # (good values, bad values) of each row field
+            (["i1", "é “q” \\ \n\t\x00", 7, 2**70, -3], [0, "", True, 1.5, None, ("i",)]),
+            ([SourceId(Role.EXPERT, "e"), SourceId(Role.MODEL, "m\"\\\u2028"),
+              SourceId(Role.CROWD, "c" * 300)], ["expert", None]),
+            ([LabelValue.of([0]), LabelValue.of([0, 1, 2]), LabelValue.of([2])], [(0,), "a"]),
+            ([0, 1, 2**63 - 1], [2**63, -1, True, 1.0, "1", None]),
+        ]
+        rng = np.random.default_rng(5)
+
+        def draw(good, bad):
+            values = good if rng.random() < 0.9 else bad
+            return values[rng.integers(len(values))]
+
+        built = 0
+        for trial in range(300):
+            rows = [tuple(draw(*f) for f in fields) for _ in range(rng.integers(1, 4))]
+            try:
+                ds = Dataset.from_rows(spec, rows)
+            except ValidationError:
+                continue
+            built += 1
+            path = tmp_path / f"ds{trial}.jsonl"
+            save_dataset(ds, path)
+            loaded = load_dataset(path, spec)
+            assert loaded.records == ds.records
+            assert [type(i) for i in loaded.item_ids()] == [type(i) for i in ds.item_ids()]
+        assert 50 <= built < 300
 
     def test_csv_runs_are_converted_from_text(self, tmp_path):
         spec = make_spec()

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import itertools
 import json
+import math
 import os
 import pathlib
 import socket
@@ -17,8 +18,8 @@ import pytest
 from conftest import CERT, choices_reply
 
 import silicon.gateway as gateway
-from silicon.core import (AnnotationRecord, LabelValue, Role, SourceId, TaskKind, TaskSpec,
-                          ValidationError)
+from silicon.core import (_JSONL_ENCODER, AnnotationRecord, LabelValue, Role, SourceId,
+                          TaskKind, TaskSpec, ValidationError)
 from silicon.gateway import (
     REPLAY_ENV,
     AnnotationCache,
@@ -556,6 +557,115 @@ class TestAnnotationCache:
             want.add("k0")
         assert set(reloaded._entries) == want and len(lines) == len(want) + 1
 
+    def test_two_caches_write_a_key_once(self, tmp_path):
+        """A put reads what another cache appended since it last looked: a
+        key that is there already is served from the file, not written again."""
+        path = tmp_path / "cache.jsonl"
+        a, b = AnnotationCache(path), AnnotationCache(path)
+        a.put(self.entry("k1", raw="from a"))
+        b.put(self.entry("k1", raw="from b"))
+        assert b.get("k1").raw_response == "from a"
+        b.put(self.entry("k1", raw="again"), self.entry("k2", raw="from b"))
+        a.put(self.entry("k2", raw="from a"), self.entry("k3"))
+        assert a.get("k2").raw_response == "from b"
+        assert path.read_text(encoding="utf-8") == (
+            self.HEADER + self.line("k1", "from a") + self.line("k2", "from b") + self.line("k3"))
+
+    def test_caches_in_threads_write_each_key_once(self, tmp_path):
+        """Four caches on one file, in four threads that switch as often as
+        the interpreter allows, each put the same 60 keys in its own order:
+        the file holds each key once, and every cache serves the line kept."""
+        path = tmp_path / "cache.jsonl"
+        caches = [AnnotationCache(path) for _ in range(4)]
+        keys = [f"k{k:02d}" for k in range(60)]
+
+        def fill(w):
+            for k in range(0, 60, 3):
+                order = keys[k:k + 3] if w % 2 else keys[k:k + 3][::-1]
+                caches[w].put(*(self.entry(key, raw=f"from {w}") for key in order))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill, args=(w,)) for w in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == self.HEADER.strip()
+        assert sorted(json.loads(line)["key"] for line in lines[1:]) == keys
+        reloaded = AnnotationCache(path)
+        for cache in caches:
+            cache.put(self.entry("last"))  # reads what the others wrote after its last put
+            assert all(cache.get(k) == reloaded.get(k) for k in keys)
+
+    def test_a_tail_torn_by_another_writer_is_cut(self, tmp_path):
+        """A writer killed mid-append after this cache loaded: put cuts the
+        torn bytes instead of closing them with a newline into a bad line."""
+        path = tmp_path / "cache.jsonl"
+        AnnotationCache(path).put(self.entry("k1"))
+        b = AnnotationCache(path)
+        torn = b'{"created": "t", "failure": null, "key": "k2", "mo'
+        with open(path, "ab") as fh:
+            fh.write(torn)
+        b.put(self.entry("k3"))
+        assert b.dropped_tail == torn
+        assert path.read_text(encoding="utf-8") == self.HEADER + self.line("k1") + self.line("k3")
+        reloaded = AnnotationCache(path)
+        assert set(reloaded._entries) == {"k1", "k3"} and reloaded.dropped_tail == b""
+
+    def test_a_file_replaced_by_a_shorter_one_is_read_again(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = AnnotationCache(path)
+        cache.put(self.entry("k1"), self.entry("k2"))
+        path.write_text(self.HEADER + self.line("k9"), encoding="utf-8")
+        cache.put(self.entry("k3"))
+        assert cache.get("k9") is not None
+        assert path.read_text(encoding="utf-8") == self.HEADER + self.line("k9") + self.line("k3")
+
+    def test_put_reads_nothing_while_the_file_is_as_it_left_it(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(self.HEADER + self.line("k1"), encoding="utf-8")
+        cache = AnnotationCache(path)
+        monkeypatch.setattr(AnnotationCache, "_catch_up", None)  # any call fails
+        for k in range(2, 5):
+            cache.put(self.entry(f"k{k}"))
+        assert len(AnnotationCache(path)) == 4
+
+    @pytest.mark.parametrize("entry", [
+        CacheEntry("k", "m", 0.0, 0, "positive", ("positive",), None, "2026-01-01T00:00:00+00:00"),
+        CacheEntry("ключ", "模型 “q”", 1e-7, 2**80,
+                   'say "hi" \\ back\\slash\n\t\r\x00\x1f\x7f\u2028\ud7ff é 😀', (),
+                   "ünknown \"x\"", "é"),
+        CacheEntry("k", "m", 0.7, 3, "a\nb", ("a", "b \"c\"", "\\"), None, ""),
+        CacheEntry("k", "m", 1, 1, "", None, "empty response", ""),
+        CacheEntry("k", "m", 2.5e300, 0, "x", ("x",), None, "t"),
+        CacheEntry("k", "m", math.inf, 0, "x", None, "f", "t"),
+        CacheEntry("k", "m", -math.inf, 0, "x", None, "f", "t"),
+        CacheEntry("k", "m", math.nan, 0, "x", None, "f", "t"),
+        CacheEntry("k", "m", True, False, "x", None, None, "t"),
+        CacheEntry("k", "m", 0.5, 1, "x", ["x", "y"], None, "t"),
+        CacheEntry("k", 5, 0.5, 1, "x", ("x",), None, "t"),
+        CacheEntry("k", "m", 0.5, 1, "x", ("x", None), None, "t"),
+    ])
+    def test_lines_are_the_encoders(self, tmp_path, entry):
+        """Each cache line joined from field fragments is byte for byte the
+        line the module's JSONL encoder writes, and so is what put appends."""
+        want = _JSONL_ENCODER.encode(entry.to_json()) + "\n"
+        assert gateway._entry_line(entry) == want
+        path = tmp_path / "cache.jsonl"
+        AnnotationCache(path).put(entry)
+        assert path.read_bytes() == (self.HEADER + want).encode("utf-8")
+
+    def test_plain_lines_do_not_call_the_encoder(self, monkeypatch):
+        monkeypatch.setattr(gateway, "_JSONL_ENCODER", None)
+        line = gateway._entry_line(CacheEntry("k", "m", 0.7, 4, "é\n", ("a",), None, "t"))
+        assert json.loads(line)["raw_response"] == "é\n"
+
     def test_mid_file_garbage_names_line(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         path.write_text(self.HEADER + self.line("k1") + '{"key": "k2", "mod\n'
@@ -776,6 +886,46 @@ class TestAnnotate:
             for s in range(per_request * responses):
                 key = per_sample_key("mock-a", assemble_prompt(cfg, text), cfg.temperature, s)
                 assert cache.get(key).raw_response == answers[s if supports_n else 0]
+
+    def test_abort_after_requests_in_flight_keeps_their_responses(self, tmp_path):
+        """The rejected item is submitted after two items whose requests are
+        still in flight: both of those are answered and cached, and no request
+        starts once the rejection is raised."""
+        items = [(f"i{k}", f"text {k}") for k in range(8)]
+        cfg = make_cfg(n_samples=2)
+        both_started, rejected = threading.Barrier(3), threading.Event()
+        events, lock = [], threading.Lock()
+
+        def script(messages, call_index, choice_index):
+            item = messages[-1]["content"]
+            if choice_index == 0:
+                with lock:
+                    events.append(("start", item))
+            if item == "text 2":
+                both_started.wait(timeout=10)
+                with lock:
+                    events.append(("abort", item))
+                rejected.set()
+                raise AuthError("rejected")
+            if item in ("text 0", "text 1") and choice_index == 0:
+                both_started.wait(timeout=10)
+                assert rejected.wait(timeout=10)
+                time.sleep(0.05)  # answer only once the abort is under way
+            return "positive"
+
+        path = tmp_path / "cache.jsonl"
+        with pytest.raises(AuthError):
+            annotate(make_endpoint(max_in_flight=3), cfg, items, AnnotationCache(path),
+                     transport=ScriptedTransport(script))
+        cut = events.index(("abort", "text 2"))
+        assert {item for kind, item in events[:cut]} == {"text 0", "text 1", "text 2"}
+        assert events[cut + 1:] == []
+        cache = AnnotationCache(path)
+        assert len(cache) == 4
+        for text in ("text 0", "text 1"):
+            for s in range(cfg.n_samples):
+                key = per_sample_key("mock-a", assemble_prompt(cfg, text), cfg.temperature, s)
+                assert cache.get(key).raw_response == "positive"
 
     @pytest.mark.parametrize("abort_with", [AuthError, KeyboardInterrupt])
     def test_abort_ends_a_backoff_wait(self, tmp_path, abort_with):

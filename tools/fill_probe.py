@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Wall time of `annotate` filling a fresh response cache.
+
+Run from anywhere:
+
+    python3 tools/fill_probe.py [--items 1800]
+
+Each run annotates --items items, 5 samples each, through a
+`ScriptedTransport` whose reply is a deterministic function of the item text
+and the choice index, into a cache file that does not exist yet, so every
+sample is fetched, parsed and appended.  It prints the median wall time (and
+the range) over 5 runs with one worker and with two, alternated.  The default
+size is the benchmark set-up's warm-cache fill (1,800 items x 5 samples); the
+set-up itself is not traced, so this stands in for a trace of it.  Caches go
+to a temporary directory that is removed at the end; nothing is written under
+`perfbench/`.
+"""
+
+import argparse
+import hashlib
+import os
+import statistics
+import sys
+import tempfile
+import time
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
+
+from silicon.core import TaskKind, TaskSpec  # noqa: E402
+from silicon.gateway import (AnnotationCache, ModelEndpoint, PromptConfig,  # noqa: E402
+                             RetryPolicy, ScriptedTransport, annotate)
+
+LABELS = ("budget", "transport", "schools", "health", "housing", "policing")
+SAMPLES = 5
+REPEATS = 5
+SPEC = TaskSpec(task_id="fill-probe", kind=TaskKind.MULTICLASS, label_universe=LABELS)
+WORDS = ("the", "council", "budget", "plan", "school", "clinic", "river", "tax",
+         "bus", "park", "police", "museum", "jobs", "vote", "levy", "housing")
+
+
+def reply(messages, call_index, choice_index) -> str:
+    """A label line picked by a digest of the item text and the choice, with a
+    short preamble, as a chat model might answer."""
+    digest = hashlib.blake2b(f"{messages[-1]['content']}|{choice_index}".encode(),
+                             digest_size=2).digest()
+    return f"The post is mostly about this topic.\n{LABELS[digest[0] % len(LABELS)]}"
+
+
+def items(n: int) -> list[tuple[str, str]]:
+    return [(f"it{i:06d}", f"post {i:06d}: " + " ".join(WORDS[(i * 7 + j * 3) % len(WORDS)]
+                                                           for j in range(24)))
+            for i in range(n)]
+
+
+def fill(path: str, batch: list, cfg: PromptConfig, workers: int) -> float:
+    endpoint = ModelEndpoint(name="probe-llm", base_url="http://127.0.0.1:1",
+                             api_key_env="FILL_PROBE_KEY", max_in_flight=workers,
+                             retry=RetryPolicy(max_attempts=1, backoff=()))
+    t0 = time.perf_counter()
+    annotate(endpoint, cfg, batch, AnnotationCache(path), transport=ScriptedTransport(reply),
+             replay=False)
+    return time.perf_counter() - t0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--items", type=int, default=1800)
+    args = parser.parse_args(argv)
+    if args.items < 1:
+        parser.error("--items must be at least 1")
+
+    batch = items(args.items)
+    cfg = PromptConfig(task=SPEC, guideline_text="Label the topic of the post.",
+                       temperature=0.7, n_samples=SAMPLES)
+    times: dict[int, list[float]] = {1: [], 2: []}
+    with tempfile.TemporaryDirectory() as tmp:
+        for r in range(REPEATS):
+            for workers in times:  # alternated, so a slow spell of the host hits both
+                path = os.path.join(tmp, f"cache-{r}-{workers}.jsonl")
+                times[workers].append(fill(path, batch, cfg, workers))
+    print(f"annotate fill of {args.items} items x {SAMPLES} samples, {REPEATS} runs each:")
+    for workers, values in times.items():
+        print(f"  {workers} worker{'s' * (workers > 1)}: median {statistics.median(values):.3f} s "
+              f"(min {min(values):.3f}, max {max(values):.3f})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
