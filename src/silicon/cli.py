@@ -1,11 +1,14 @@
 """Command-line surface for the annotation toolkit.
 
 Subcommands: agreement, baseline-compare, annotate, fsd, route-sweep,
-equivalence, mix-sensitivity, simulate.  Every run writes exactly one JSON
-manifest beside its outputs recording the inputs (with digests), the output
-names, the seed, the version, a digest of the options, and when the run
-`started` and `finished`; it records no per-stage timings.  Exit codes:
-0 success, 1 bad input or usage, 2 runtime or transport failure.
+equivalence, mix-sensitivity, simulate.  Each `cmd_*` returns the inputs it
+read and the outputs it wrote; `run` then writes exactly one JSON manifest
+beside those outputs, once they are complete, recording the inputs (with
+digests), the output names, the seed, the version, a digest of the options,
+and when the run `started` and `finished`; it records no per-stage timings.
+`--task` is required by every subcommand except `simulate`, which takes none.
+`--seed` defaults to 0, and for `simulate` to the config's own seed.  Exit
+codes: 0 success, 1 bad input or usage, 2 runtime or transport failure.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from contextlib import suppress
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -101,14 +105,10 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([
-                round(v, 6) if isinstance(v, float) else v for v in row
-            ])
+        writer.writerows(map(_round_floats, rows))
 
 
-def _write_manifest(subcommand: str, args, inputs: list[str], outputs: list[str],
-                    started: str) -> str:
+def _write_manifest(args, inputs: list[str], outputs: list[str], started: str) -> None:
     """One manifest beside the outputs: <out>/manifest.json for directories,
     <out>.manifest.json for single files."""
     out = args.out
@@ -118,9 +118,9 @@ def _write_manifest(subcommand: str, args, inputs: list[str], outputs: list[str]
         path = out + ".manifest.json"
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "version": __version__,
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "replay": bool(getattr(args, "replay", False)),
         "inputs": {p: _file_digest(p) for p in inputs if p and os.path.exists(p)},
         "outputs": [os.path.basename(p) for p in outputs],
@@ -131,18 +131,6 @@ def _write_manifest(subcommand: str, args, inputs: list[str], outputs: list[str]
         "finished": _now(),
     }
     _write_json(path, manifest)
-    return path
-
-
-def _load_task(args) -> TaskSpec:
-    if not args.task:
-        raise UsageError("--task is required for this subcommand")
-    return load_task_spec(args.task)
-
-
-def _ensure_outdir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
 
 
 def _role_sources(dataset: Dataset, role: Role | None = None) -> list[SourceId]:
@@ -168,18 +156,16 @@ def _merge_datasets(spec: TaskSpec, paths: list[str]) -> Dataset:
     return Dataset.concat([load_dataset(path, spec) for path in paths])
 
 
-def _reference_map(path: str, spec: TaskSpec, tie_rule=TieRule.LOWEST_INDEX, seed=None):
+def _reference_map(path: str, spec: TaskSpec):
+    """The majority vote of the file's sources; one source is its own vote."""
     ds = load_dataset(path, spec)
-    sources = ds.sources()
-    if not sources:
+    if not ds.sources():
         raise ValidationError(f"{path}: no annotation records")
-    if len(sources) == 1:
-        return ds.label_map(sources[0])
-    return majority_reference(ds, tie_rule=tie_rule, seed=seed)
+    return majority_reference(ds)
 
 
 def _report_json(rep) -> dict:
-    out = {
+    return {
         "kappa": rep.kappa,
         "p_o": rep.p_o,
         "p_e": rep.p_e,
@@ -187,13 +173,8 @@ def _report_json(rep) -> dict:
         "degenerate": rep.degenerate,
         "weighted": rep.weighted,
         "mean_kappa": rep.mean_kappa,
-        "pairwise": [
-            {"source_a": p.source_a, "source_b": p.source_b,
-             "kappa": p.kappa, "n_items": p.n_items}
-            for p in rep.pairwise
-        ],
+        "pairwise": [asdict(p) for p in rep.pairwise],
     }
-    return out
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
@@ -208,9 +189,8 @@ def _parse_float_list(text: str, what: str) -> list[float]:
 
 # ---------------------------------------------------------------- subcommands
 
-def cmd_agreement(args) -> int:
-    started = _now()
-    spec = _load_task(args)
+def cmd_agreement(args) -> tuple[list[str], list[str]]:
+    spec = load_task_spec(args.task)
     paths = [args.a] + ([args.b] if args.b else [])
     dataset = _merge_datasets(spec, paths)
     sources = _role_sources(dataset)
@@ -227,13 +207,11 @@ def cmd_agreement(args) -> int:
         rows = [[names[i]] + [int(v) for v in rep.observed[i]] for i in range(len(names))]
         _write_csv(args.confusion_csv, ["category"] + names, rows)
         outputs.append(args.confusion_csv)
-    _write_manifest("agreement", args, [args.task] + paths, outputs, started)
-    return 0
+    return [args.task] + paths, outputs
 
 
-def cmd_baseline_compare(args) -> int:
-    started = _now()
-    spec = _load_task(args)
+def cmd_baseline_compare(args) -> tuple[list[str], list[str]]:
+    spec = load_task_spec(args.task)
     dataset = _merge_datasets(spec, [args.expert, args.crowd])
     by_role = {}
     for role in (Role.EXPERT, Role.CROWD):
@@ -255,14 +233,11 @@ def cmd_baseline_compare(args) -> int:
         "expert_meets_threshold": expert_kappa >= spec.agreement_threshold,
     }
     _write_json(args.out, report)
-    _write_manifest("baseline-compare", args,
-                    [args.task, args.expert, args.crowd], [args.out], started)
-    return 0
+    return [args.task, args.expert, args.crowd], [args.out]
 
 
-def cmd_annotate(args) -> int:
-    started = _now()
-    spec = _load_task(args)
+def cmd_annotate(args) -> tuple[list[str], list[str]]:
+    spec = load_task_spec(args.task)
     endpoint = load_endpoint(args.endpoint)
     cfg = load_prompt_config(args.prompt, spec)
     items = []
@@ -288,17 +263,17 @@ def cmd_annotate(args) -> int:
     annotations = annotate(endpoint, cfg, items, cache, replay=replay)
     dataset, failures = annotations_to_dataset(annotations, endpoint.name, spec)
     save_dataset(dataset, args.out)
-    outputs = [args.out]
+    outputs, fail_path = [args.out], args.out + ".failures.jsonl"
     if failures:
-        fail_path = args.out + ".failures.jsonl"
         with atomic_open(fail_path) as fh:
+            fh.reconfigure(errors="backslashreplace")  # a lone surrogate as its JSON escape
             for f in failures:
                 fh.write(json.dumps(f, sort_keys=True, ensure_ascii=False) + "\n")
         outputs.append(fail_path)
-    _write_manifest("annotate", args,
-                    [args.task, args.items, args.endpoint, args.prompt, args.cache],
-                    outputs, started)
-    return 0
+    else:  # an earlier run's failures would outlive the output they were about
+        with suppress(FileNotFoundError):
+            os.remove(fail_path)
+    return [args.task, args.items, args.endpoint, args.prompt, args.cache], outputs
 
 
 def _fsd_scores(dataset: Dataset, source_name: str | None):
@@ -346,9 +321,8 @@ def _fsd_scores(dataset: Dataset, source_name: str | None):
     return source, [table[c] for c in order], columns
 
 
-def cmd_fsd(args) -> int:
-    started = _now()
-    spec = _load_task(args)
+def cmd_fsd(args) -> tuple[list[str], list[str]]:
+    spec = load_task_spec(args.task)
     dataset = load_dataset(args.runs, spec)
     source, labels, columns = _fsd_scores(dataset, args.source)
     with atomic_open(args.out) as fh:
@@ -365,13 +339,11 @@ def cmd_fsd(args) -> int:
             f'"n_samples": {n}, "second_label": {names[second]}, "source": {source_json}, '
             f'"top_label": {names[top]}}}\n'
             for item, fsd, top, second, n in zip(*columns))
-    _write_manifest("fsd", args, [args.task, args.runs], [args.out], started)
-    return 0
+    return [args.task, args.runs], [args.out]
 
 
-def cmd_route_sweep(args) -> int:
-    started = _now()
-    spec = _load_task(args)
+def cmd_route_sweep(args) -> tuple[list[str], list[str]]:
+    spec = load_task_spec(args.task)
     focal_ds = load_dataset(args.focal, spec)
     source, labels, (items, scores, top, _, _) = _fsd_scores(focal_ds, args.source)
     focal_labels = dict(zip(items, map(labels.__getitem__, top)))
@@ -383,7 +355,7 @@ def cmd_route_sweep(args) -> int:
             if aux_source.name in aux_labels or aux_source.name == source.name:
                 raise ValidationError(f"duplicate model name {aux_source.name!r}")
             aux_labels[aux_source.name] = ds.label_map(aux_source)
-    reference = _reference_map(args.reference, spec, seed=args.seed)
+    reference = _reference_map(args.reference, spec)
     taus = _parse_float_list(args.taus, "tau")
     plan = RoutingPlan(
         focal=source.name,
@@ -393,7 +365,7 @@ def cmd_route_sweep(args) -> int:
     )
     points = sweep(plan, taus, focal_labels, fsd, aux_labels, reference, spec,
                    seed=args.seed)
-    _ensure_outdir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "sweep.csv")
     _write_csv(csv_path, ["tau", "kappa", "q", "n_routed"],
                [[p.tau, p.kappa, p.q, p.n_routed] for p in points])
@@ -403,61 +375,49 @@ def cmd_route_sweep(args) -> int:
         "focal": source.name,
         "auxiliaries": sorted(aux_labels),
         "n_items": len(focal_labels),
-        "points": [
-            {"tau": p.tau, "kappa": p.kappa, "q": p.q,
-             "n_routed": p.n_routed, "degenerate": p.degenerate}
-            for p in points
-        ],
+        "points": [asdict(p) for p in points],
         "best": {"tau": best.tau, "kappa": best.kappa, "q": best.q},
     }
     json_path = os.path.join(args.out, "report.json")
     _write_json(json_path, report)
-    _write_manifest("route-sweep", args,
-                    [args.task, args.focal, args.reference] + list(args.aux),
-                    [csv_path, json_path], started)
-    return 0
+    return [args.task, args.focal, args.reference] + list(args.aux), [csv_path, json_path]
 
 
-def cmd_equivalence(args) -> int:
-    started = _now()
-    spec = _load_task(args)
+def cmd_equivalence(args) -> tuple[list[str], list[str]]:
+    spec = load_task_spec(args.task)
     dataset = _merge_datasets(spec, list(args.models))
     models = _role_sources(dataset, Role.MODEL)
     if len(models) < 2:
         raise ValidationError("equivalence needs at least 2 model sources")
-    reference = _reference_map(args.reference, spec, seed=args.seed)
+    reference = _reference_map(args.reference, spec)
     matrix = build_match_matrix_codes([s.name for s in models], dataset.item_ids(),
                                       dataset.label_table, dataset.code_matrix(models),
                                       reference, baseline_model=args.baseline)
     report = fit_equivalence(
         matrix, correction=args.correction, tost_margin=args.tost_margin
     )
-    _ensure_outdir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, "report.json")
     _write_json(json_path, report.to_json())
     csv_path = os.path.join(args.out, "forest.csv")
     _write_csv(csv_path, ["model", "estimate", "lo", "hi"],
                [[c.model, c.coefficient, c.ci_low, c.ci_high]
                 for c in report.comparisons])
-    _write_manifest("equivalence", args,
-                    [args.task, args.reference] + list(args.models),
-                    [json_path, csv_path], started)
-    return 0
+    return [args.task, args.reference] + list(args.models), [json_path, csv_path]
 
 
-def cmd_mix_sensitivity(args) -> int:
-    started = _now()
-    spec = _load_task(args)
+def cmd_mix_sensitivity(args) -> tuple[list[str], list[str]]:
+    spec = load_task_spec(args.task)
     llm = _reference_map(args.llm, spec)
-    expert = _reference_map(args.expert, spec, seed=args.seed)
-    crowd = _reference_map(args.crowd, spec, seed=args.seed)
+    expert = _reference_map(args.expert, spec)
+    crowd = _reference_map(args.crowd, spec)
     cfg = MixConfig(
         alphas=tuple(_parse_float_list(args.alphas, "alpha")),
         replicates=args.replicates,
         seed=args.seed,
     )
     curve = sensitivity_curve(llm, expert, crowd, cfg, spec.kind)
-    _ensure_outdir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "curve.csv")
     _write_csv(csv_path, ["alpha", "mean_gap", "lo", "hi"],
                [[g.alpha, g.mean_gap, g.lo, g.hi] for g in curve])
@@ -472,16 +432,10 @@ def cmd_mix_sensitivity(args) -> int:
     }
     json_path = os.path.join(args.out, "report.json")
     _write_json(json_path, report)
-    _write_manifest("mix-sensitivity", args,
-                    [args.task, args.llm, args.expert, args.crowd],
-                    [csv_path, json_path], started)
-    return 0
+    return [args.task, args.llm, args.expert, args.crowd], [csv_path, json_path]
 
 
-def cmd_simulate(args) -> int:
-    started = _now()
-    if args.sweep_e and args.sweep_coupling:
-        raise UsageError("--sweep-e and --sweep-coupling are mutually exclusive")
+def cmd_simulate(args) -> tuple[list[str], list[str]]:
     sweep_field, values = None, []
     if args.sweep_e:
         sweep_field, values = "error_rate", _parse_float_list(args.sweep_e, "error rate")
@@ -507,7 +461,7 @@ def cmd_simulate(args) -> int:
             for v, r in zip(values, map(results.__getitem__, points))]
     report = None if variant is None else contrast(cfg, variant, run=results.__getitem__)
 
-    _ensure_outdir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, "result.json")
     _write_json(json_path, {"config": cfg.to_json(), "result": result.to_json()})
     outputs = [json_path]
@@ -523,18 +477,15 @@ def cmd_simulate(args) -> int:
         contrast_path = os.path.join(args.out, "contrast.json")
         _write_json(contrast_path, report.to_json())
         outputs.append(contrast_path)
-    _write_manifest("simulate", args,
-                    [args.config] + ([args.contrast] if args.contrast else []),
-                    outputs, started)
-    return 0
+    return [args.config] + ([args.contrast] if args.contrast else []), outputs
 
 
 # -------------------------------------------------------------------- parser
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--task", help="task spec JSON")
-    common.add_argument("--seed", type=int, default=None, help="seed for any randomized step")
+    common.add_argument("--task", required=True, help="task spec JSON")
+    common.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
 
     parser = _Parser(prog="silicon", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -609,11 +560,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_mix_sensitivity)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate",
                        help="Monte Carlo check of agreement against a noisy reference")
     p.add_argument("--config", required=True, help="sim config JSON")
-    p.add_argument("--sweep-e", help="comma list of reference error rates")
-    p.add_argument("--sweep-coupling", help="comma list of coupling values")
+    p.add_argument("--seed", type=int, help="seed in place of the configs' own")
+    sweeps = p.add_mutually_exclusive_group()
+    sweeps.add_argument("--sweep-e", help="comma list of reference error rates")
+    sweeps.add_argument("--sweep-coupling", help="comma list of coupling values")
     p.add_argument("--contrast", help="variant sim config JSON to compare against")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)
@@ -625,12 +578,13 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if not getattr(args, "subcommand", None):
+        if not args.subcommand:
             parser.print_usage(sys.stderr)
             return 1
-        if args.seed is None and getattr(args, "func", None) is not cmd_simulate:
-            args.seed = 0
-        return args.func(args)
+        started = _now()
+        inputs, outputs = args.func(args)
+        _write_manifest(args, inputs, outputs, started)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

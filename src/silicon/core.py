@@ -96,6 +96,8 @@ class LabelValue:
 
     @classmethod
     def from_names(cls, names: Sequence[str], spec: "TaskSpec") -> "LabelValue":
+        if isinstance(names, str):  # not its characters
+            raise ValidationError("labels must be a list, not str")
         if len(names) == 0:
             raise ValidationError("empty label list (use an explicit 'none' category)")
         if spec.kind is not TaskKind.MULTILABEL and len(names) != 1:

@@ -125,6 +125,9 @@ class RetryPolicy:
         if self.max_attempts < 1:
             raise ValidationError("max_attempts must be >= 1")
         object.__setattr__(self, "backoff", tuple(float(b) for b in self.backoff))
+        if not all(0 <= b < math.inf for b in self.backoff):  # also NaN
+            raise ValidationError(
+                f"backoff must be finite numbers of seconds >= 0, got {list(self.backoff)}")
 
 
 @dataclass(frozen=True)
@@ -183,8 +186,8 @@ class PromptConfig:
             raise ValidationError("persona strategy requires persona_text")
         if self.n_samples < 1:
             raise ValidationError("n_samples must be >= 1")
-        if not self.temperature >= 0:  # also NaN, which no request body can carry
-            raise ValidationError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:  # no request body can carry NaN or inf
+            raise ValidationError(f"temperature must be >= 0 and finite, got {self.temperature}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -383,7 +386,8 @@ def _entry_line(entry: CacheEntry) -> str:
 
 
 def _entry_lines(entries) -> bytes:
-    return "".join(map(_entry_line, entries)).encode("utf-8")
+    # a lone surrogate, which no UTF-8 holds, is written as its JSON escape \udXXX
+    return "".join(map(_entry_line, entries)).encode("utf-8", "backslashreplace")
 
 
 _O_BINARY = getattr(os, "O_BINARY", 0)  # Windows: no newline translation

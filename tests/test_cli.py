@@ -1,4 +1,7 @@
+import hashlib
+import importlib.util
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -10,6 +13,7 @@ from silicon import __version__, cli
 from silicon.gateway import REPLAY_ENV, AnnotationCache, HttpTransport
 
 DATA = pathlib.Path(__file__).parent / "data"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -59,11 +63,23 @@ class TestUsage:
     def test_missing_required_flag(self, capsys):
         assert cli.run(["agreement"]) == 1
 
+    @pytest.mark.parametrize("subcommand", ["agreement", "fsd", "mix-sensitivity"])
+    def test_task_is_required(self, tmp_path, capsys, subcommand):
+        runs = TestFsd().runs_file(tmp_path)
+        inputs = {"agreement": ["--a", runs], "fsd": ["--runs", runs],
+                  "mix-sensitivity": ["--llm", runs, "--expert", runs, "--crowd", runs]}
+        out = tmp_path / "o"
+        assert cli.run([subcommand, *inputs[subcommand], "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: the following arguments are required: --task\n")
+        assert not out.exists() and not pathlib.Path(f"{out}.manifest.json").exists()
+
     def test_unknown_flag(self):
         assert cli.run(["agreement", "--nope"]) == 1
 
     def test_replay_only_on_annotate(self, tmp_path, capsys):
-        args = ["fsd", "--runs", str(tmp_path / "runs.jsonl"), "--out", str(tmp_path / "o")]
+        args = ["fsd", "--task", write_task(tmp_path), "--runs", TestFsd().runs_file(tmp_path),
+                "--out", str(tmp_path / "o")]
         assert cli.run(args + ["--replay"]) == 1
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -186,10 +202,10 @@ class TestBaselineCompare:
 
 
 class TestAnnotateReplay:
-    def args(self, tmp_path, cache, out):
+    def args(self, tmp_path, cache, out, items=DATA / "items.jsonl"):
         return ["annotate",
                 "--task", str(DATA / "task.json"),
-                "--items", str(DATA / "items.jsonl"),
+                "--items", str(items),
                 "--endpoint", str(DATA / "endpoint_focal.json"),
                 "--prompt", str(DATA / "prompt_focal.json"),
                 "--cache", str(cache), "--out", str(out), "--replay"]
@@ -208,6 +224,21 @@ class TestAnnotateReplay:
         assert manifest["subcommand"] == "annotate"
         # the replay run must never grow the cache
         assert cache.read_bytes() == (DATA / "replay_cache.jsonl").read_bytes()
+
+    def test_rerun_without_failures_removes_the_earlier_failures_file(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_bytes((DATA / "replay_cache.jsonl").read_bytes())
+        out = tmp_path / "focal.jsonl"
+        failures = tmp_path / "focal.jsonl.failures.jsonl"
+        assert cli.run(self.args(tmp_path, cache, out)) == 0
+        assert failures.exists()
+        items = tmp_path / "items.jsonl"
+        lines = (DATA / "items.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        items.write_text("".join(l for l in lines if '"it007"' not in l), encoding="utf-8")
+        assert cli.run(self.args(tmp_path, cache, out, items)) == 0
+        assert read_manifest(out)["outputs"] == ["focal.jsonl"]
+        assert not failures.exists()
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 23 * 5
 
     def test_replay_survives_torn_last_line(self, tmp_path, capsys):
         clean_out = tmp_path / "clean.jsonl"
@@ -235,6 +266,47 @@ class TestAnnotateReplay:
         args = [a for a in self.args(tmp_path, cache, out) if a != "--replay"]
         assert cli.run(args) == 2
         assert "SILICON_MOCK_KEY" in capsys.readouterr().err
+
+
+class TestAnnotateOverHttp:
+    def test_lone_surrogate_in_a_response_is_kept(self, tmp_path, monkeypatch, loopback):
+        """A JSON \\ud800 escape decodes to a lone surrogate, which no UTF-8
+        holds; the cache and the failures file write it as that escape."""
+        def reply(payload):
+            item_text = payload["messages"][-1]["content"]
+            text = "a \ud800" if "it002:" in item_text else "support"
+            body = json.dumps({"choices": [{"message": {"content": text}}] * payload["n"]})
+            return 200, {}, body.encode()
+
+        server = loopback(reply=reply)
+        monkeypatch.setenv("SILICON_MOCK_KEY", "sk-test")
+        endpoint = json.loads((DATA / "endpoint_focal.json").read_text(encoding="utf-8"))
+        endpoint["base_url"] = server.url
+        (tmp_path / "endpoint.json").write_text(json.dumps(endpoint), encoding="utf-8")
+        items = (DATA / "items.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        (tmp_path / "items.jsonl").write_text("".join(items[:2]), encoding="utf-8")
+        cache = tmp_path / "cache.jsonl"
+
+        def annotate(out, *extra):
+            return cli.run(["annotate", "--task", str(DATA / "task.json"),
+                            "--items", str(tmp_path / "items.jsonl"),
+                            "--endpoint", str(tmp_path / "endpoint.json"),
+                            "--prompt", str(DATA / "prompt_focal.json"),
+                            "--cache", str(cache), "--out", str(tmp_path / out), *extra])
+
+        assert annotate("live.jsonl") == 0
+        assert len(server.requests) == 2
+        assert cache.read_bytes().count(b'"raw_response": "a \\ud800"') == 5
+        reloaded = AnnotationCache(cache)
+        assert sorted(e.raw_response for e in reloaded._entries.values()) == (
+            ["a \ud800"] * 5 + ["support"] * 5)
+        failures = (tmp_path / "live.jsonl.failures.jsonl").read_text(encoding="utf-8")
+        assert [json.loads(line) for line in failures.splitlines()] == [
+            {"item_id": "it002", "sample_index": s, "reason": "no label found",
+             "raw_response": "a \ud800"} for s in range(5)]
+        assert annotate("replay.jsonl", "--replay") == 0
+        assert len(server.requests) == 2
+        assert (tmp_path / "replay.jsonl.failures.jsonl").read_text(encoding="utf-8") == failures
 
 
 class TestFsd:
@@ -549,10 +621,17 @@ class TestSimulate:
         assert lines[0].startswith("error_rate,")
         assert len(lines) == 3
 
-    def test_sweeps_mutually_exclusive(self, tmp_path):
+    def test_sweeps_mutually_exclusive(self, tmp_path, capsys):
         assert cli.run(["simulate", "--config", self.config(tmp_path),
                         "--sweep-e", "0.1", "--sweep-coupling", "0.5",
                         "--out", str(tmp_path / "sim")]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not (tmp_path / "sim").exists()
+
+    def test_task_is_rejected(self, tmp_path, capsys):
+        assert cli.run(["simulate", "--config", self.config(tmp_path), "--task",
+                        write_task(tmp_path), "--out", str(tmp_path / "sim")]) == 1
+        assert capsys.readouterr().err.startswith("usage error: unrecognized arguments: --task")
         assert not (tmp_path / "sim").exists()
 
     def test_contrast(self, tmp_path):
@@ -666,6 +745,104 @@ class TestSimulate:
         assert cli.run(["simulate", "--config", self.config(tmp_path),
                         "--sweep-e", "0.1,x", "--out", str(tmp_path / "sim")]) == 1
         assert not (tmp_path / "sim").exists()
+
+
+def manifest_case(tmp_path, subcommand):
+    """(argv, out, inputs, output names) of one run of `subcommand` on small
+    inputs: the inputs and outputs its manifest names."""
+    out = tmp_path / "out"
+    if subcommand == "annotate":
+        cache = tmp_path / "cache.jsonl"
+        cache.write_bytes((DATA / "replay_cache.jsonl").read_bytes())
+        out = tmp_path / "focal.jsonl"
+        argv = TestAnnotateReplay().args(tmp_path, cache, out)
+        inputs = [argv[i + 1] for i, a in enumerate(argv)
+                  if a in ("--task", "--items", "--endpoint", "--prompt", "--cache")]
+        return argv, out, inputs, ["focal.jsonl", "focal.jsonl.failures.jsonl"]
+    if subcommand == "simulate":
+        base = TestSimulate().config(tmp_path)
+        variant = TestSimulate().config(tmp_path, name="variant.json", coupling=0.5)
+        argv = ["simulate", "--config", base, "--sweep-e", "0,0.2", "--contrast", variant,
+                "--out", str(out)]
+        return argv, out, [base, variant], ["result.json", "sweep.csv", "contrast.json"]
+    task = write_task(tmp_path)
+    if subcommand == "agreement":
+        a, b = (write_records(tmp_path / f"{name}.jsonl",
+                              [(f"i{j}", "crowd", name, 0, [["red", "green", "blue"][j % k]])
+                               for j in range(9)])
+                for name, k in (("c1", 2), ("c2", 3)))
+        out = tmp_path / "report.json"
+        argv = ["agreement", "--task", task, "--a", a, "--b", b, "--out", str(out),
+                "--confusion-csv", str(tmp_path / "confusion.csv")]
+        return argv, out, [task, a, b], ["report.json", "confusion.csv"]
+    if subcommand == "baseline-compare":
+        rows = {role: [(f"i{j}", role, f"{role}{k}", 0, [["red", "green"][(j + k) % 2]])
+                       for j in range(6) for k in range(2)] for role in ("expert", "crowd")}
+        expert = write_records(tmp_path / "expert.jsonl", rows["expert"])
+        crowd = write_records(tmp_path / "crowd.jsonl", rows["crowd"])
+        out = tmp_path / "compare.json"
+        argv = ["baseline-compare", "--task", task, "--expert", expert, "--crowd", crowd,
+                "--out", str(out)]
+        return argv, out, [task, expert, crowd], ["compare.json"]
+    if subcommand == "fsd":
+        runs = TestFsd().runs_file(tmp_path)
+        out = tmp_path / "fsd.jsonl"
+        return (["fsd", "--task", task, "--runs", runs, "--out", str(out)], out,
+                [task, runs], ["fsd.jsonl"])
+    if subcommand == "route-sweep":
+        task, focal, aux1, aux2, reference = routing_inputs(tmp_path)
+        argv = ["route-sweep", "--task", task, "--focal", focal, "--aux", aux1, "--aux", aux2,
+                "--reference", reference, "--out", str(out)]
+        return argv, out, [task, focal, reference, aux1, aux2], ["sweep.csv", "report.json"]
+    if subcommand == "equivalence":
+        task, paths, reference = TestEquivalence().inputs(tmp_path)
+        argv = ["equivalence", "--task", task, "--reference", reference, "--out", str(out)]
+        for path in paths:
+            argv += ["--models", path]
+        return argv, out, [task, reference, *paths], ["report.json", "forest.csv"]
+    assert subcommand == "mix-sensitivity"
+    task, llm, expert, crowd = TestMixSensitivity().inputs(tmp_path)
+    argv = ["mix-sensitivity", "--task", task, "--llm", llm, "--expert", expert,
+            "--crowd", crowd, "--replicates", "2", "--out", str(out)]
+    return argv, out, [task, llm, expert, crowd], ["curve.csv", "report.json"]
+
+
+SUBCOMMANDS = ["agreement", "baseline-compare", "annotate", "fsd", "route-sweep",
+               "equivalence", "mix-sensitivity", "simulate"]
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_manifest_names_each_input_and_output(tmp_path, subcommand):
+    argv, out, inputs, outputs = manifest_case(tmp_path, subcommand)
+    assert cli.run(argv) == 0
+    manifest = read_manifest(out)
+    assert manifest["subcommand"] == subcommand
+    assert manifest["inputs"] == {p: hashlib.sha256(pathlib.Path(p).read_bytes()).hexdigest()
+                                  for p in inputs}
+    assert manifest["outputs"] == outputs
+    assert manifest["seed"] == (None if subcommand == "simulate" else 0)
+    assert manifest["replay"] is (subcommand == "annotate")
+    assert manifest["started"] <= manifest["finished"]
+
+
+def test_benchmark_tracing_wraps_the_names_cli_calls(tmp_path):
+    """perfbench/tracing.py wraps names on `cli`, some of which `cli` never
+    calls; each must stay, and the analyses must look them up on `cli`."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    before = dict(vars(cli))
+    tracer = tracing.Tracer("tier-1")
+    try:
+        tracing.install(tracer)  # an AttributeError for a name `cli` no longer has
+        argv, _, _, _ = manifest_case(tmp_path, "mix-sensitivity")
+        assert cli.run(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert dict(vars(cli)) == before
+    assert tracer.counts["core.load_dataset.calls"] == 3
+    assert tracer.counts["core.majority_reference.calls"] == 3
+    assert tracer.counts["sensitivity.curve.calls"] == 1
 
 
 class TestAtomicOutputs:
@@ -813,6 +990,19 @@ class TestStrictJsonInputs:
         assert cli.run(argv) == 1
         assert ":24: bad item (" in capsys.readouterr().err
         assert posts == []
+
+    @pytest.mark.parametrize("what, field, value", [
+        ("prompt", "temperature", math.inf), ("retry", "backoff", [1.0, math.inf]),
+        ("retry", "backoff", [-1.0]), ("retry", "backoff", [math.nan])])
+    def test_non_finite_numbers_are_bad_input(self, tmp_path, capsys, posts, what, field, value):
+        """1e999 reads as inf: no request body can carry that temperature, and
+        no wait can last that backoff."""
+        argv = self.inputs(tmp_path, what, field, value)
+        assert cli.run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{field} must be" in err
+        assert posts == []
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_extra_item_keys_are_allowed(self, tmp_path, posts):
         assert cli.run(self.inputs(tmp_path, "item", "source", "forum")) == 0

@@ -68,6 +68,15 @@ class TestLabelValue:
         assert lab.indices == (0, 2)
         assert lab.to_names(MULTI) == ["alpha", "gamma"]
 
+    @pytest.mark.parametrize("kind", ["multilabel", "multiclass"])
+    def test_names_are_a_list_not_a_string(self, kind):
+        """A string is not the set of its characters, whatever the universe holds."""
+        spec = make_spec(kind, labels=("a", "b", "ab"))
+        for names in ("ab", "a"):
+            with pytest.raises(ValidationError, match="labels must be a list, not str"):
+                LabelValue.from_names(names, spec)
+        assert LabelValue.from_names(("ab",), spec).indices == (2,)
+
     def test_single_label_task_rejects_sets(self):
         with pytest.raises(ValidationError):
             LabelValue.from_names(["alpha", "beta"], SINGLE)
