@@ -326,6 +326,7 @@ def cmd_fsd(args) -> tuple[list[str], list[str]]:
     dataset = load_dataset(args.runs, spec)
     source, labels, columns = _fsd_scores(dataset, args.source)
     with atomic_open(args.out) as fh:
+        fh.reconfigure(errors="backslashreplace")  # a lone surrogate as its JSON escape
         # each line is json.dumps(record, sort_keys=True, ensure_ascii=False),
         # joined from fragments: the source and every distinct label list are
         # dumped once, the item ids go through the same encoder without

@@ -676,6 +676,7 @@ def save_dataset(dataset: Dataset, path) -> None:
     """
     encode = _JSONL_ENCODER.encode
     with atomic_open(path) as fh:
+        fh.reconfigure(errors="backslashreplace")  # a lone surrogate as its JSON escape
         items = [encode(i) for i in dataset.item_ids()]
         sources = [encode(s.to_json()) for s in dataset.sources()]
         labels = [encode(lab.to_names(dataset.spec)) for lab in dataset.label_table]
@@ -761,8 +762,7 @@ def _vote(codes: np.ndarray, table: Sequence[LabelValue], spec: TaskSpec,
         if keep_focal:
             included |= half & focal_set
         elif seeded and half.any():
-            rng = _rng_from_seed(seed)
-            flips = np.array([rng.integers(2) for _ in range(half.sum(axis=0).max())]) == 1
+            flips = _rng_from_seed(seed).integers(2, size=half.sum(axis=0).max()) == 1
             included |= half & flips[np.cumsum(half, axis=0) - 1]
         pick = ~included.any(axis=0)
         if keep_focal:

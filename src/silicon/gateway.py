@@ -85,11 +85,14 @@ class GatewayError(SiliconError):
 class TransportError(GatewayError):
     """A failed request.  retryable says whether sending it again may succeed;
     retry_after is the server's minimum wait in seconds before doing so, if given.
+    A retry_after past threading.TIMEOUT_MAX, the longest wait a thread can
+    make, leaves the error non-retryable.
     """
 
     def __init__(self, message: str, retryable: bool = True, retry_after: float | None = None):
         super().__init__(message)
-        self.retryable = retryable
+        self.retryable = retryable and (retry_after is None
+                                        or retry_after <= threading.TIMEOUT_MAX)
         self.retry_after = retry_after
 
 
@@ -125,9 +128,11 @@ class RetryPolicy:
         if self.max_attempts < 1:
             raise ValidationError("max_attempts must be >= 1")
         object.__setattr__(self, "backoff", tuple(float(b) for b in self.backoff))
-        if not all(0 <= b < math.inf for b in self.backoff):  # also NaN
+        # a wait is one Event.wait, which takes at most threading.TIMEOUT_MAX
+        if not all(0 <= b <= threading.TIMEOUT_MAX for b in self.backoff):  # also NaN
             raise ValidationError(
-                f"backoff must be finite numbers of seconds >= 0, got {list(self.backoff)}")
+                f"backoff must be numbers of seconds from 0 to {threading.TIMEOUT_MAX:g}, "
+                f"got {list(self.backoff)}")
 
 
 @dataclass(frozen=True)

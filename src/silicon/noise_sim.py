@@ -32,8 +32,14 @@ spawns their four streams once, draws each stream once, and builds each label
 vector once per distinct input: the truth per priors, the reference per
 (priors, error_rate), the model's label per (priors, llm_confusion).  Each
 config then applies only its coupling overlay, moving the coupled items'
-counts in a copy of the shared table.  Results are bit-identical to one
-simulate() per config.
+counts in a copy of the shared table.  All positive couplings of one
+uncoupled draw share one banded pass: an item with coupling uniform u is
+counted once, in the band of the smallest swept coupling above u, and each
+coupling's table is the uncoupled table plus the running sum of the bands up
+to it, so a sweep costs O(n), not O(n) per point.  Negative couplings redraw
+the hit items' labels in the order of their hits, which differs from one
+coupling to the next, so each is applied on its own.  Results are
+bit-identical to one simulate() per config.
 """
 
 from __future__ import annotations
@@ -237,20 +243,39 @@ def _simulate_group(seed: int, n: int, k: int,
 
     if any(c.coupling != 0.0 for c in cfgs):
         u = streams[3].random(n)   # a negative coupling's redraw continues stream 3 from here
+    # a positive coupling c moves the items with u < c from their uncoupled
+    # cell to the one where the model copies the reference.  One pass per draw
+    # counts each item's uncoupled cell in its band, the smallest swept c above
+    # its u; the running sum of the bands up to c counts the items c moves.
+    swept: dict[tuple, set[float]] = {}
+    for cfg in cfgs:
+        if cfg.coupling > 0:
+            key = (cfg.priors, cfg.error_rate, cfg.llm_confusion)
+            swept.setdefault(key, set()).add(cfg.coupling)
+    diag = np.arange(k)
+    coupled = {}
+    for key, cs in swept.items():
+        cs = np.array(sorted(cs))
+        hit = u < cs[-1]
+        band = np.searchsorted(cs, u[hit], side="right") * size
+        moved = np.bincount(band + codes[key][hit], minlength=cs.size * size)
+        moved = moved.reshape(-1, k, k, k).cumsum(axis=0)   # [c, y, yhat, ref]
+        tables = base_counts[key].reshape(k, k, k) - moved
+        tables[:, :, diag, diag] += moved.sum(axis=2)        # now yhat = ref
+        coupled.update(((key, c), t) for c, t in zip(cs.tolist(), tables))
     out = {}
     for cfg in cfgs:
         key = (cfg.priors, cfg.error_rate, cfg.llm_confusion)
         counts = base_counts[key]
-        if cfg.coupling != 0.0:
-            # the hit items move from their uncoupled cell to their coupled one
-            old = codes[key][u < abs(cfg.coupling)]
+        if cfg.coupling > 0:
+            counts = coupled[key, cfg.coupling]
+        elif cfg.coupling < 0:
+            # the hit items redraw from the confusion row with the reference
+            # label zeroed out, each from the next uniform of stream 3
+            old = codes[key][u < -cfg.coupling]
             y_hit, ref_hit = old // (k * k), old % k
-            if cfg.coupling > 0:
-                new = ref_hit
-            else:
-                # redraw from the confusion row with the reference label zeroed out
-                new = _inverse_cdf(_redraw_rows(np.asarray(cfg.llm_confusion)),
-                                   y_hit * k + ref_hit, copy.deepcopy(streams[3]).random(old.size))
+            new = _inverse_cdf(_redraw_rows(np.asarray(cfg.llm_confusion)),
+                               y_hit * k + ref_hit, copy.deepcopy(streams[3]).random(old.size))
             counts = (counts - np.bincount(old, minlength=size)
                       + np.bincount((y_hit * k + new) * k + ref_hit, minlength=size))
         out[cfg] = _estimate(counts.reshape(k, k, k), n, cfg.error_rate)

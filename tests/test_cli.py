@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from silicon import __version__, cli
+from silicon.core import load_dataset, load_task_spec
 from silicon.gateway import REPLAY_ENV, AnnotationCache, HttpTransport
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -308,6 +309,31 @@ class TestAnnotateOverHttp:
         assert len(server.requests) == 2
         assert (tmp_path / "replay.jsonl.failures.jsonl").read_text(encoding="utf-8") == failures
 
+    def test_lone_surrogate_item_id_is_kept(self, tmp_path, monkeypatch, loopback):
+        """An item id with a lone surrogate is written to the output as its
+        JSON escape and reads back unchanged."""
+        def reply(payload):
+            body = json.dumps({"choices": [{"message": {"content": "support"}}] * payload["n"]})
+            return 200, {}, body.encode()
+
+        server = loopback(reply=reply)
+        monkeypatch.setenv("SILICON_MOCK_KEY", "sk-test")
+        endpoint = json.loads((DATA / "endpoint_focal.json").read_text(encoding="utf-8"))
+        endpoint["base_url"] = server.url
+        (tmp_path / "endpoint.json").write_text(json.dumps(endpoint), encoding="utf-8")
+        (tmp_path / "items.jsonl").write_text(
+            "".join(json.dumps({"item_id": i, "text": f"post {i!r}"}) + "\n"
+                    for i in ("x", "\ud800")), encoding="utf-8")
+        out = tmp_path / "focal.jsonl"
+        assert cli.run(["annotate", "--task", str(DATA / "task.json"),
+                        "--items", str(tmp_path / "items.jsonl"),
+                        "--endpoint", str(tmp_path / "endpoint.json"),
+                        "--prompt", str(DATA / "prompt_focal.json"),
+                        "--cache", str(tmp_path / "cache.jsonl"), "--out", str(out)]) == 0
+        assert len(server.requests) == 2
+        assert out.read_bytes().count(b'"item_id": "\\ud800"') == 5
+        assert load_dataset(out, load_task_spec(DATA / "task.json")).item_ids() == ("x", "\ud800")
+
 
 class TestFsd:
     def runs_file(self, tmp_path, extra_source=False):
@@ -332,6 +358,19 @@ class TestFsd:
         assert scores["i1"]["fsd"] == pytest.approx(1 / 3, abs=1e-6)
         assert scores["i2"]["fsd"] == 0.0
         assert scores["i1"]["top_label"] == ["red"]
+
+    def test_lone_surrogate_item_id(self, tmp_path):
+        """A JSON \\ud800 escape in an item id decodes to a lone surrogate;
+        the scores file writes it back as that escape."""
+        task = write_task(tmp_path)
+        runs = write_records(tmp_path / "runs.jsonl", [(item, "model", "m1", run, ["red"])
+                                                       for item in ("x", "\ud800")
+                                                       for run in (0, 1)])
+        out = tmp_path / "fsd.jsonl"
+        assert cli.run(["fsd", "--task", task, "--runs", runs, "--out", str(out)]) == 0
+        assert out.read_bytes().count(b'"item_id": "\\ud800"') == 1
+        scores = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert [(s["item_id"], s["fsd"]) for s in scores] == [("x", 1.0), ("\ud800", 1.0)]
 
     def test_many_sources_need_source_flag(self, tmp_path):
         task = write_task(tmp_path)

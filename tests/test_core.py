@@ -192,6 +192,19 @@ class TestDatasetIO:
         save_dataset(loaded, path2)
         assert path.read_text() == path2.read_text()
 
+    def test_lone_surrogate_item_id_round_trips(self, tmp_path):
+        """No UTF-8 holds a lone surrogate, so the file has its JSON escape."""
+        spec = make_spec()
+        src = SourceId(role=Role.MODEL, name="m1")
+        records = tuple(AnnotationRecord(item, src, LabelValue.single(0), run_index=run)
+                        for item in ("x", "\ud800") for run in (0, 1))
+        path = tmp_path / "ann.jsonl"
+        save_dataset(Dataset(spec=spec, records=records), path)
+        assert path.read_bytes().count(b'"item_id": "\\ud800"') == 2
+        loaded = load_dataset(path, spec)
+        assert loaded.records == records
+        assert loaded.item_ids() == ("x", "\ud800")
+
     def test_bytes_match_per_record_json_dumps(self, tmp_path):
         labels = ("naïve", "Übersicht", "日本")
         spec = make_spec("multilabel", labels)

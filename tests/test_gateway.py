@@ -946,6 +946,30 @@ class TestAnnotate:
                      transport=ScriptedTransport(script))
         assert time.monotonic() - start < 10  # not the 60 s Retry-After
 
+    def test_backoff_past_timeout_max_is_a_config_error(self):
+        """No thread can wait longer than threading.TIMEOUT_MAX."""
+        assert RetryPolicy(backoff=(threading.TIMEOUT_MAX,)).backoff == (threading.TIMEOUT_MAX,)
+        with pytest.raises(ValidationError, match="backoff must be numbers of seconds"):
+            RetryPolicy(backoff=(1.0, 2 * threading.TIMEOUT_MAX))
+
+    def test_retry_after_past_timeout_max_is_not_retried(self, tmp_path):
+        """Such a Retry-After fails its samples at once, as transport errors,
+        and the run goes on with the other items."""
+        sent = []
+
+        def script(messages, call_index, choice_index):
+            sent.append(messages[-1]["content"])
+            if messages[-1]["content"] == "text one":
+                raise TransportError("busy", retry_after=2 * threading.TIMEOUT_MAX)
+            return "positive"
+
+        anns = annotate(make_endpoint(retry=RetryPolicy(max_attempts=3)), make_cfg(n_samples=2),
+                        ITEMS, AnnotationCache(tmp_path / "cache.jsonl"),
+                        transport=ScriptedTransport(script))
+        assert sent.count("text one") == 1
+        assert [s.failure for s in anns[0].samples] == ["transport: busy"] * 2
+        assert anns[1].labels() == [LabelValue.single(0)] * 2
+
     def test_duplicate_item_ids_rejected(self, tmp_path):
         cache = AnnotationCache(tmp_path / "cache.jsonl")
         with pytest.raises(ValidationError):
@@ -1027,6 +1051,8 @@ class TestHttpTransport:
                      id="503-TransportError-short-retry-after"),
         pytest.param(503, {"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}, TransportError,
                      3, [0.5, 0.5], id="503-TransportError-date-retry-after"),
+        pytest.param(503, {"Retry-After": "99999999999"}, TransportError, 1, [],
+                     id="503-TransportError-retry-after-past-timeout-max"),
         pytest.param(307, {"Location": "http://127.0.0.1:1/"}, TransportError, 1, [],
                      id="307-TransportError-not-followed"),
     ])

@@ -310,6 +310,38 @@ class TestSimulateMany:
         for cfg, result in zip(cfgs, got):
             assert result == oracle_simulate(cfg), cfg
 
+    def test_dense_sweep_bit_equal_to_oracle(self):
+        # two uncoupled draws, each swept in one call over 20-odd positive
+        # couplings: duplicates, 1.0, a pair one ulp apart, couplings equal to
+        # a drawn coupling uniform and just below one, then 0 and negatives
+        base = replace(_kernel_cfg(4, 0.2, 0.0, 7), n_samples=2500, seed=5)
+        u = _streams(base.seed)[3].random(base.n_samples)
+        positive = [float(c) for c in np.linspace(0.05, 0.95, 19)]
+        positive += [0.55, float(np.nextafter(0.55, 1.0)), 1.0, 0.3,
+                     float(u[0]), float(u[1]), float(np.nextafter(u[1], 0.0))]
+        couplings = positive + [0.0, -0.3, -1.0, float(-u[0])]
+        cfgs = [replace(cfg, coupling=c)
+                for cfg in (base, replace(base, error_rate=0.35)) for c in couplings]
+        cfgs = cfgs[1::2] + cfgs[::2] + cfgs[::5]   # interleaved draws, repeated configs
+        got = simulate_many(cfgs)
+        for cfg, result in zip(cfgs, got):
+            assert result == oracle_simulate(cfg), cfg
+
+    def test_dense_sweep_peak_memory_near_one_simulate(self):
+        base = uniform_cfg(k=3, e=0.15, n=1_000_000, seed=17, diag=0.75)
+        sweep = [replace(base, coupling=float(c)) for c in np.linspace(0.0, 0.5, 51)]
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(lambda: simulate(sweep[-1]))
+        assert peak(lambda: simulate_many(sweep)) <= 1.25 * one
+
     def test_single_config_and_empty_list(self):
         cfg = uniform_cfg(coupling=-0.4, n=1000, seed=2)
         assert simulate_many([cfg]) == [simulate(cfg)] == [oracle_simulate(cfg)]

@@ -115,6 +115,17 @@ class TestKernel:
                                 == outcome(oracle_majority_vote, votes, spec, tie_rule, seed,
                                            focal))
 
+    def test_coin_flips_in_one_draw_match_scalar_draws(self):
+        """_vote draws a row's m exact-half coin flips in one integers(2, size=m)
+        call; the oracle draws them one integers(2) call at a time."""
+        sizes = [*range(1, 65), 100, 255, 256, 257, 999, 1000]
+        for seed in range(50):
+            rng = core._rng_from_seed(seed)
+            scalar = [int(rng.integers(2)) for _ in range(max(sizes))]
+            for m in sizes:
+                flips = core._rng_from_seed(seed).integers(2, size=m)
+                assert flips.tolist() == scalar[:m], (seed, m)
+
     def test_empty_and_focal_less_votes_are_errors(self):
         spec = TaskSpec(task_id="t", kind=TaskKind.MULTICLASS, label_universe=("a", "b"))
         a = LabelValue.single(0)
