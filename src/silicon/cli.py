@@ -39,6 +39,7 @@ from .core import (
     TieRule,
     ValidationError,
     _JSONL_ENCODER,
+    _decode_line,
     _json_value,
     atomic_open,
     load_dataset,
@@ -247,7 +248,7 @@ def cmd_annotate(args) -> tuple[list[str], list[str]]:
             if not line:
                 continue
             try:  # extra keys are allowed: an item is data, not config
-                obj = json.loads(line)
+                obj = _decode_line(line)
                 item_id, text = obj["item_id"], obj["text"]
                 if type(item_id) not in (str, int) or not item_id:
                     raise TypeError(f"item_id must be a non-empty string or a non-zero integer, "

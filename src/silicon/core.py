@@ -513,13 +513,15 @@ class _Columns:
 
     def fill(self, ds: Dataset) -> Dataset:
         """Give `ds` these columns; duplicate keys are rejected."""
+        n = len(self.key_rows)
         try:
-            keys = np.array(self.key_rows, dtype=np.int64).reshape(-1, 3).T.copy()
+            keys = np.fromiter(chain.from_iterable(self.key_rows), dtype=np.int64,
+                               count=3 * n).reshape(n, 3).T.copy()
         except OverflowError:
             raise ValidationError("run index does not fit in 64 bits") from None
         return ds._set_columns(self.spec, tuple(self.items), tuple(self.sources),
                                tuple(self.label_table),
-                               np.array(self.item_rows, dtype=np.int64), *keys)
+                               np.fromiter(self.item_rows, dtype=np.int64, count=n), *keys)
 
 
 def _check_duplicates(ds: Dataset) -> None:
@@ -546,9 +548,22 @@ def _check_duplicates(ds: Dataset) -> None:
 
 
 # (value, end index) of the JSON value a string starts with: on a stripped line,
-# json.loads without its BOM and whitespace checks.  json.loads reruns on a
-# failed line to word the error.
+# json.loads without its BOM and whitespace checks.
 _raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_line(line: str):
+    """json.loads(line), by the C scanner alone when the line is one JSON value
+    followed by nothing or by one newline; json.loads reruns on any other line,
+    so it accepts, rejects and words each error exactly as before."""
+    try:
+        obj, end = _raw_decode(line)
+        if end == len(line) or line[end:] == "\n":
+            return obj
+    except ValueError:
+        pass
+    return json.loads(line)
+
 
 # How every save_dataset line starts (and any record of its keys written with
 # sort_keys=True); load_dataset reads the item id of such a line on its own.
@@ -622,14 +637,9 @@ def load_dataset(path, spec: TaskSpec) -> Dataset:
                             continue
                         missed += 1
                 try:
-                    obj, end = _raw_decode(line)
-                    if end != len(line):
-                        raise ValueError("extra data")
-                except ValueError:
-                    try:  # json.loads states the fault
-                        obj = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise ValidationError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
+                    obj = _decode_line(line)
+                except json.JSONDecodeError as exc:
+                    raise ValidationError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
                 key = add(obj, path, lineno)
                 if tail is not None:
                     if len(memo) < _TAIL_MEMO_SIZE:

@@ -8,7 +8,8 @@ cache as soon as it arrives, keyed by a digest of (model, messages,
 temperature, sample index), so a run can be replayed bit-for-bit later without
 network access: with SILICON_REPLAY=1 (or replay=True) the gateway answers from
 the cache alone and a missing key is an error rather than a network call.  The
-digest of one prompt's messages is computed once and shared by its samples.
+key JSON that every prompt of one annotate call shares is hashed once, and the
+digest of one prompt's messages is shared by its samples.
 
 Requests go out through the standard library's http.client, one kept-alive
 connection per annotate worker (see HttpTransport).
@@ -43,7 +44,7 @@ except ImportError:  # no flock (Windows): appends from several processes are no
     fcntl = None
 
 from .core import LabelValue, Role, SiliconError, SourceId, TaskKind, TaskSpec, ValidationError
-from .core import _JSONL_ENCODER, Dataset, _json_object, _json_value, _read_json
+from .core import _JSONL_ENCODER, Dataset, _decode_line, _json_object, _json_value, _read_json
 
 __all__ = [
     "GatewayError",
@@ -202,7 +203,8 @@ def _template(name: str) -> str:
 
 
 def assemble_prompt(cfg: PromptConfig, item_text: str) -> list[dict[str, str]]:
-    """Deterministic chat messages for one item.
+    """Deterministic chat messages for one item; the item changes only the
+    last message's content.
 
     The guideline appears verbatim as its own block.  placement=system puts
     persona/guideline/instructions in the system message and the item alone in
@@ -233,6 +235,7 @@ def assemble_prompt(cfg: PromptConfig, item_text: str) -> list[dict[str, str]]:
 
 # Canonical key JSON: sorted keys, ASCII, no spaces; one encoder for every key.
 _KEY_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+_encode_ascii = json.encoder.encode_basestring_ascii  # how _KEY_ENCODER writes a str
 
 
 def _prompt_hash(model: str, messages: Sequence[Mapping[str, str]]):
@@ -247,6 +250,30 @@ def _prompt_hash(model: str, messages: Sequence[Mapping[str, str]]):
         "model": model,
     })
     return hashlib.sha256(head[:-1].encode("ascii") + b',"sample_index":')
+
+
+def _content_hasher(model: str, messages: Sequence[Mapping[str, str]]):
+    """content -> _prompt_hash(model, messages with `content` as the last
+    message's content).
+
+    The last message reads {"content":C,"role":..} in the key JSON, so only C
+    depends on the content.  The JSON before C is hashed once; each call
+    hashes C, escaped as _KEY_ENCODER escapes a str, and the JSON after it.
+    """
+    shown = [{"role": m["role"], "content": m["content"]} for m in messages]
+    shown[-1]["content"] = ""
+    head = _KEY_ENCODER.encode({"messages": shown, "model": model})
+    # with every '"' inside a string escaped, this text marks only the last message's content
+    cut = head.rindex('{"content":""') + len('{"content":')
+    before = hashlib.sha256(head[:cut].encode("ascii"))
+    after = head[cut + 2:-1].encode("ascii") + b',"sample_index":'
+
+    def content_hash(content: str):
+        digest = before.copy()
+        digest.update(_encode_ascii(content).encode("ascii"))
+        digest.update(after)
+        return digest
+    return content_hash
 
 
 def _key_tail(sample_index: int, temperature: float) -> bytes:
@@ -362,6 +389,7 @@ _ENTRY_KINDS = {"key": str, "model": str, "temperature": float, "sample_index": 
                 "raw_response": str, "parsed": list, "failure": str, "created": str}
 _ENTRY_DEFAULTS = {"parsed": None, "failure": None, "created": ""}
 _entry_values = operator.itemgetter(*_ENTRY_KINDS)
+_STR = {str}
 _encode_str = json.encoder.encode_basestring  # how _JSONL_ENCODER writes a str
 
 
@@ -426,6 +454,7 @@ class AnnotationCache:
         self.path = str(path)
         self._lock = threading.Lock()
         self._entries: dict[str, CacheEntry] = {}
+        self._texts: dict[str, str] = {}     # one copy of each field text _scan has read
         self._header_written = False         # the file is known to start with a header
         self.dropped_tail = b""
         self._end = 0       # file offset after the last line read or written that has a newline
@@ -442,17 +471,21 @@ class AnnotationCache:
         first occurrence of a key wins), and move _end and _lines past its
         last line that has a newline.  Returns the line after that one if it
         is a torn tail (it does not decode), else b"".
+
+        Each line is decoded once, by core._decode_line.  Equal model,
+        raw_response, failure and created texts are kept as one str, shared
+        by every entry this cache reads them in.
         """
         offset, lineno, line = self._end, self._lines, b"\n"
+        texts = self._texts
         for lineno, line in enumerate(fh, start=lineno + 1):
             start, offset = offset, offset + len(line)
             if not line.strip():
                 continue
-            terminated = line.endswith(b"\n")
             try:
-                obj = json.loads(line.decode("utf-8"))
+                obj = _decode_line(line.decode("utf-8"))
             except ValueError as exc:
-                if terminated:
+                if line.endswith(b"\n"):
                     what = "cache entry" if self._header_written else "cache header"
                     raise ValidationError(f"{self.path}:{lineno}: bad {what} ({exc})") from exc
                 self._end, self._lines = start, lineno - 1
@@ -475,13 +508,16 @@ class AnnotationCache:
                         and type(created) is str and type(temperature) in (float, int)
                         and type(index) is int and (failure is None or type(failure) is str)
                         and (parsed is None or type(parsed) is list
-                             and all(type(label) is str for label in parsed))):
+                             and {*map(type, parsed)} <= _STR)):
                     for (name, kind), value in zip(_ENTRY_KINDS.items(), values):
                         _json_value(value, kind, name, null=name in ("parsed", "failure"))
                     for label in parsed:
                         _json_value(label, str, "parsed")
-                entry = CacheEntry(key, model, float(temperature), index, raw,
-                                   None if parsed is None else tuple(parsed), failure, created)
+                entry = CacheEntry(key, texts.setdefault(model, model), float(temperature), index,
+                                   texts.setdefault(raw, raw),
+                                   None if parsed is None else tuple(parsed),
+                                   failure and texts.setdefault(failure, failure),
+                                   texts.setdefault(created, created))
             except (KeyError, TypeError, OverflowError) as exc:
                 raise ValidationError(f"{self.path}:{lineno}: bad cache entry ({exc})") from exc
             except ValidationError as exc:  # not an object, or an unknown key
@@ -769,8 +805,9 @@ def annotate(
 ) -> list[ItemAnnotation]:
     """Collect cfg.n_samples labels per (item_id, text), cache-first.
 
-    Each prompt's messages are hashed once; a sample's key extends that hash
-    with its index and temperature.  Cache misses go to the endpoint with at
+    The key JSON before the last message's content is hashed once per call,
+    and each prompt's content once; a sample's key extends that hash with its
+    index and temperature.  Cache misses go to the endpoint with at
     most max_in_flight concurrent requests, sent before the cache hits are
     parsed.  The worker that receives a response parses it and appends its
     entries, which share one timestamp, to the cache at once, so a response
@@ -793,12 +830,13 @@ def annotate(
         raise ValidationError("duplicate item_ids in annotate input")
 
     prompts = {item_id: assemble_prompt(cfg, text) for item_id, text in items}
+    content_hash = _content_hasher(endpoint.name, assemble_prompt(cfg, ""))
     tails = [_key_tail(s, cfg.temperature) for s in range(cfg.n_samples)]
     results: dict[str, list[SampleResult | None]] = {}
     hits: list[tuple[str, int, str]] = []
     missing: dict[str, list[tuple[int, str]]] = {}  # item_id -> [(sample index, key)]
     for item_id, messages in prompts.items():
-        prompt_hash = _prompt_hash(endpoint.name, messages)
+        prompt_hash = content_hash(messages[-1]["content"])
         for s, tail in enumerate(tails):
             digest = prompt_hash.copy()
             digest.update(tail)

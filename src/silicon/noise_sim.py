@@ -221,12 +221,17 @@ def _simulate_group(seed: int, n: int, k: int,
     u = streams[0].random(n)
     y = {p: _inverse_cdf(np.asarray(p)[None, :], 0, u) for p in {c.priors: None for c in cfgs}}
 
-    # reference: right w.p. 1 - e, else uniform over the K - 1 other classes
+    # reference: right w.p. 1 - e, else uniform over the K - 1 other classes;
+    # y + offset lies in [1, 2K - 2], so one subtraction of K is the modulus
     u = streams[1].random(n)
     offsets = streams[1].integers(1, k, size=n)
-    ref = {(p, e): np.where(u < e, (y[p] + offsets) % k, y[p])
+    wrong = {}
+    for p in y:
+        wrong[p] = y[p] + offsets
+        wrong[p] -= k * (wrong[p] >= k)
+    ref = {(p, e): np.where(u < e, wrong[p], y[p])
            for p, e in {(c.priors, c.error_rate): None for c in cfgs}}
-    del offsets
+    del offsets, wrong
 
     u = streams[2].random(n)
     yhat = {(p, conf): _inverse_cdf(np.asarray(conf), y[p], u)

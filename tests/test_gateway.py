@@ -15,6 +15,7 @@ import warnings
 from importlib import resources
 
 import pytest
+from cache_oracle import OracleCache
 from conftest import CERT, choices_reply
 
 import silicon.gateway as gateway
@@ -186,6 +187,26 @@ class TestCacheKey:
             key = per_sample_key("mock-a", assemble_prompt(cfg, text), temperature, s)
             entry = cache.get(key)
             assert entry is not None and entry.sample_index == s
+
+    @pytest.mark.parametrize("spec", [SPEC, MSPEC], ids=["multiclass", "multilabel"])
+    @pytest.mark.parametrize("strategy,placement", LAYOUTS)
+    def test_annotate_keys_are_cache_keys_in_every_layout(self, tmp_path, strategy, placement,
+                                                         spec):
+        """annotate hashes the key JSON before the last message's content once
+        per call; every key it writes is still cache_key's, whatever the item
+        text holds."""
+        cfg = make_cfg(task=spec, strategy=strategy, placement=placement, temperature=0.7,
+                       persona_text=PERSONA if strategy is Strategy.PERSONA else None)
+        texts = [*KEY_TEXTS, 'say "hi" \\ back\\slash', "\x00\x1f\x7f\u2028 é\n\t\r",
+                 "lone \ud800 surrogate", '{"content":""', ""]
+        items = [(f"k{i}", text) for i, text in enumerate(texts)]
+        path = tmp_path / "cache.jsonl"
+        annotate(make_endpoint(name="modèle \"β\""), cfg, items, AnnotationCache(path),
+                 transport=ScriptedTransport(lambda m, c, i: "positive"))
+        written = [json.loads(line)["key"] for line in path.read_bytes().splitlines()[1:]]
+        assert sorted(written) == sorted(
+            cache_key("modèle \"β\"", assemble_prompt(cfg, text), 0.7, s)
+            for _, text in items for s in range(cfg.n_samples))
 
     def test_shape_and_determinism(self):
         messages = assemble_prompt(make_cfg(), ITEM)
@@ -676,6 +697,122 @@ class TestAnnotationCache:
         path.write_text(self.HEADER + self.line("k1") + '{"key": "k2"}', encoding="utf-8")
         with pytest.raises(ValidationError, match=":3:"):
             AnnotationCache(path)
+
+
+def oracle_outcome(cls, path):
+    """What loading `path` with cache class `cls` gives: its error text, or
+    each entry (repr, so a NaN compares equal), the torn tail and the offsets."""
+    try:
+        cache = cls(path)
+    except ValidationError as exc:
+        return str(exc)
+    return ([repr(e) for e in cache._entries.values()], cache.dropped_tail, cache._end,
+            cache._lines, cache._header_written)
+
+
+class TestScanMatchesOracle:
+    """The cache reader decodes a line with the C scanner alone when only "\\n"
+    or nothing follows the JSON value; every other line goes through
+    json.loads.  tests/cache_oracle.py, the reader that sent every line
+    through json.loads, decides what each file loads to, or which error, with
+    which line number, it raises."""
+
+    HEADER = TestAnnotationCache.HEADER
+
+    @staticmethod
+    def line(key, raw="positive", **fields):
+        entry = {**TestAnnotationCache().entry(key=key, raw=raw).to_json(), **fields}
+        return json.dumps(entry, sort_keys=True, ensure_ascii=False) + "\n"
+
+    CASES = {
+        "crlf": lambda t: t.HEADER + t.line("k1").replace("\n", "\r\n") + t.line("k2"),
+        "crlf header": lambda t: t.HEADER.replace("\n", "\r\n") + t.line("k1"),
+        "trailing spaces": lambda t: t.HEADER + t.line("k1")[:-1] + "  \t \n" + t.line("k2"),
+        "leading spaces": lambda t: t.HEADER + "  " + t.line("k1"),
+        "vertical tab": lambda t: t.HEADER + "\x0b" + t.line("k1"),
+        "two objects on one line": lambda t: t.HEADER + t.line("k1")[:-1] + t.line("k2"),
+        "two objects on the last line":
+            lambda t: t.HEADER + t.line("k1") + t.line("k2")[:-1] + t.line("k3")[:-1],
+        "leading BOM": lambda t: "\ufeff" + t.HEADER + t.line("k1"),
+        "BOM on an entry": lambda t: t.HEADER + t.line("k1") + "\ufeff" + t.line("k2"),
+        "NaN temperature": lambda t: t.HEADER + t.line("k1").replace('"temperature": 0.0',
+                                                                      '"temperature": NaN'),
+        "infinite temperature": lambda t: t.HEADER + t.line("k1").replace(
+            '"temperature": 0.0', '"temperature": -Infinity'),
+        "surrogate escape": lambda t: t.HEADER + json.dumps(
+            {**json.loads(t.line("k1")), "raw_response": "a\ud800b"}, sort_keys=True) + "\n",
+        "blank mid-file lines": lambda t: t.HEADER + t.line("k1") + "\n \t\r\n" + t.line("k2"),
+        "non-object line": lambda t: t.HEADER + t.line("k1") + "[1, 2]\n",
+        "torn tail": lambda t: t.HEADER + t.line("k1") + t.line("k2")[:30],
+        "torn header": lambda t: t.HEADER[:12],
+        "unterminated last entry": lambda t: t.HEADER + t.line("k1") + t.line("k2")[:-1],
+        "unterminated with a carriage return":
+            lambda t: t.HEADER + t.line("k1")[:-1] + "\r",
+        "repeated key": lambda t: t.HEADER + t.line("k1", "first") + t.line("k1", "second"),
+        "unknown key": lambda t: t.HEADER + t.line("k1", model_name="m"),
+        "label of the wrong type": lambda t: t.HEADER + t.line("k1", parsed=["positive", 1]),
+        "temperature past float range": lambda t: t.HEADER + t.line("k1").replace(
+            '"temperature": 0.0', '"temperature": ' + "9" * 400),
+        "bad header": lambda t: '{"cache_format": 2, "digest": "sha256"}\n' + t.line("k1"),
+    }
+
+    def cases(self):
+        return {name: build(self).encode("utf-8")
+                for name, build in self.CASES.items()}
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_load_matches_oracle(self, tmp_path, name):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(self.cases()[name])
+        assert oracle_outcome(AnnotationCache, path) == oracle_outcome(OracleCache, path)
+
+    def test_invalid_utf8_matches_oracle(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes((self.HEADER + self.line("k1")).encode() + b'"\xff"\n')
+        assert oracle_outcome(AnnotationCache, path) == oracle_outcome(OracleCache, path)
+        assert ":3: bad cache entry ('utf-8' codec" in oracle_outcome(AnnotationCache, path)
+
+    @pytest.mark.parametrize("name", [name for name in CASES if "header" not in name
+                                      and "BOM" not in name or name == "BOM on an entry"])
+    def test_catch_up_matches_oracle(self, tmp_path, name):
+        """Lines another writer appended are read by put() through the same
+        reader, with the same line numbers."""
+        path = tmp_path / "cache.jsonl"
+        start = (self.HEADER + self.line("k0")).encode()
+        appended = self.cases()[name][len(self.HEADER):]
+        outcomes = []
+        for cls in (AnnotationCache, OracleCache):
+            path.write_bytes(start)
+            cache = cls(path)
+            with open(path, "ab") as fh:
+                fh.write(appended)
+            try:
+                cache.put(TestAnnotationCache().entry("k9"))
+            except ValidationError as exc:
+                outcomes.append(str(exc))
+                continue
+            outcomes.append(([repr(e) for e in cache._entries.values()], cache.dropped_tail,
+                             cache._end, cache._lines, path.read_bytes()))
+        assert outcomes[0] == outcomes[1]
+
+    def test_repeated_texts_are_kept_once(self, tmp_path):
+        """After a load, entries with equal field texts share one str, and
+        every get() equals the oracle's."""
+        path = tmp_path / "cache.jsonl"
+        texts = ["positive", "labels: [negative]", "mumble", "positive"]
+        entries = [CacheEntry(f"k{i}", "mock-a", 0.7, i % 5, texts[i % 4],
+                              None if i % 4 == 2 else ("positive",),
+                              "no label found" if i % 4 == 2 else None,
+                              f"2026-01-01T00:00:0{i // 5}+00:00")
+                   for i in range(20)]
+        AnnotationCache(path).put(*entries)
+        cache, oracle = AnnotationCache(path), OracleCache(path)
+        loaded = [cache.get(e.key) for e in entries]
+        for a, b in itertools.combinations(loaded, 2):
+            for field in ("model", "raw_response", "failure", "created"):
+                if getattr(a, field) == getattr(b, field):
+                    assert getattr(a, field) is getattr(b, field)
+        assert loaded == entries == [oracle.get(e.key) for e in entries]
 
 
 def scripted(mapping_default="positive"):

@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Load time and memory of a large response cache.
+
+Run from anywhere:
+
+    python3 tools/cache_probe.py --entries 200000
+
+It writes a synthetic cache of --entries entries with distinct keys to a
+temporary directory, in the line layout `annotate` writes: model `mock-llm`,
+temperature 0.7, five samples per item sharing one timestamp, and responses
+drawn from a few dozen texts (label lines, `labels: [...]` blocks and
+unparseable text), as the benchmark's warm cache holds them.  A fresh child
+process imports the package, loads the cache with `AnnotationCache`, and
+reports the load's wall time and how far it raised the process's peak RSS
+(`ru_maxrss`).  The child then decodes every line again with `json.loads` and
+checks that `get()` returns that entry for its key.  The probe exits 1 unless
+every entry matches.  The temporary directory is removed at the end.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+sys.path.insert(0, SRC)
+
+from silicon.gateway import AnnotationCache, CacheEntry, _entry_lines  # noqa: E402
+
+LABELS = ("positive", "negative", "neutral", "economy", "health", "crime")
+SAMPLES = 5
+
+
+def responses() -> list[tuple[str, tuple[str, ...] | None, str | None]]:
+    """(raw response, parsed label names, failure) for every response text used."""
+    out = [("I cannot tell what this post is about.", None, "no label found")]
+    for i, name in enumerate(LABELS):
+        out.append((name, (name,), None))
+        out.append((f"Reasoning done.\nlabels: [{name}]", (name,), None))
+        for other in LABELS[i + 1:]:
+            out.append((f"{name}, {other}", (name, other), None))
+    return out
+
+
+def write_cache(path: str, n: int) -> None:
+    texts = responses()
+    with open(path, "wb") as fh:
+        fh.write(json.dumps({"cache_format": 1, "digest": "sha256"},
+                            sort_keys=True).encode() + b"\n")
+        batch = []
+        for i in range(n):
+            raw, parsed, failure = texts[hashlib.blake2b(str(i).encode(), digest_size=2)
+                                         .digest()[0] % len(texts)]
+            created = f"2026-01-01T00:00:00.{i // SAMPLES:06d}+00:00"  # one per item
+            batch.append(CacheEntry(hashlib.sha256(str(i).encode()).hexdigest(), "mock-llm",
+                                    0.7, i % SAMPLES, raw, parsed, failure, created))
+            if len(batch) == 10_000:
+                fh.write(_entry_lines(batch))
+                batch = []
+        fh.write(_entry_lines(batch))
+
+
+def child(path: str) -> int:
+    """Load the cache at `path`, check it, and print the measurements as JSON."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    t0 = time.perf_counter()
+    cache = AnnotationCache(path)
+    load_s = time.perf_counter() - t0
+    rise_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+    mismatched = 0
+    with open(path, encoding="utf-8") as fh:
+        next(fh)  # the header
+        for lineno, line in enumerate(fh, start=2):
+            want = json.loads(line)
+            entry = cache.get(want["key"])
+            if entry is None or entry.to_json() != want:
+                mismatched += 1
+                if mismatched <= 3:
+                    print(f"line {lineno}: get() returned {entry!r}", file=sys.stderr)
+    print(json.dumps({"entries": len(cache), "load_s": load_s, "rss_rise_mb": rise_kb / 1024,
+                      "mismatched": mismatched}))
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--entries", type=int, default=200_000)
+    parser.add_argument("--child", help=argparse.SUPPRESS)  # the path the child loads
+    args = parser.parse_args(argv)
+    if args.child:
+        return child(args.child)
+    if args.entries < 1:
+        parser.error("--entries must be at least 1")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cache.jsonl")
+        write_cache(path, args.entries)
+        size = os.path.getsize(path)
+        proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", path],
+                              stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        print(f"the child process exited with {proc.returncode}", file=sys.stderr)
+        return 1
+    result = json.loads(proc.stdout)
+    print(f"{args.entries} entries, {size / 2**20:.1f} MB: load {result['load_s']:.3f} s, "
+          f"peak RSS +{result['rss_rise_mb']:.1f} MB "
+          f"({result['rss_rise_mb'] * 2**20 / args.entries:.0f} B per entry)")
+    if result["entries"] != args.entries or result["mismatched"]:
+        print(f"FAIL: loaded {result['entries']} entries; {result['mismatched']} differ from "
+              f"json.loads of their line", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
