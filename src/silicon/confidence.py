@@ -9,6 +9,7 @@ two options it reduces to |2p - 1|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -88,13 +89,13 @@ def fsd_from_probabilities(option_probs: Mapping[LabelValue, float]) -> FsdScore
 
     The mass may sum below 1 when the option list was truncated; it is scaled
     back to 1 before taking the difference.  Sums above 1 (beyond fp slack),
-    negative entries, and all-zero mass are errors.
+    negative or non-finite entries, and all-zero mass are errors.
     """
     if len(option_probs) < 2:
         raise ValidationError("need at least 2 options")
+    if not all(0.0 <= p < math.inf for p in option_probs.values()):  # nan fails too
+        raise ValidationError("option probabilities must be finite and non-negative")
     total = float(sum(option_probs.values()))
-    if any(p < 0 for p in option_probs.values()):
-        raise ValidationError("option probabilities must be non-negative")
     if total <= 0.0:
         raise ValidationError("option probabilities sum to zero")
     if total > 1.0 + 1e-6:

@@ -275,8 +275,10 @@ def fit_equivalence(
     constant no regression is possible and every model takes the binomial
     route.  tost_margin, when given, additionally runs two one-sided tests at
     5% against a +/-margin log-odds band (reported per model, not the primary
-    verdict).
+    verdict); it must be a positive finite number.
     """
+    if tost_margin is not None and not 0.0 < tost_margin < math.inf:  # nan fails too
+        raise ValidationError(f"tost_margin must be a positive finite number, not {tost_margin}")
     from scipy.special import chdtrc, ndtr, ndtri  # imported here, as in _exact_ci
 
     models = matrix.models

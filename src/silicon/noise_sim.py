@@ -76,12 +76,13 @@ class SimConfig:
         if k < 2:
             raise ValidationError("need at least 2 classes")
         pri = np.asarray(self.priors, dtype=float)
-        if pri.shape != (k,) or (pri < 0).any() or abs(pri.sum() - 1.0) > _SIMPLEX_TOL:
+        # each sum check is written so that a nan entry (a nan sum) fails it
+        if pri.shape != (k,) or (pri < 0).any() or not abs(pri.sum() - 1.0) <= _SIMPLEX_TOL:
             raise ValidationError(f"priors must be a length-{k} simplex (tolerance {_SIMPLEX_TOL})")
         conf = np.asarray(self.llm_confusion, dtype=float)
         if conf.shape != (k, k):
             raise ValidationError(f"llm_confusion must be {k}x{k}")
-        if (conf < 0).any() or (np.abs(conf.sum(axis=1) - 1.0) > _SIMPLEX_TOL).any():
+        if (conf < 0).any() or not (np.abs(conf.sum(axis=1) - 1.0) <= _SIMPLEX_TOL).all():
             raise ValidationError(f"llm_confusion rows must be stochastic (tolerance {_SIMPLEX_TOL})")
         if not 0.0 <= self.error_rate <= 1.0:
             raise ValidationError("error_rate must lie in [0, 1]")

@@ -13,17 +13,15 @@ the auxiliary cost; sweep() measures the actual trade-off.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from itertools import compress, count
-from operator import not_
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .agreement import _Codes, _indices
 from .agreement import kappa_for_kind  # unused here, but perfbench/tracing.py wraps this name
-from .core import LabelValue, TaskSpec, TieRule, ValidationError, _vote
+from .core import LabelValue, TaskSpec, TieRule, ValidationError, _vote, majority_vote
 
 __all__ = ["RoutingPlan", "RoutingResult", "SweepPoint", "route", "sweep"]
 
@@ -78,68 +76,59 @@ def route(
     categories follow the focal's choice, and an empty strict majority keeps
     it whole.  Every routed item is voted at once by core._vote, with the
     focal label as its first column.
+
+    The first item in order with a fault raises it: no fsd, an fsd outside
+    [0, 1] (a non-number raises the TypeError of comparing it), or, if routed,
+    no label from an auxiliary (in plan order) or a vote majority_vote rejects.
+    Items are checked in bulk and walked one by one only to name a fault.
     """
     missing_aux = [name for name in plan.auxiliaries if name not in aux_labels]
     if missing_aux:
         raise ValidationError(f"no labels supplied for auxiliaries: {missing_aux!r}")
     items = list(focal_labels)
-    # Each item is checked in turn: fsd present, fsd in range, then (if
-    # routed) each auxiliary's label, then its vote.  items[:stop] pass the
-    # first three checks and `fault` is the failure at items[stop]; a vote
-    # before it may still fail first.
-    stop, fault = len(items), None
-    k = _first(map(not_, map(fsd.__contains__, items)))
-    if k is not None:
-        stop, fault = k, ValidationError(f"missing fsd for item {items[k]!r}")
-    scores = list(map(fsd.__getitem__, items[:stop]))
-    values = np.array(scores)  # no dtype: comparing a string or None raises, as in Python
-    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))  # nan included
-    if len(bad):
-        k = int(bad[0])
-        stop, fault = k, ValidationError(f"fsd out of range for item {items[k]!r}: {scores[k]}")
-    at = np.flatnonzero(values[:stop] < plan.tau).tolist()
-    routed = list(map(items.__getitem__, at))
-    for name in plan.auxiliaries:
-        k = _first(map(not_, map(aux_labels[name].__contains__, routed)))
-        if k is not None and at[k] < stop:
-            stop, fault = at[k], ValidationError(
-                f"auxiliary {name!r} lacks a label for item {routed[k]!r}")
-    del routed[bisect_left(at, stop):]
-    # the routed votes as one code matrix over their distinct labels; a row
-    # holding a label the task rejects faults, after the votes of the rows
-    # before it, which are voted over the labels those rows hold
-    columns = [list(map(labels.__getitem__, routed))
-               for labels in (focal_labels, *(aux_labels[n] for n in plan.auxiliaries))]
-    first: dict = {}  # label indices -> label, in first-seen order; the tuples hash in C
-    for col in columns:
-        first.update(zip(map(_indices, col), col))
-    code = dict(zip(first, count()))
-    codes = np.array([list(map(code.__getitem__, map(_indices, col))) for col in columns],
-                     dtype=np.intp).T
-    table, rejected = list(first.values()), {}
-    for c, label in enumerate(table):
-        try:
+    try:
+        if not all(map(fsd.__contains__, items)):  # by `in`: a key a defaultdict lacks is missing
+            raise KeyError
+        values = np.array(list(map(fsd.__getitem__, items)))  # no dtype: a non-number fails
+        if not ((values >= 0.0) & (values <= 1.0)).all():  # nan included
+            raise ValueError
+        routed = list(compress(items, (values < plan.tau).tolist()))
+        columns = [list(map(focal_labels.__getitem__, routed))]
+        for labels in map(aux_labels.__getitem__, plan.auxiliaries):
+            if not all(map(labels.__contains__, routed)):
+                raise KeyError
+            columns.append(list(map(labels.__getitem__, routed)))
+        # the routed votes as one code matrix over their distinct labels
+        first: dict = {}  # label indices -> label, in first-seen order; the tuples hash in C
+        for col in columns:
+            first.update(zip(map(_indices, col), col))
+        table = list(first.values())
+        for label in table:
             spec.validate_label(label)
-        except ValidationError as exc:
-            rejected[c] = exc
-    if rejected:
-        bad = np.isin(codes, list(rejected))
-        r = _first(bad.any(axis=1).tolist())
-        fault = rejected[int(codes[r, np.argmax(bad[r])])]
-        del routed[r:]
-        used, inverse = np.unique(codes[:r], return_inverse=True)
-        table, codes = [table[c] for c in used.tolist()], inverse.reshape(r, codes.shape[1])
-    voted = _vote(codes, table, spec, plan.tie_rule, seed, focal=codes[:, 0])
-    if fault is not None:
-        raise fault
-    final = dict(focal_labels)
-    final.update(zip(routed, voted))
-    return RoutingResult(final=final, routed=frozenset(routed), tau=plan.tau)
-
-
-def _first(flags) -> int | None:
-    """Position of the first true flag, or None."""
-    return next(compress(count(), flags), None)
+        code = dict(zip(first, count()))
+        codes = np.array([list(map(code.__getitem__, map(_indices, col))) for col in columns],
+                         dtype=np.intp).T
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        error = exc
+    else:  # _vote raises the error of the first row it cannot settle
+        voted = _vote(codes, table, spec, plan.tie_rule, seed, focal=codes[:, 0])
+        final = dict(focal_labels)
+        final.update(zip(routed, voted))
+        return RoutingResult(final=final, routed=frozenset(routed), tau=plan.tau)
+    for item, label in focal_labels.items():  # a check failed: raise the first item's fault
+        if item not in fsd:
+            raise ValidationError(f"missing fsd for item {item!r}")
+        score = fsd[item]
+        if not 0.0 <= score <= 1.0:
+            raise ValidationError(f"fsd out of range for item {item!r}: {score}")
+        if score < plan.tau:
+            votes = [label]
+            for name in plan.auxiliaries:
+                if item not in aux_labels[name]:
+                    raise ValidationError(f"auxiliary {name!r} lacks a label for item {item!r}")
+                votes.append(aux_labels[name][item])
+            majority_vote(votes, spec, plan.tie_rule, seed, focal=label)
+    raise error
 
 
 def sweep(

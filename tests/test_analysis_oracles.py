@@ -11,7 +11,7 @@ all agree on seeded random inputs.
 """
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -292,8 +292,8 @@ TIE_RULES = pytest.mark.parametrize("tie_rule", list(TieRule), ids=[r.value for 
 
 def routing_case(rng, spec, faults):
     """Focal labels, fsd and two or three auxiliaries over int or str ids; with
-    `faults`, some fsd values are missing or out of range, some auxiliary
-    labels missing and some labels outside the task."""
+    `faults`, some fsd values are missing, out of range or not numbers, some
+    auxiliary labels missing and some labels outside the task."""
     ids = random_ids(rng, int(rng.integers(2, 40)), bool(rng.integers(2)))
     pool = label_pool(rng, spec) + [random_label(rng, spec)]
     focal = {i: random_label(rng, spec, pool) for i in ids}
@@ -303,15 +303,17 @@ def routing_case(rng, spec, faults):
     if faults:
         for _ in range(int(rng.integers(1, 3))):
             item = ids[int(rng.integers(len(ids)))]
-            kind = int(rng.integers(4))
+            kind = int(rng.integers(5))
             if kind == 0:
                 fsd.pop(item, None)
             elif kind == 1:
                 fsd[item] = [1.5, -0.1, float("nan")][int(rng.integers(3))]
             elif kind == 2:
                 aux[names[int(rng.integers(len(names)))]].pop(item, None)
-            else:
+            elif kind == 3:
                 aux[names[int(rng.integers(len(names)))]][item] = LabelValue.single(9)
+            else:
+                fsd[item] = ["0.5", None][int(rng.integers(2))]
     return focal, fsd, names, aux
 
 
@@ -354,6 +356,23 @@ class TestRoute:
         for fn in (route, oracle_route):
             with pytest.raises(TypeError):
                 fn(*args)
+
+    def test_defaultdict_keys_read_as_missing(self):
+        a = LabelValue.single(0)
+        focal = {"i": a, "j": a, "k": a}
+        plan = RoutingPlan(focal="f", auxiliaries=("x",), tau=1.0)
+        cases = [
+            (defaultdict(float, {"i": 0.5, "k": 0.5}), {"x": dict.fromkeys(focal, a)},
+             "missing fsd for item 'j'"),
+            (dict.fromkeys(focal, 0.5), {"x": defaultdict(lambda: a, {"i": a, "k": a})},
+             "auxiliary 'x' lacks a label for item 'j'"),
+        ]
+        for fsd, aux, message in cases:
+            sizes = (len(fsd), len(aux["x"]))
+            got = outcome(route, plan, focal, fsd, aux, SPEC)
+            assert got == outcome(oracle_route, plan, focal, fsd, aux, SPEC)
+            assert got == ("error", ValidationError, message)
+            assert (len(fsd), len(aux["x"])) == sizes
 
     def test_missing_auxiliary_map_matches_the_oracle(self):
         plan = RoutingPlan(focal="f", auxiliaries=("x", "w"), tau=1.0)

@@ -545,6 +545,18 @@ class TestEquivalence:
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert all(c["tost_equivalent"] is not None for c in report["comparisons"])
 
+    @pytest.mark.parametrize("margin", ["0", "-1", "nan", "inf"])
+    def test_bad_tost_margin_is_bad_input(self, tmp_path, capsys, margin):
+        task, paths, reference = self.inputs(tmp_path)
+        out = tmp_path / "eq"
+        argv = ["equivalence", "--task", task, "--reference", reference,
+                f"--tost-margin={margin}", "--out", str(out)]
+        for p in paths:
+            argv += ["--models", p]
+        assert cli.run(argv) == 1
+        assert "tost_margin must be a positive finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_needs_two_models(self, tmp_path):
         task, paths, reference = self.inputs(tmp_path)
         assert cli.run(["equivalence", "--task", task, "--models", paths[0],
@@ -643,6 +655,18 @@ class TestSimulate:
         assert cli.run(["simulate", "--config", self.config(tmp_path, couplng=0.5),
                         "--out", str(out)]) == 1
         assert "couplng" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"priors": [float("nan"), 0.5, 0.5]}, "priors must be a length-3 simplex"),
+        ({"llm_confusion": [[0.8, 0.1, 0.1], [0.1, float("nan"), 0.9], [0.1, 0.1, 0.8]]},
+         "llm_confusion rows must be stochastic"),
+    ], ids=["prior", "confusion"])
+    def test_nan_in_config_is_bad_input(self, tmp_path, capsys, kw, message):
+        out = tmp_path / "sim"
+        assert cli.run(["simulate", "--config", self.config(tmp_path, **kw),
+                        "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_override(self, tmp_path):

@@ -89,3 +89,9 @@ class TestProbabilityRoute:
             fsd_from_probabilities({S(0): -0.1, S(1): 0.5})
         with pytest.raises(ValidationError):
             fsd_from_probabilities({S(0): 0.0, S(1): 0.0})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_probability_is_rejected(self, bad):
+        for probs in ({S(0): bad, S(1): 0.2}, {S(0): 0.2, S(1): bad}):
+            with pytest.raises(ValidationError, match="finite and non-negative"):
+                fsd_from_probabilities(probs)

@@ -233,6 +233,11 @@ class TestVerdicts:
         rep_off = fit_equivalence(fixture_matrix())
         assert all(c.tost_equivalent is None for c in rep_off.comparisons)
 
+    @pytest.mark.parametrize("margin", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tost_margin_must_be_positive_and_finite(self, margin):
+        with pytest.raises(ValidationError, match="tost_margin must be a positive finite number"):
+            fit_equivalence(fixture_matrix(), tost_margin=margin)
+
 
 class TestSeparation:
     def test_perfect_model_takes_binomial_route(self):

@@ -43,6 +43,15 @@ class TestValidation:
             SimConfig(n_classes=2, priors=(0.5, 0.5), error_rate=0.1,
                       llm_confusion=((0.9, 0.2), (0, 1)))
 
+    def test_nan_prior_or_confusion_entry_is_rejected(self):
+        nan = float("nan")
+        with pytest.raises(ValidationError, match="simplex"):
+            SimConfig(n_classes=3, priors=(nan, 0.5, 0.5), error_rate=0.1,
+                      llm_confusion=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        with pytest.raises(ValidationError, match="stochastic"):
+            SimConfig(n_classes=3, priors=(0.5, 0.25, 0.25), error_rate=0.1,
+                      llm_confusion=((1, 0, 0), (0, nan, 1), (0, 0, 1)))
+
     def test_simplex_tolerance_accepts_tiny_drift(self):
         third = 1.0 / 3.0
         SimConfig(n_classes=3, priors=(third, third, third), error_rate=0.0,
