@@ -4,15 +4,18 @@ replayable response cache.
 Prompts combine three strategies (base, persona, chain-of-thought) with two
 guideline placements (system or user message); the guideline text is inserted
 verbatim, never rewritten.  Every raw model response is appended to a JSONL
-cache as soon as it arrives, keyed by a digest of (model, messages,
-temperature, sample index), so a run can be replayed bit-for-bit later without
-network access: with SILICON_REPLAY=1 (or replay=True) the gateway answers from
-the cache alone and a missing key is an error rather than a network call.  The
-key JSON that every prompt of one annotate call shares is hashed once, and the
-digest of one prompt's messages is shared by its samples.
+cache as soon as it arrives (responses that arrive together share one append,
+with one open of the file per group of concurrent puts), keyed by a digest of
+(model, messages, temperature, sample index), so a run can be replayed
+bit-for-bit later without network access: with SILICON_REPLAY=1 (or
+replay=True) the gateway answers from the cache alone and a missing key is an
+error rather than a network call.  The key JSON that every prompt of one
+annotate call shares is hashed once, and the digest of one prompt's messages
+is shared by its samples.
 
-Requests go out through the standard library's http.client, one kept-alive
-connection per annotate worker (see HttpTransport).
+annotate runs one worker thread per in-flight slot.  Requests go out through
+the standard library's http.client, one kept-alive connection per worker (see
+HttpTransport).
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import selectors
 import ssl
 import threading
 import urllib.request
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -426,6 +428,17 @@ def _entry_lines(entries) -> bytes:
 _O_BINARY = getattr(os, "O_BINARY", 0)  # Windows: no newline translation
 
 
+class _Group:
+    """The entries of the puts that one append writes, and how it ended."""
+
+    __slots__ = ("entries", "done", "error")
+
+    def __init__(self):
+        self.entries: list[CacheEntry] = []
+        self.done = False
+        self.error: BaseException | None = None
+
+
 class AnnotationCache:
     """Append-only JSONL response cache.
 
@@ -433,15 +446,18 @@ class AnnotationCache:
     line is one CacheEntry.  Existing entries are never rewritten, and a key
     is written once (a file that holds one twice keeps the first occurrence).
 
-    put() appends under one lock per cache and, across processes, an
+    put() returns once its entries are in the file.  Concurrent puts on one
+    cache are group-committed: one append at a time writes the entries of
+    every put queued when it took the file, so there is one open of the file
+    per group of concurrent puts.  An append holds, across processes, an
     exclusive flock on the file (where the platform has one), with one raw
     open, fstat, write and close.  Under the flock it compares the file's
     size with where this cache's own last load or append ended.  Unless they
-    match, another writer has been at the file since: put reads the bytes
-    after that point and checks each line as loading does.  It adds the
-    entries found there, so get() serves them, and writes only the entries
-    whose keys are still new.  It writes a header if the file has none, and
-    a newline first if the file does not end with one.
+    match, another writer has been at the file since: the append reads the
+    bytes after that point and checks each line as loading does.  It adds
+    the entries found there, so get() serves them, and writes only the
+    entries whose keys are still new.  It writes a header if the file has
+    none, and a newline first if the file does not end with one.
 
     A final line that has no newline and does not decode is what a kill
     mid-append leaves behind.  Loading skips it and keeps it in
@@ -452,7 +468,9 @@ class AnnotationCache:
 
     def __init__(self, path):
         self.path = str(path)
-        self._lock = threading.Lock()
+        self._cond = threading.Condition(threading.Lock())
+        self._group = _Group()               # entries of the puts waiting for the next append
+        self._appending = False              # a put is appending a group now
         self._entries: dict[str, CacheEntry] = {}
         self._texts: dict[str, str] = {}     # one copy of each field text _scan has read
         self._header_written = False         # the file is known to start with a header
@@ -550,40 +568,69 @@ class AnnotationCache:
         return self._entries.get(key)
 
     def put(self, *entries: CacheEntry) -> None:
-        """Append the entries whose keys are new, with one open of the file."""
-        with self._lock:
+        """Append the entries whose keys are new, and return once they are in
+        the file, with one open of the file per group of concurrent puts.
+
+        A put that finds an append under way queues its entries and waits.
+        The first of them to wake appends everything queued by the time it
+        holds the file, and then wakes the puts it wrote for.  Each put
+        returns only after the append that held its entries, or raises the
+        error that stopped it.
+        """
+        with self._cond:
+            group = self._group
+            group.entries += entries
+            while self._appending and not group.done:
+                self._cond.wait()
+            if group.done:
+                if group.error is not None:
+                    raise group.error
+                return
+            self._appending = True
+        try:
+            self._append(group)
+        except BaseException as exc:
+            group.error = exc
+            raise
+        finally:
+            with self._cond:
+                if self._group is group:  # the append failed before it took the group
+                    self._group = _Group()
+                group.done, self._appending = True, False
+                self._cond.notify_all()
+
+    def _append(self, group: _Group) -> None:
+        """Write the new keys of `group` under an exclusive flock, with one
+        open, fstat, write and close.  The group is taken once the file is
+        held, so the puts made while it was being opened join it."""
+        fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND | _O_BINARY, 0o666)
+        try:
+            if fcntl is not None:
+                fcntl.flock(fd, fcntl.LOCK_EX)  # released when the file closes
+            size = os.fstat(fd).st_size
+            if size != self._end:
+                size = self._catch_up(fd, size)
+            with self._cond:
+                self._group = _Group()  # later puts wait for the next append
             new = {}
-            for entry in entries:
+            for entry in group.entries:
                 if entry.key not in self._entries:
                     new.setdefault(entry.key, entry)
             if not new:
                 return
-            data = _entry_lines(new.values())
-            fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND | _O_BINARY, 0o666)
-            try:
-                if fcntl is not None:
-                    fcntl.flock(fd, fcntl.LOCK_EX)  # released when the file closes
-                size = os.fstat(fd).st_size
-                if size != self._end:
-                    size = self._catch_up(fd, size)
-                    kept = {key: e for key, e in new.items() if key not in self._entries}
-                    if len(kept) < len(new):  # another writer has written some of them
-                        if not kept:
-                            return
-                        new, data = kept, _entry_lines(kept.values())
-                head = b"\n" if size != self._end else b""  # ends in a line that decodes
-                if not self._header_written:
-                    head += _HEADER.encode() + b"\n"
-                data = head + data
-                written = 0
-                while written < len(data):
-                    written += os.write(fd, data[written:])
-            finally:
-                os.close(fd)
-            self._end = size + len(data)
-            self._lines += data.count(b"\n")
-            self._header_written = True
-            self._entries.update(new)
+            head = b"\n" if size != self._end else b""  # ends in a line that decodes
+            if not self._header_written:
+                head += _HEADER.encode() + b"\n"
+            data = head + _entry_lines(new.values())
+            written = 0
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            os.close(fd)
+        self._end = size + len(data)
+        self._lines += data.count(b"\n")
+        self._header_written = True
+        self._entries.update(new)
 
 
 class HttpTransport:
@@ -719,17 +766,22 @@ def _seconds(value: str | None) -> float | None:
 class ScriptedTransport:
     """Offline stand-in for HttpTransport; also the fault-injection hook in tests.
 
-    script(messages, call_index, choice_index) -> response text.
+    script(messages, call_index, choice_index) -> response text.  calls counts
+    the posts made so far, those whose script raised included.  Each post
+    takes the next call index once, so all its choices see the same one and
+    no two posts share one, whichever threads post.
     """
 
     def __init__(self, script: Callable[[list, int, int], str]):
         self.script = script
         self.calls = 0
+        self._lock = threading.Lock()
 
     def post(self, payload: dict) -> dict:
+        with self._lock:
+            call, self.calls = self.calls, self.calls + 1
         n = int(payload.get("n", 1))
-        contents = [self.script(payload["messages"], self.calls, i) for i in range(n)]
-        self.calls += 1
+        contents = [self.script(payload["messages"], call, i) for i in range(n)]
         return {"choices": [{"message": {"content": c}} for c in contents]}
 
 
@@ -807,21 +859,24 @@ def annotate(
 
     The key JSON before the last message's content is hashed once per call,
     and each prompt's content once; a sample's key extends that hash with its
-    index and temperature.  Cache misses go to the endpoint with at
-    most max_in_flight concurrent requests, sent before the cache hits are
-    parsed.  The worker that receives a response parses it and appends its
-    entries, which share one timestamp, to the cache at once, so a response
-    that arrived is kept whatever happens to the rest of the run.  The calling
-    thread waits once, until every fetch has ended or one has raised, and
-    reads the results in submission order.  Each distinct response text is
-    parsed once per call.  In replay mode (replay=True or SILICON_REPLAY=1) a
-    miss raises ReplayCacheMiss and no transport is ever constructed.  A request
-    whose transport failure survives the retry policy marks its samples (and
-    any later ones of its item) as failures and the run continues.  An
-    authentication error or an interrupt aborts: queued requests are dropped,
-    a backoff wait ends, no request starts after the abort, and the ones in
-    flight are waited for and cached before the error is raised.  The
-    connections of an HttpTransport are closed before annotate returns.
+    index and temperature.  Cache misses go to the endpoint from
+    min(max_in_flight, items with a miss) worker threads, started before the
+    cache hits are parsed.  Each worker takes the next such item, in item
+    order, from one shared iterator until none is left.  The worker that
+    receives a response parses it and puts its entries, which share one
+    timestamp, in the cache, and takes its next item only once they are in
+    the file; so at most max_in_flight received responses are unwritten at
+    any time, and a response that arrived is kept whatever happens to the
+    rest of the run.  Each distinct response text is parsed once per call,
+    and results come back in item order.  In replay mode (replay=True or
+    SILICON_REPLAY=1) a miss raises ReplayCacheMiss and no transport is ever
+    constructed.  A request whose transport failure survives the retry policy
+    marks its samples (and any later ones of its item) as failures and the
+    run continues.  An authentication error or an interrupt aborts: the
+    items not yet taken are dropped, a backoff wait ends, no request starts
+    after the abort, and the ones in flight are waited for and cached before
+    the error is raised.  The connections of an HttpTransport are closed
+    before annotate returns.
     """
     if replay is None:
         replay = os.environ.get(REPLAY_ENV, "") == "1"
@@ -871,9 +926,10 @@ def annotate(
 
     abort = threading.Event()
 
-    def fetch(item_id: str, wanted: list[tuple[int, str]]):
+    def fetch(item_id: str, wanted: list[tuple[int, str]]) -> None:
+        samples = results[item_id]
         batches = [wanted] if endpoint.supports_n else [[w] for w in wanted]
-        fetched: list[SampleResult] = []
+        done = 0
         for batch in batches:
             payload = {
                 "model": endpoint.name,
@@ -885,17 +941,12 @@ def annotate(
                 resp = _call_with_retries(transport, payload, endpoint.retry, abort)
                 texts = _choice_texts(resp, len(batch))
             except _Aborted:
-                break  # annotate is raising already; these results are never read
+                return  # annotate is raising already; these results are never read
             except TransportError as exc:
-                fetched += [
-                    SampleResult(sample_index=s, raw="", label=None,
-                                 failure=f"transport: {exc}", from_cache=False)
-                    for s, _ in wanted[len(fetched):]
-                ]
-                break
-            except BaseException:  # AuthError, or anything else that ends the run
-                abort.set()
-                raise
+                for s, _ in wanted[done:]:
+                    samples[s] = SampleResult(sample_index=s, raw="", label=None,
+                                              failure=f"transport: {exc}", from_cache=False)
+                return
             entries, now = [], _now()
             for (s, key), text in zip(batch, texts):
                 label, failure, names = outcome(text)
@@ -909,35 +960,50 @@ def annotate(
                     failure=failure,
                     created=now,
                 ))
-                fetched.append(SampleResult(
+                samples[s] = SampleResult(
                     sample_index=s, raw=text, label=label, failure=failure, from_cache=False,
-                ))
+                )
             cache.put(*entries)
-        return item_id, fetched
+            done += len(batch)
 
-    pool, futures = None, []
+    todo = iter(missing.items())  # shared by the workers; a dict iterator's next is atomic
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        """Fetch the next item with a miss until none is left or the run aborts."""
+        try:
+            for item_id, wanted in todo:
+                if abort.is_set():
+                    return
+                fetch(item_id, wanted)
+        except BaseException as exc:  # AuthError, or anything else that ends the run
+            abort.set()
+            errors.append(exc)
+
+    workers: list[threading.Thread] = []
     try:
         if missing:
             if transport is None:
                 transport = HttpTransport(endpoint)
-            pool = ThreadPoolExecutor(max_workers=endpoint.max_in_flight)
-            futures = [pool.submit(fetch, item_id, missing[item_id]) for item_id in missing]
+            for _ in range(min(endpoint.max_in_flight, len(missing))):
+                worker = threading.Thread(target=work)
+                worker.start()
+                workers.append(worker)
         for item_id, s, raw in hits:
             label, failure, _ = outcome(raw)
             results[item_id][s] = SampleResult(
                 sample_index=s, raw=raw, label=label, failure=failure, from_cache=True,
             )
-        wait(futures, return_when=FIRST_EXCEPTION)
-        for future in futures:  # in submission order; a failed fetch raises its error here
-            item_id, fetched = future.result()
-            for sample in fetched:
-                results[item_id][sample.sample_index] = sample
+        for worker in workers:
+            worker.join()
+        if errors:
+            raise errors[0]
     except BaseException:
         abort.set()
         raise
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        for worker in workers:  # the requests in flight end, and their responses are cached
+            worker.join()
         if isinstance(transport, HttpTransport):
             transport.close()
 

@@ -1,4 +1,5 @@
 import base64
+import errno
 import gc
 import hashlib
 import itertools
@@ -624,6 +625,102 @@ class TestAnnotationCache:
             cache.put(self.entry("last"))  # reads what the others wrote after its last put
             assert all(cache.get(k) == reloaded.get(k) for k in keys)
 
+    def test_concurrent_puts_write_each_key_once(self, tmp_path):
+        """Eight threads on one cache, switching as often as the interpreter
+        allows, each make 50 puts whose keys overlap other threads': every
+        key is written once, every line decodes, and a fresh load holds
+        len(cache) entries."""
+        path = tmp_path / "cache.jsonl"
+        cache = AnnotationCache(path)
+
+        def fill(w):
+            for k in range(50):
+                cache.put(*(self.entry(f"k{7 * w + k + j:03d}", raw=f"from {w}")
+                            for j in range(2)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill, args=(w,)) for w in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == self.HEADER.strip()
+        keys = [json.loads(line)["key"] for line in lines[1:]]
+        assert sorted(keys) == [f"k{k:03d}" for k in range(100)] and len(cache) == 100
+        reloaded = AnnotationCache(path)
+        assert len(reloaded) == len(cache) and all(reloaded.get(k) == cache.get(k) for k in keys)
+
+    def test_a_failed_grouped_append_fails_every_put_it_held(self, tmp_path, monkeypatch):
+        """Three puts queue behind an append under way, and the append that
+        writes their entries fails: each of them raises that OSError, and
+        none of their keys reads as written."""
+        path = tmp_path / "cache.jsonl"
+        cache = AnnotationCache(path)
+        write, writes = os.write, []
+
+        def full_disk(fd, data):
+            writes.append(data)
+            if len(writes) > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            deadline = time.monotonic() + 10
+            while len(cache._group.entries) < 3:  # the three puts are queued
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            return write(fd, data)
+
+        monkeypatch.setattr(os, "write", full_disk)
+        outcomes = {}
+
+        def put(key):
+            try:
+                cache.put(self.entry(key))
+                outcomes[key] = None
+            except OSError as exc:
+                outcomes[key] = exc
+
+        first = threading.Thread(target=put, args=("k0",))
+        first.start()
+        deadline = time.monotonic() + 10
+        while not writes:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        queued = [threading.Thread(target=put, args=(f"k{i}",)) for i in (1, 2, 3)]
+        for t in queued:
+            t.start()
+        for t in [first, *queued]:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in [first, *queued])
+        monkeypatch.undo()
+        assert len(writes) == 2 and writes[1].count(b"\n") == 3  # one append for the three
+        assert outcomes["k0"] is None
+        for key in ("k1", "k2", "k3"):
+            assert isinstance(outcomes[key], OSError) and outcomes[key].errno == errno.ENOSPC
+            assert cache.get(key) is None
+        assert path.read_text(encoding="utf-8") == self.HEADER + self.line("k0")
+        cache.put(self.entry("k2"))
+        assert set(AnnotationCache(path)._entries) == {"k0", "k2"}
+
+    def test_a_lone_put_opens_the_file_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        cache = AnnotationCache(path)
+        real_open, opened = os.open, []
+
+        def counted(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", counted)
+        cache.put(self.entry("k1"), self.entry("k2"))
+        assert opened == [str(path)]
+        cache.put(self.entry("k3"))
+        assert opened == [str(path)] * 2
+
     def test_a_tail_torn_by_another_writer_is_cut(self, tmp_path):
         """A writer killed mid-append after this cache loaded: put cuts the
         torn bytes instead of closing them with a newline into a bad line."""
@@ -1106,6 +1203,78 @@ class TestAnnotate:
         assert sent.count("text one") == 1
         assert [s.failure for s in anns[0].samples] == ["transport: busy"] * 2
         assert anns[1].labels() == [LabelValue.single(0)] * 2
+
+    def test_each_post_takes_one_call_index(self, tmp_path):
+        """Two workers post at once: every choice of a post sees that post's
+        call index, no two posts share one, and calls counts the posts."""
+        seen, lock = {}, threading.Lock()
+
+        def script(messages, call_index, choice_index):
+            time.sleep(0.0005)
+            with lock:
+                seen.setdefault(messages[-1]["content"], []).append(call_index)
+            return "positive"
+
+        items = [(f"i{k:03d}", f"text {k:03d}") for k in range(300)]
+        transport = ScriptedTransport(script)
+        annotate(make_endpoint(max_in_flight=2), make_cfg(n_samples=3), items,
+                 AnnotationCache(tmp_path / "cache.jsonl"), transport=transport)
+        assert transport.calls == 300
+        assert [len(set(calls)) for calls in seen.values()] == [1] * 300
+        assert sorted(calls[0] for calls in seen.values()) == list(range(300))
+
+    @pytest.mark.parametrize("max_in_flight", [1, 2, 4])
+    def test_a_workers_response_is_in_the_file_before_its_next_post(self, tmp_path,
+                                                                      max_in_flight):
+        """At most max_in_flight received responses are unwritten: when a
+        worker posts, the file already holds the response it received last."""
+        path = tmp_path / "cache.jsonl"
+        cfg = make_cfg(n_samples=2)
+        last, unwritten = {}, []
+
+        def script(messages, call_index, choice_index):
+            if choice_index == 0:
+                me = threading.get_ident()
+                if me in last:
+                    on_disk = AnnotationCache(path)
+                    unwritten.extend(key for key in last[me] if on_disk.get(key) is None)
+                last[me] = [cache_key("mock-a", messages, cfg.temperature, s)
+                            for s in range(cfg.n_samples)]
+            time.sleep(0.001)
+            return "positive"
+
+        items = [(f"i{k:02d}", f"text {k:02d}") for k in range(24)]
+        annotate(make_endpoint(max_in_flight=max_in_flight), cfg, items, AnnotationCache(path),
+                 transport=ScriptedTransport(script))
+        assert len(last) <= max_in_flight and unwritten == []
+        assert len(AnnotationCache(path)) == 48
+
+    @pytest.mark.parametrize("max_in_flight, n_items, n_cached", [
+        (1, 5, 0), (2, 5, 0), (4, 3, 0), (4, 5, 3), (4, 5, 5)])
+    def test_at_most_one_worker_per_item_with_a_miss(self, tmp_path, monkeypatch,
+                                                     max_in_flight, n_items, n_cached):
+        """annotate starts min(max_in_flight, items with a miss) threads at
+        most, and none when every sample is a cache hit."""
+        items = [(f"i{k}", f"text {k}") for k in range(n_items)]
+        path = tmp_path / "cache.jsonl"
+        transport = ScriptedTransport(lambda m, c, i: "positive")
+        annotate(make_endpoint(), make_cfg(), items[:n_cached], AnnotationCache(path),
+                 transport=transport)
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        anns = annotate(make_endpoint(max_in_flight=max_in_flight), make_cfg(), items,
+                        AnnotationCache(path), transport=transport)
+        missing = n_items - n_cached
+        assert (len(started) <= min(max_in_flight, missing)
+                and bool(started) == bool(missing))
+        assert [a.item_id for a in anns] == [item_id for item_id, _ in items]
+        assert all(a.labels() == [LabelValue.single(0)] * 3 for a in anns)
 
     def test_duplicate_item_ids_rejected(self, tmp_path):
         cache = AnnotationCache(tmp_path / "cache.jsonl")

@@ -9,15 +9,19 @@ Each run annotates --items items, 5 samples each, through a
 `ScriptedTransport` whose reply is a deterministic function of the item text
 and the choice index, into a cache file that does not exist yet, so every
 sample is fetched, parsed and appended.  It prints the median wall time (and
-the range) over 5 runs with one worker and with two, alternated.  The default
-size is the benchmark set-up's warm-cache fill (1,800 items x 5 samples); the
-set-up itself is not traced, so this stands in for a trace of it.  Caches go
-to a temporary directory that is removed at the end; nothing is written under
+the range) over 5 runs each with one, two and four workers, alternated.  The
+default size is the benchmark set-up's warm-cache fill (1,800 items x 5
+samples, two workers); the set-up itself is not traced, so this stands in for
+a trace of it.  After every fill the probe reloads the cache and checks that
+it holds one line per (item, sample), each with the scripted reply; it exits
+1 if one does not.  Timings are printed, never checked.  Caches go to a
+temporary directory that is removed at the end; nothing is written under
 `perfbench/`.
 """
 
 import argparse
 import hashlib
+import json
 import os
 import statistics
 import sys
@@ -28,11 +32,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.p
 
 from silicon.core import TaskKind, TaskSpec  # noqa: E402
 from silicon.gateway import (AnnotationCache, ModelEndpoint, PromptConfig,  # noqa: E402
-                             RetryPolicy, ScriptedTransport, annotate)
+                             RetryPolicy, ScriptedTransport, annotate, assemble_prompt,
+                             cache_key)
 
 LABELS = ("budget", "transport", "schools", "health", "housing", "policing")
 SAMPLES = 5
 REPEATS = 5
+MODEL = "probe-llm"
 SPEC = TaskSpec(task_id="fill-probe", kind=TaskKind.MULTICLASS, label_universe=LABELS)
 WORDS = ("the", "council", "budget", "plan", "school", "clinic", "river", "tax",
          "bus", "park", "police", "museum", "jobs", "vote", "levy", "housing")
@@ -53,13 +59,35 @@ def items(n: int) -> list[tuple[str, str]]:
 
 
 def fill(path: str, batch: list, cfg: PromptConfig, workers: int) -> float:
-    endpoint = ModelEndpoint(name="probe-llm", base_url="http://127.0.0.1:1",
+    endpoint = ModelEndpoint(name=MODEL, base_url="http://127.0.0.1:1",
                              api_key_env="FILL_PROBE_KEY", max_in_flight=workers,
                              retry=RetryPolicy(max_attempts=1, backoff=()))
     t0 = time.perf_counter()
     annotate(endpoint, cfg, batch, AnnotationCache(path), transport=ScriptedTransport(reply),
              replay=False)
     return time.perf_counter() - t0
+
+
+def check(path: str, batch: list, cfg: PromptConfig) -> list[str]:
+    """What is wrong with the cache a fill left: it must hold one line per
+    (item, sample), each with the reply the script gave for it."""
+    with open(path, encoding="utf-8") as fh:
+        keys = [json.loads(line)["key"] for line in fh.readlines()[1:]]
+    cache = AnnotationCache(path)
+    problems = []
+    if len(keys) != len(set(keys)):
+        problems.append(f"{len(keys) - len(set(keys))} keys written more than once")
+    if len(cache) != len(batch) * SAMPLES:
+        problems.append(f"{len(cache)} entries, not {len(batch) * SAMPLES}")
+    wrong = 0
+    for _, text in batch:
+        messages = assemble_prompt(cfg, text)
+        for s in range(SAMPLES):
+            entry = cache.get(cache_key(MODEL, messages, cfg.temperature, s))
+            wrong += entry is None or entry.raw_response != reply(messages, 0, s)
+    if wrong:
+        problems.append(f"{wrong} samples missing or not the scripted reply")
+    return problems
 
 
 def main(argv=None) -> int:
@@ -72,17 +100,22 @@ def main(argv=None) -> int:
     batch = items(args.items)
     cfg = PromptConfig(task=SPEC, guideline_text="Label the topic of the post.",
                        temperature=0.7, n_samples=SAMPLES)
-    times: dict[int, list[float]] = {1: [], 2: []}
+    times: dict[int, list[float]] = {1: [], 2: [], 4: []}
+    problems = []
     with tempfile.TemporaryDirectory() as tmp:
         for r in range(REPEATS):
-            for workers in times:  # alternated, so a slow spell of the host hits both
+            for workers in times:  # alternated, so a slow spell of the host hits each
                 path = os.path.join(tmp, f"cache-{r}-{workers}.jsonl")
                 times[workers].append(fill(path, batch, cfg, workers))
+                problems += [f"{workers} workers, run {r + 1}: {problem}"
+                             for problem in check(path, batch, cfg)]
     print(f"annotate fill of {args.items} items x {SAMPLES} samples, {REPEATS} runs each:")
     for workers, values in times.items():
         print(f"  {workers} worker{'s' * (workers > 1)}: median {statistics.median(values):.3f} s "
               f"(min {min(values):.3f}, max {max(values):.3f})")
-    return 0
+    for problem in problems:
+        print(f"FAIL {problem}")
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
