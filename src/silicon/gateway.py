@@ -4,14 +4,12 @@ replayable response cache.
 Prompts combine three strategies (base, persona, chain-of-thought) with two
 guideline placements (system or user message); the guideline text is inserted
 verbatim, never rewritten.  Every raw model response is appended to a JSONL
-cache as soon as it arrives (responses that arrive together share one append,
-with one open of the file per group of concurrent puts), keyed by a digest of
-(model, messages, temperature, sample index), so a run can be replayed
-bit-for-bit later without network access: with SILICON_REPLAY=1 (or
-replay=True) the gateway answers from the cache alone and a missing key is an
-error rather than a network call.  The key JSON that every prompt of one
-annotate call shares is hashed once, and the digest of one prompt's messages
-is shared by its samples.
+cache as soon as it arrives, keyed by a digest of (model, messages,
+temperature, sample index), so a run can be replayed bit-for-bit later without
+network access: with SILICON_REPLAY=1 (or replay=True) the gateway answers from
+the cache alone and a missing key is an error rather than a network call.  The
+key JSON that every prompt of one annotate call shares is hashed once, and the
+digest of one prompt's messages is shared by its samples.
 
 annotate runs one worker thread per in-flight slot.  Requests go out through
 the standard library's http.client, one kept-alive connection per worker (see
@@ -428,17 +426,6 @@ def _entry_lines(entries) -> bytes:
 _O_BINARY = getattr(os, "O_BINARY", 0)  # Windows: no newline translation
 
 
-class _Group:
-    """The entries of the puts that one append writes, and how it ended."""
-
-    __slots__ = ("entries", "done", "error")
-
-    def __init__(self):
-        self.entries: list[CacheEntry] = []
-        self.done = False
-        self.error: BaseException | None = None
-
-
 class AnnotationCache:
     """Append-only JSONL response cache.
 
@@ -446,18 +433,15 @@ class AnnotationCache:
     line is one CacheEntry.  Existing entries are never rewritten, and a key
     is written once (a file that holds one twice keeps the first occurrence).
 
-    put() returns once its entries are in the file.  Concurrent puts on one
-    cache are group-committed: one append at a time writes the entries of
-    every put queued when it took the file, so there is one open of the file
-    per group of concurrent puts.  An append holds, across processes, an
+    put() appends under one lock per cache and, across processes, an
     exclusive flock on the file (where the platform has one), with one raw
     open, fstat, write and close.  Under the flock it compares the file's
     size with where this cache's own last load or append ended.  Unless they
-    match, another writer has been at the file since: the append reads the
-    bytes after that point and checks each line as loading does.  It adds
-    the entries found there, so get() serves them, and writes only the
-    entries whose keys are still new.  It writes a header if the file has
-    none, and a newline first if the file does not end with one.
+    match, another writer has been at the file since: put reads the bytes
+    after that point and checks each line as loading does.  It adds the
+    entries found there, so get() serves them, and writes only the entries
+    whose keys are still new.  It writes a header if the file has none, and
+    a newline first if the file does not end with one.
 
     A final line that has no newline and does not decode is what a kill
     mid-append leaves behind.  Loading skips it and keeps it in
@@ -468,9 +452,7 @@ class AnnotationCache:
 
     def __init__(self, path):
         self.path = str(path)
-        self._cond = threading.Condition(threading.Lock())
-        self._group = _Group()               # entries of the puts waiting for the next append
-        self._appending = False              # a put is appending a group now
+        self._lock = threading.Lock()
         self._entries: dict[str, CacheEntry] = {}
         self._texts: dict[str, str] = {}     # one copy of each field text _scan has read
         self._header_written = False         # the file is known to start with a header
@@ -568,69 +550,40 @@ class AnnotationCache:
         return self._entries.get(key)
 
     def put(self, *entries: CacheEntry) -> None:
-        """Append the entries whose keys are new, and return once they are in
-        the file, with one open of the file per group of concurrent puts.
-
-        A put that finds an append under way queues its entries and waits.
-        The first of them to wake appends everything queued by the time it
-        holds the file, and then wakes the puts it wrote for.  Each put
-        returns only after the append that held its entries, or raises the
-        error that stopped it.
-        """
-        with self._cond:
-            group = self._group
-            group.entries += entries
-            while self._appending and not group.done:
-                self._cond.wait()
-            if group.done:
-                if group.error is not None:
-                    raise group.error
-                return
-            self._appending = True
-        try:
-            self._append(group)
-        except BaseException as exc:
-            group.error = exc
-            raise
-        finally:
-            with self._cond:
-                if self._group is group:  # the append failed before it took the group
-                    self._group = _Group()
-                group.done, self._appending = True, False
-                self._cond.notify_all()
-
-    def _append(self, group: _Group) -> None:
-        """Write the new keys of `group` under an exclusive flock, with one
-        open, fstat, write and close.  The group is taken once the file is
-        held, so the puts made while it was being opened join it."""
-        fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND | _O_BINARY, 0o666)
-        try:
-            if fcntl is not None:
-                fcntl.flock(fd, fcntl.LOCK_EX)  # released when the file closes
-            size = os.fstat(fd).st_size
-            if size != self._end:
-                size = self._catch_up(fd, size)
-            with self._cond:
-                self._group = _Group()  # later puts wait for the next append
+        """Append the entries whose keys are new, with one open of the file."""
+        with self._lock:
             new = {}
-            for entry in group.entries:
+            for entry in entries:
                 if entry.key not in self._entries:
                     new.setdefault(entry.key, entry)
             if not new:
                 return
-            head = b"\n" if size != self._end else b""  # ends in a line that decodes
-            if not self._header_written:
-                head += _HEADER.encode() + b"\n"
-            data = head + _entry_lines(new.values())
-            written = 0
-            while written < len(data):
-                written += os.write(fd, data[written:])
-        finally:
-            os.close(fd)
-        self._end = size + len(data)
-        self._lines += data.count(b"\n")
-        self._header_written = True
-        self._entries.update(new)
+            data = _entry_lines(new.values())
+            fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND | _O_BINARY, 0o666)
+            try:
+                if fcntl is not None:
+                    fcntl.flock(fd, fcntl.LOCK_EX)  # released when the file closes
+                size = os.fstat(fd).st_size
+                if size != self._end:
+                    size = self._catch_up(fd, size)
+                    kept = {key: e for key, e in new.items() if key not in self._entries}
+                    if len(kept) < len(new):  # another writer has written some of them
+                        if not kept:
+                            return
+                        new, data = kept, _entry_lines(kept.values())
+                head = b"\n" if size != self._end else b""  # ends in a line that decodes
+                if not self._header_written:
+                    head += _HEADER.encode() + b"\n"
+                data = head + data
+                written = 0
+                while written < len(data):
+                    written += os.write(fd, data[written:])
+            finally:
+                os.close(fd)
+            self._end = size + len(data)
+            self._lines += data.count(b"\n")
+            self._header_written = True
+            self._entries.update(new)
 
 
 class HttpTransport:
@@ -966,16 +919,19 @@ def annotate(
             cache.put(*entries)
             done += len(batch)
 
-    todo = iter(missing.items())  # shared by the workers; a dict iterator's next is atomic
+    todo = iter(missing.items())  # shared by the workers
+    take = threading.Lock()  # one worker at a time advances todo
     errors: list[BaseException] = []
 
     def work() -> None:
         """Fetch the next item with a miss until none is left or the run aborts."""
         try:
-            for item_id, wanted in todo:
-                if abort.is_set():
+            while not abort.is_set():
+                with take:
+                    item = next(todo, None)
+                if item is None:
                     return
-                fetch(item_id, wanted)
+                fetch(*item)
         except BaseException as exc:  # AuthError, or anything else that ends the run
             abort.set()
             errors.append(exc)

@@ -656,22 +656,17 @@ class TestAnnotationCache:
         reloaded = AnnotationCache(path)
         assert len(reloaded) == len(cache) and all(reloaded.get(k) == cache.get(k) for k in keys)
 
-    def test_a_failed_grouped_append_fails_every_put_it_held(self, tmp_path, monkeypatch):
-        """Three puts queue behind an append under way, and the append that
-        writes their entries fails: each of them raises that OSError, and
-        none of their keys reads as written."""
+    def test_a_failed_append_fails_the_put_whose_entries_it_held(self, tmp_path, monkeypatch):
+        """Four threads put at once, and the append that holds k2 hits a full
+        disk: that put raises the OSError and k2 reads as unwritten, while
+        the other puts write their own entries."""
         path = tmp_path / "cache.jsonl"
         cache = AnnotationCache(path)
-        write, writes = os.write, []
+        write = os.write
 
         def full_disk(fd, data):
-            writes.append(data)
-            if len(writes) > 1:
+            if b'"k2"' in data:
                 raise OSError(errno.ENOSPC, "No space left on device")
-            deadline = time.monotonic() + 10
-            while len(cache._group.entries) < 3:  # the three puts are queued
-                assert time.monotonic() < deadline
-                time.sleep(0.001)
             return write(fd, data)
 
         monkeypatch.setattr(os, "write", full_disk)
@@ -684,27 +679,19 @@ class TestAnnotationCache:
             except OSError as exc:
                 outcomes[key] = exc
 
-        first = threading.Thread(target=put, args=("k0",))
-        first.start()
-        deadline = time.monotonic() + 10
-        while not writes:
-            assert time.monotonic() < deadline
-            time.sleep(0.001)
-        queued = [threading.Thread(target=put, args=(f"k{i}",)) for i in (1, 2, 3)]
-        for t in queued:
+        threads = [threading.Thread(target=put, args=(f"k{i}",)) for i in range(4)]
+        for t in threads:
             t.start()
-        for t in [first, *queued]:
+        for t in threads:
             t.join(timeout=10)
-        assert not any(t.is_alive() for t in [first, *queued])
+        assert not any(t.is_alive() for t in threads)
         monkeypatch.undo()
-        assert len(writes) == 2 and writes[1].count(b"\n") == 3  # one append for the three
-        assert outcomes["k0"] is None
-        for key in ("k1", "k2", "k3"):
-            assert isinstance(outcomes[key], OSError) and outcomes[key].errno == errno.ENOSPC
-            assert cache.get(key) is None
-        assert path.read_text(encoding="utf-8") == self.HEADER + self.line("k0")
+        assert isinstance(outcomes["k2"], OSError) and outcomes["k2"].errno == errno.ENOSPC
+        assert cache.get("k2") is None
+        assert [outcomes[k] for k in ("k0", "k1", "k3")] == [None, None, None]
+        assert set(AnnotationCache(path)._entries) == {"k0", "k1", "k3"}
         cache.put(self.entry("k2"))
-        assert set(AnnotationCache(path)._entries) == {"k0", "k2"}
+        assert set(AnnotationCache(path)._entries) == {"k0", "k1", "k2", "k3"}
 
     def test_a_lone_put_opens_the_file_once(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.jsonl"
