@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,29 +51,26 @@ def set_weight(p, q) -> float:
     material on both sides, 0 disjoint.  Identical sets get w = 0, disjoint
     sets w = 1, and e.g. {a} vs {a, b} gets w = 1 - (1/2)(2/3) = 2/3.
     """
-    ps = p.as_set() if isinstance(p, LabelValue) else frozenset(p)
-    qs = q.as_set() if isinstance(q, LabelValue) else frozenset(q)
+    ps = p.indices if isinstance(p, LabelValue) else frozenset(p)
+    qs = q.indices if isinstance(q, LabelValue) else frozenset(q)
     if not ps or not qs:
         raise ValidationError("set_weight requires non-empty sets")
-    # M = m3 / 3; one division of exact integers rounds anchors like 2/3 correctly
-    inter = len(ps & qs)
-    union = len(ps | qs)
-    m3 = 1 + (inter == min(len(ps), len(qs))) + (inter == max(len(ps), len(qs)))
-    return (3 * union - inter * m3) / (3 * union)
+    return float(_set_weights([ps, qs])[0, 1])
 
 
-def _set_weights(cats: Sequence[LabelValue]) -> np.ndarray:
-    """set_weight for every pair of `cats`, as a matrix, in the same closed form.
+def _set_weights(cats: Sequence[Collection[Hashable]]) -> np.ndarray:
+    """set_weight for every pair of the label sets `cats`, as a matrix.
 
-    w = (3 * union - inter * m3) / (3 * union), with M = m3 / 3 and m3 = 3 for
-    identical sets, 2 for a proper subset, 1 otherwise (disjoint sets have
-    inter = 0, so w = 1 whatever m3 is).  Numerator and denominator are exact
-    integers, so the one float division rounds exactly as set_weight does.
+    Each set is a collection of distinct hashable categories.  w = (3 * union
+    - inter * m3) / (3 * union), with M = m3 / 3 and m3 = 3 for identical
+    sets, 2 for a proper subset, 1 otherwise (disjoint sets have inter = 0,
+    so w = 1 whatever m3 is).  Numerator and denominator are exact integers,
+    so the one float division rounds anchors like 2/3 correctly.
     """
-    column = {c: j for j, c in enumerate(sorted({c for lab in cats for c in lab.indices}))}
+    column = {c: j for j, c in enumerate(dict.fromkeys(c for lab in cats for c in lab))}
     member = np.zeros((len(cats), len(column)), dtype=np.int64)
     for row, lab in enumerate(cats):
-        member[row, [column[c] for c in lab.indices]] = 1
+        member[row, [column[c] for c in lab]] = 1
     size = member.sum(axis=1)
     inter = member @ member.T
     union = size[:, None] + size[None, :] - inter
@@ -158,7 +155,8 @@ class _Codes:
         self.weighted = kind is TaskKind.MULTILABEL
         self.errors = [_label_error(lab, spec, not self.weighted) for lab in self.cats]
         self._bad = np.array([e is not None for e in self.errors], dtype=bool)
-        self.weights = _set_weights(self.cats) if self.weighted else 1.0 - np.eye(len(self.cats))
+        self.weights = (_set_weights(list(map(_indices, self.cats))) if self.weighted
+                        else 1.0 - np.eye(len(self.cats)))
 
     def check(self, *columns: np.ndarray, key=None) -> None:
         """Raise the error of the first rejected label, column by column: the

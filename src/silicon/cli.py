@@ -197,13 +197,15 @@ def cmd_agreement(args) -> tuple[list[str], list[str]]:
     sources = _role_sources(dataset)
     if len(sources) < 2:
         raise ValidationError("agreement needs at least 2 annotation sources")
+    if args.confusion_csv and len(sources) != 2:  # a confusion table is of one pair
+        raise UsageError(f"--confusion-csv needs exactly 2 sources, found {len(sources)}")
     rep = _pairwise_kappa(dataset, sources, spec)
     report = _report_json(rep)
     report["task_id"] = spec.task_id
     report["sources"] = sorted(s.name for s in sources)
     _write_json(args.out, report)
     outputs = [args.out]
-    if args.confusion_csv and rep.observed is not None:
+    if args.confusion_csv:
         names = ["|".join(c.to_names(spec)) for c in rep.categories]
         rows = [[names[i]] + [int(v) for v in rep.observed[i]] for i in range(len(names))]
         _write_csv(args.confusion_csv, ["category"] + names, rows)
@@ -269,7 +271,7 @@ def cmd_annotate(args) -> tuple[list[str], list[str]]:
         with atomic_open(fail_path) as fh:
             fh.reconfigure(errors="backslashreplace")  # a lone surrogate as its JSON escape
             for f in failures:
-                fh.write(json.dumps(f, sort_keys=True, ensure_ascii=False) + "\n")
+                fh.write(_JSONL_ENCODER.encode(f) + "\n")
         outputs.append(fail_path)
     else:  # an earlier run's failures would outlive the output they were about
         with suppress(FileNotFoundError):
@@ -328,14 +330,12 @@ def cmd_fsd(args) -> tuple[list[str], list[str]]:
     source, labels, columns = _fsd_scores(dataset, args.source)
     with atomic_open(args.out) as fh:
         fh.reconfigure(errors="backslashreplace")  # a lone surrogate as its JSON escape
-        # each line is json.dumps(record, sort_keys=True, ensure_ascii=False),
-        # joined from fragments: the source and every distinct label list are
-        # dumped once, the item ids go through the same encoder without
-        # building one per call
-        source_json = json.dumps(source.to_json(), sort_keys=True, ensure_ascii=False)
-        names = [json.dumps(lab.to_names(spec), sort_keys=True, ensure_ascii=False)
-                 for lab in labels] + ["null"]  # names[-1]: no second label
+        # each line is _JSONL_ENCODER.encode(record), joined from fragments it
+        # writes: the source and each distinct label list once (names[-1] is
+        # "null", no second label), and each item id
         encode = _JSONL_ENCODER.encode
+        source_json = encode(source.to_json())
+        names = [encode(lab.to_names(spec)) for lab in labels] + ["null"]
         fh.writelines(
             f'{{"fsd": {round(fsd, 6)!r}, "item_id": {encode(item)}, "method": "sampling", '
             f'"n_samples": {n}, "second_label": {names[second]}, "source": {source_json}, '
@@ -499,7 +499,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--a", required=True, help="annotation JSONL/CSV")
     p.add_argument("--b", help="second annotation file (optional if --a has many sources)")
     p.add_argument("--out", required=True, help="report JSON path")
-    p.add_argument("--confusion-csv", help="also write the confusion table")
+    p.add_argument("--confusion-csv", help="also write the confusion table (2 sources only)")
     p.set_defaults(func=cmd_agreement)
 
     p = sub.add_parser("baseline-compare", parents=[common],

@@ -68,12 +68,8 @@ class MatchMatrix:
         if self.baseline_model not in self.models:
             raise ValidationError(f"baseline {self.baseline_model!r} not among models")
         object.__setattr__(self, "matches", m.astype(float))
-        object.__setattr__(
-            self, "separation_flag",
-            bool(m.min() == m.max() or any(
-                m[:, j].min() == m[:, j].max() for j in range(len(self.models))
-            )),
-        )
+        object.__setattr__(self, "separation_flag",
+                           bool((m.min(axis=0) == m.max(axis=0)).any()))
 
     def accuracy(self, model: str) -> float:
         return float(self.matches[:, self.models.index(model)].mean())
@@ -304,11 +300,8 @@ def fit_equivalence(
         y = matrix.matches[:, [models.index(m) for m in fit_models]].reshape(-1)  # item-major
         n_obs = y.size
         # observation r belongs to item r // j and model fit_models[r % j]
-        x = np.zeros((n_obs, j))
+        x = np.eye(j)[np.arange(n_obs) % j]
         x[:, 0] = 1.0
-        model_of = np.arange(n_obs) % j
-        for col in range(1, j):
-            x[model_of == col, col] = 1.0
         beta, converged, n_iter = _irls(x, y)
         cov = _cluster_sandwich(x, y, beta, n_items, correction)
         ses = np.sqrt(np.diag(cov))

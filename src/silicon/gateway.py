@@ -7,9 +7,9 @@ verbatim, never rewritten.  Every raw model response is appended to a JSONL
 cache as soon as it arrives, keyed by a digest of (model, messages,
 temperature, sample index), so a run can be replayed bit-for-bit later without
 network access: with SILICON_REPLAY=1 (or replay=True) the gateway answers from
-the cache alone and a missing key is an error rather than a network call.  The
-key JSON that every prompt of one annotate call shares is hashed once, and the
-digest of one prompt's messages is shared by its samples.
+the cache alone and a missing key is an error rather than a network call.
+annotate's unit of work is the distinct prompt, which is what a key names:
+items that share a text share one fetch and its samples.
 
 annotate runs one worker thread per in-flight slot.  Requests go out through
 the standard library's http.client, one kept-alive connection per worker (see
@@ -238,35 +238,28 @@ _KEY_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=True, separators=("
 _encode_ascii = json.encoder.encode_basestring_ascii  # how _KEY_ENCODER writes a str
 
 
-def _prompt_hash(model: str, messages: Sequence[Mapping[str, str]]):
-    """sha256 state after the part of the key JSON shared by every sample of a prompt.
-
-    With sorted keys the JSON reads {"messages":..,"model":..,"sample_index":..,
-    "temperature":..}, so everything up to `"sample_index":` depends on the
-    prompt alone; _key_tail supplies the rest.
-    """
-    head = _KEY_ENCODER.encode({
-        "messages": [{"role": m["role"], "content": m["content"]} for m in messages],
-        "model": model,
-    })
-    return hashlib.sha256(head[:-1].encode("ascii") + b',"sample_index":')
-
-
 def _content_hasher(model: str, messages: Sequence[Mapping[str, str]]):
-    """content -> _prompt_hash(model, messages with `content` as the last
-    message's content).
+    """content -> sha256 state after the key JSON of `messages`, with `content`
+    as the last message's content, up to and including `"sample_index":`.
 
-    The last message reads {"content":C,"role":..} in the key JSON, so only C
-    depends on the content.  The JSON before C is hashed once; each call
+    With sorted keys the key JSON reads {"messages":..,"model":..,
+    "sample_index":..,"temperature":..}, so only _key_tail depends on the
+    sample.  The last message reads {"content":C,"role":..}, so only C
+    depends on the content: the JSON before C is hashed once, and each call
     hashes C, escaped as _KEY_ENCODER escapes a str, and the JSON after it.
+    An empty list has no C, and every content gives its one state.
     """
     shown = [{"role": m["role"], "content": m["content"]} for m in messages]
-    shown[-1]["content"] = ""
-    head = _KEY_ENCODER.encode({"messages": shown, "model": model})
+    if shown:
+        shown[-1]["content"] = ""
+    head = _KEY_ENCODER.encode({"messages": shown, "model": model})[:-1] + ',"sample_index":'
+    if not shown:
+        state = hashlib.sha256(head.encode("ascii"))
+        return lambda content: state.copy()
     # with every '"' inside a string escaped, this text marks only the last message's content
     cut = head.rindex('{"content":""') + len('{"content":')
     before = hashlib.sha256(head[:cut].encode("ascii"))
-    after = head[cut + 2:-1].encode("ascii") + b',"sample_index":'
+    after = head[cut + 2:].encode("ascii")
 
     def content_hash(content: str):
         digest = before.copy()
@@ -286,9 +279,10 @@ def cache_key(model: str, messages: Sequence[Mapping[str, str]], temperature: fl
     """Digest identifying one sample of one prompt; stable across runs and machines.
 
     It is the sha256 of json.dumps({"model", "messages", "temperature",
-    "sample_index"}, sort_keys=True, ensure_ascii=True, separators=(",", ":")).
+    "sample_index"}, sort_keys=True, ensure_ascii=True, separators=(",", ":")),
+    hashed by the one hasher annotate uses.
     """
-    digest = _prompt_hash(model, messages)
+    digest = _content_hasher(model, messages)(messages[-1]["content"] if messages else "")
     digest.update(_key_tail(sample_index, temperature))
     return digest.hexdigest()
 
@@ -550,15 +544,12 @@ class AnnotationCache:
         return self._entries.get(key)
 
     def put(self, *entries: CacheEntry) -> None:
-        """Append the entries whose keys are new, with one open of the file."""
+        """Append the entries whose keys are new, with one open of the file.
+
+        Which keys are new is decided once, under the flock after catch-up,
+        and only those entries are encoded.
+        """
         with self._lock:
-            new = {}
-            for entry in entries:
-                if entry.key not in self._entries:
-                    new.setdefault(entry.key, entry)
-            if not new:
-                return
-            data = _entry_lines(new.values())
             fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND | _O_BINARY, 0o666)
             try:
                 if fcntl is not None:
@@ -566,15 +557,16 @@ class AnnotationCache:
                 size = os.fstat(fd).st_size
                 if size != self._end:
                     size = self._catch_up(fd, size)
-                    kept = {key: e for key, e in new.items() if key not in self._entries}
-                    if len(kept) < len(new):  # another writer has written some of them
-                        if not kept:
-                            return
-                        new, data = kept, _entry_lines(kept.values())
-                head = b"\n" if size != self._end else b""  # ends in a line that decodes
+                new = {}
+                for entry in entries:
+                    if entry.key not in self._entries:
+                        new.setdefault(entry.key, entry)
+                if not new:
+                    return
+                data = b"\n" if size != self._end else b""  # ends in a line that decodes
                 if not self._header_written:
-                    head += _HEADER.encode() + b"\n"
-                data = head + data
+                    data += _HEADER.encode() + b"\n"
+                data += _entry_lines(new.values())
                 written = 0
                 while written < len(data):
                     written += os.write(fd, data[written:])
@@ -810,23 +802,31 @@ def annotate(
 ) -> list[ItemAnnotation]:
     """Collect cfg.n_samples labels per (item_id, text), cache-first.
 
-    The key JSON before the last message's content is hashed once per call,
-    and each prompt's content once; a sample's key extends that hash with its
-    index and temperature.  Cache misses go to the endpoint from
-    min(max_in_flight, items with a miss) worker threads, started before the
-    cache hits are parsed.  Each worker takes the next such item, in item
-    order, from one shared iterator until none is left.  The worker that
+    The unit of work is the distinct prompt.  An item changes only the last
+    message's content, so items with one text share one prompt and its cache
+    keys: each distinct text is assembled, hashed, looked up and fetched once,
+    and every item with it gets that prompt's samples.  The key JSON before
+    the last message's content is hashed once per call, and each prompt's
+    content once; a sample's key extends that hash with its index and
+    temperature.  Cache misses go to the endpoint from min(max_in_flight,
+    prompts with a miss) worker threads, started before the cache hits are
+    parsed.  Each worker takes the next such prompt, in the order of its first
+    item, from one shared iterator until none is left.  The worker that
     receives a response parses it and puts its entries, which share one
-    timestamp, in the cache, and takes its next item only once they are in
+    timestamp, in the cache, and takes its next prompt only once they are in
     the file; so at most max_in_flight received responses are unwritten at
     any time, and a response that arrived is kept whatever happens to the
     rest of the run.  Each distinct response text is parsed once per call,
-    and results come back in item order.  In replay mode (replay=True or
-    SILICON_REPLAY=1) a miss raises ReplayCacheMiss and no transport is ever
-    constructed.  A request whose transport failure survives the retry policy
-    marks its samples (and any later ones of its item) as failures and the
-    run continues.  An authentication error or an interrupt aborts: the
-    items not yet taken are dropped, a backoff wait ends, no request starts
+    and results come back in item order.  A sample's from_cache says whether
+    its prompt's sample was read from the cache or fetched by this call; an
+    item that shares another item's fetch reads False, with the same
+    SampleResult.  In replay mode (replay=True or SILICON_REPLAY=1) a miss
+    raises ReplayCacheMiss, which counts the missing samples of distinct
+    prompts and names the first item whose prompt misses, and no transport
+    is ever constructed.  A request whose transport failure survives the
+    retry policy marks its samples (and any later ones of its prompt) as
+    failures and the run continues.  An authentication error or an interrupt aborts: the
+    prompts not yet taken are dropped, a backoff wait ends, no request starts
     after the abort, and the ones in flight are waited for and cached before
     the error is raised.  The connections of an HttpTransport are closed
     before annotate returns.
@@ -837,13 +837,13 @@ def annotate(
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate item_ids in annotate input")
 
-    prompts = {item_id: assemble_prompt(cfg, text) for item_id, text in items}
+    prompts = {text: assemble_prompt(cfg, text) for text in dict.fromkeys(t for _, t in items)}
     content_hash = _content_hasher(endpoint.name, assemble_prompt(cfg, ""))
     tails = [_key_tail(s, cfg.temperature) for s in range(cfg.n_samples)]
-    results: dict[str, list[SampleResult | None]] = {}
+    results: dict[str, list[SampleResult | None]] = {}  # text -> its prompt's samples
     hits: list[tuple[str, int, str]] = []
-    missing: dict[str, list[tuple[int, str]]] = {}  # item_id -> [(sample index, key)]
-    for item_id, messages in prompts.items():
+    missing: dict[str, list[tuple[int, str]]] = {}  # text -> [(sample index, key)]
+    for text, messages in prompts.items():
         prompt_hash = content_hash(messages[-1]["content"])
         for s, tail in enumerate(tails):
             digest = prompt_hash.copy()
@@ -851,17 +851,17 @@ def annotate(
             key = digest.hexdigest()
             entry = cache.get(key)
             if entry is None:
-                missing.setdefault(item_id, []).append((s, key))
+                missing.setdefault(text, []).append((s, key))
             else:
-                hits.append((item_id, s, entry.raw_response))
-        results[item_id] = [None] * cfg.n_samples
+                hits.append((text, s, entry.raw_response))
+        results[text] = [None] * cfg.n_samples
 
     if missing and replay:
-        item_id = next(iter(missing))
+        text = next(iter(missing))
         raise ReplayCacheMiss(
             f"{sum(len(v) for v in missing.values())} samples absent from cache "
-            f"(first: item={item_id!r} sample={missing[item_id][0][0]}); "
-            f"replay mode refuses network calls"
+            f"(first: item={next(i for i, t in items if t == text)!r} "
+            f"sample={missing[text][0][0]}); replay mode refuses network calls"
         )
 
     outcomes: dict[str, tuple[LabelValue | None, str | None, tuple[str, ...] | None]] = {}
@@ -879,14 +879,14 @@ def annotate(
 
     abort = threading.Event()
 
-    def fetch(item_id: str, wanted: list[tuple[int, str]]) -> None:
-        samples = results[item_id]
+    def fetch(item_text: str, wanted: list[tuple[int, str]]) -> None:
+        samples = results[item_text]
         batches = [wanted] if endpoint.supports_n else [[w] for w in wanted]
         done = 0
         for batch in batches:
             payload = {
                 "model": endpoint.name,
-                "messages": prompts[item_id],
+                "messages": prompts[item_text],
                 "temperature": cfg.temperature,
                 "n": len(batch),
             }
@@ -924,14 +924,14 @@ def annotate(
     errors: list[BaseException] = []
 
     def work() -> None:
-        """Fetch the next item with a miss until none is left or the run aborts."""
+        """Fetch the next prompt with a miss until none is left or the run aborts."""
         try:
             while not abort.is_set():
                 with take:
-                    item = next(todo, None)
-                if item is None:
+                    prompt = next(todo, None)
+                if prompt is None:
                     return
-                fetch(*item)
+                fetch(*prompt)
         except BaseException as exc:  # AuthError, or anything else that ends the run
             abort.set()
             errors.append(exc)
@@ -945,9 +945,9 @@ def annotate(
                 worker = threading.Thread(target=work)
                 worker.start()
                 workers.append(worker)
-        for item_id, s, raw in hits:
+        for text, s, raw in hits:
             label, failure, _ = outcome(raw)
-            results[item_id][s] = SampleResult(
+            results[text][s] = SampleResult(
                 sample_index=s, raw=raw, label=label, failure=failure, from_cache=True,
             )
         for worker in workers:
@@ -963,10 +963,8 @@ def annotate(
         if isinstance(transport, HttpTransport):
             transport.close()
 
-    return [
-        ItemAnnotation(item_id=item_id, samples=tuple(samples))
-        for item_id, samples in results.items()
-    ]
+    return [ItemAnnotation(item_id=item_id, samples=tuple(results[text]))
+            for item_id, text in items]
 
 
 def annotations_to_dataset(

@@ -131,7 +131,7 @@ class TestSetWeight:
     def test_matrix_equals_set_weight_on_every_subset_pair(self):
         # all 63 non-empty subsets of 6 categories; equality is exact, not approx
         sets = [LabelValue.of(c for c in range(6) if mask >> c & 1) for mask in range(1, 64)]
-        matrix = _set_weights(sets)
+        matrix = _set_weights([s.indices for s in sets])
         for i, p in enumerate(sets):
             for j, q in enumerate(sets):
                 assert matrix[i, j] == set_weight(p, q) == fraction_weight(p.indices, q.indices)

@@ -4,14 +4,18 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
+import types
+import zlib
 
 import pytest
 
+import silicon.gateway as gateway
 from silicon import __version__, cli
 from silicon.core import load_dataset, load_task_spec
-from silicon.gateway import REPLAY_ENV, AnnotationCache, HttpTransport
+from silicon.gateway import REPLAY_ENV, AnnotationCache, HttpTransport, ScriptedTransport
 
 DATA = pathlib.Path(__file__).parent / "data"
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -151,6 +155,19 @@ class TestAgreement:
         assert header[0] == "category"
         assert len(lines) == len(header) - 1 + 1
 
+    def test_confusion_csv_of_more_than_two_sources_is_rejected(self, tmp_path, capsys):
+        """A confusion table is of one pair: with 3 sources the run exits 1
+        and writes no output."""
+        task = write_task(tmp_path)
+        a = write_records(tmp_path / "crowd.jsonl",
+                          [(f"i{j}", "crowd", f"c{k}", 0, [["red", "green"][(j + k) % 2]])
+                           for j in range(6) for k in range(3)])
+        out, confusion = tmp_path / "report.json", tmp_path / "confusion.csv"
+        assert cli.run(["agreement", "--task", task, "--a", a, "--out", str(out),
+                        "--confusion-csv", str(confusion)]) == 1
+        assert "--confusion-csv needs exactly 2 sources, found 3" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["crowd.jsonl", "task.json"]
+
     def test_single_source_rejected(self, tmp_path, capsys):
         task = write_task(tmp_path)
         a = write_records(tmp_path / "one.jsonl",
@@ -267,6 +284,100 @@ class TestAnnotateReplay:
         args = [a for a in self.args(tmp_path, cache, out) if a != "--replay"]
         assert cli.run(args) == 2
         assert "SILICON_MOCK_KEY" in capsys.readouterr().err
+
+
+class TestAnnotateSharedPrompts:
+    """Items with one text share one prompt: it is fetched once, and a fill
+    writes what a replay of its cache writes, byte for byte."""
+
+    LABELS = ("support", "oppose", "unclear")
+
+    def scripted(self, monkeypatch, script):
+        """Puts a ScriptedTransport in HttpTransport's place; returns the
+        transports the runs make."""
+        made = []
+
+        class Transport(ScriptedTransport):
+            def __init__(self, endpoint):
+                super().__init__(script)
+                made.append(self)
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(gateway, "HttpTransport", Transport)
+        return made
+
+    def annotate(self, tmp_path, texts, out, *extra, n_samples=2, max_in_flight=1,
+                 supports_n=True):
+        endpoint = json.loads((DATA / "endpoint_focal.json").read_text(encoding="utf-8"))
+        endpoint.update(max_in_flight=max_in_flight, supports_n=supports_n)
+        prompt = json.loads((DATA / "prompt_focal.json").read_text(encoding="utf-8"))
+        prompt.update(n_samples=n_samples, guideline_file=str(DATA / "guideline.txt"))
+        for name, obj in (("endpoint.json", endpoint), ("prompt.json", prompt)):
+            (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
+        (tmp_path / "items.jsonl").write_text(
+            "".join(json.dumps({"item_id": f"it{i}", "text": text}) + "\n"
+                    for i, text in enumerate(texts)), encoding="utf-8")
+        return cli.run(["annotate", "--task", str(DATA / "task.json"),
+                        "--items", str(tmp_path / "items.jsonl"),
+                        "--endpoint", str(tmp_path / "endpoint.json"),
+                        "--prompt", str(tmp_path / "prompt.json"),
+                        "--cache", str(tmp_path / "cache.jsonl"),
+                        "--out", str(tmp_path / out), *extra])
+
+    def outputs(self, tmp_path, out):
+        failures = tmp_path / (out + ".failures.jsonl")
+        return ((tmp_path / out).read_bytes(),
+                failures.read_bytes() if failures.exists() else None)
+
+    def test_repeated_text_is_fetched_once_and_replays_as_filled(self, tmp_path, monkeypatch):
+        """3 items, two with one text, 2 samples, one request in flight: 2
+        posts, and the third item gets the first item's samples."""
+        made = self.scripted(monkeypatch,
+                             lambda m, call, choice: self.LABELS[(2 * call + choice) % 3])
+        texts = ["the levy is fine", "the levy is a scam", "the levy is fine"]
+        assert self.annotate(tmp_path, texts, "fill.jsonl") == 0
+        assert [t.calls for t in made] == [2]
+        assert self.annotate(tmp_path, texts, "replay.jsonl", "--replay") == 0
+        assert len(made) == 1
+        fill = self.outputs(tmp_path, "fill.jsonl")
+        assert fill == self.outputs(tmp_path, "replay.jsonl")
+        labels = {(r["item_id"], r["run"]): r["labels"]
+                  for r in map(json.loads, fill[0].splitlines())}
+        assert [labels["it2", s] for s in range(2)] == [labels["it0", s] for s in range(2)]
+        assert len(AnnotationCache(tmp_path / "cache.jsonl")) == 4
+
+    @pytest.mark.parametrize("supports_n", [True, False])
+    @pytest.mark.parametrize("max_in_flight", [1, 2, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fill_replays_byte_for_byte(self, tmp_path, monkeypatch, seed, max_in_flight,
+                                        supports_n):
+        """Random items files with repeated texts, over a cache that holds
+        some samples of some texts: posts are one per distinct text with a
+        miss (one per missing sample without n), and the fill's outputs are
+        the replay's."""
+        rng = random.Random(seed)
+        pool = [f"post {k}: the levy {'is fine' if k % 2 else 'is a scam'}" for k in range(5)]
+        texts = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+        n_samples = 3
+        warm = {text: rng.randint(1, n_samples) for text in rng.sample(pool, 2)}
+
+        def script(messages, call, choice):
+            code = zlib.crc32(messages[-1]["content"].encode()) + 3 * call + choice
+            return "no idea" if code % 7 == 0 else self.LABELS[code % 3]
+
+        made = self.scripted(monkeypatch, script)
+        for text, k in warm.items():  # the cache holds the first k samples of text
+            assert self.annotate(tmp_path, [text], "warm.jsonl", n_samples=k) == 0
+        cached = len(made)
+        kw = dict(n_samples=n_samples, max_in_flight=max_in_flight, supports_n=supports_n)
+        assert self.annotate(tmp_path, texts, "fill.jsonl", **kw) == 0
+        missing = [n_samples - warm.get(text, 0) for text in dict.fromkeys(texts)]
+        assert sum(t.calls for t in made[cached:]) == sum(
+            1 if supports_n else m for m in missing if m)
+        assert self.annotate(tmp_path, texts, "replay.jsonl", "--replay", **kw) == 0
+        assert self.outputs(tmp_path, "fill.jsonl") == self.outputs(tmp_path, "replay.jsonl")
 
 
 class TestAnnotateOverHttp:
@@ -939,15 +1050,16 @@ class TestAtomicOutputs:
         assert cli.run(["fsd", "--task", task, "--runs", runs, "--out", str(out)]) == 0
         earlier = out.read_bytes()
         before = sorted(os.listdir(tmp_path))
-        real, calls = json.dumps, []
+        real, calls = cli._JSONL_ENCODER.encode, []
 
-        def fails_on_second_line(obj, **kw):
+        def fails_on_second_line(obj):
             calls.append(obj)
             if len(calls) == 2:
                 raise OSError("disk full")
-            return real(obj, **kw)
+            return real(obj)
 
-        monkeypatch.setattr(cli.json, "dumps", fails_on_second_line)
+        monkeypatch.setattr(cli, "_JSONL_ENCODER",
+                            types.SimpleNamespace(encode=fails_on_second_line))
         assert cli.run(["fsd", "--task", task, "--runs", runs, "--out", str(out)]) == 2
         assert len(calls) == 2
         assert out.read_bytes() == earlier

@@ -175,6 +175,12 @@ class TestCacheKey:
                 assert (cache_key(model, messages, temperature, s)
                         == per_sample_key(model, messages, temperature, s))
 
+    @pytest.mark.parametrize("model", ["mock-a", "modèle \"β\""])
+    def test_empty_message_list_matches_per_sample_formula(self, model):
+        for temperature, s in itertools.product(TEMPERATURES, range(3)):
+            assert (cache_key(model, [], temperature, s)
+                    == per_sample_key(model, [], temperature, s))
+
     @pytest.mark.parametrize("temperature", TEMPERATURES)
     def test_annotate_writes_per_sample_formula_keys(self, tmp_path, temperature):
         cfg = make_cfg(temperature=temperature, n_samples=5)
@@ -1147,6 +1153,66 @@ class TestAnnotate:
             for s in range(cfg.n_samples):
                 key = per_sample_key("mock-a", assemble_prompt(cfg, text), cfg.temperature, s)
                 assert cache.get(key).raw_response == "positive"
+
+    def test_items_with_one_text_share_one_fetch(self, tmp_path):
+        """3 items, two with one text, 2 samples, one request in flight: 2
+        posts, and the third item reads the first item's samples, fetched
+        (not from the cache), as a replay of the cache does."""
+        letters = "abcdef"
+        transport = ScriptedTransport(lambda m, call, choice: letters[2 * call + choice])
+        items = [("i1", "text one"), ("i2", "text two"), ("i3", "text one")]
+        path = tmp_path / "cache.jsonl"
+        fill = annotate(make_endpoint(max_in_flight=1), make_cfg(n_samples=2), items,
+                        AnnotationCache(path), transport=transport)
+        assert transport.calls == 2
+        assert [[s.raw for s in a.samples] for a in fill] == [["a", "b"], ["c", "d"], ["a", "b"]]
+        assert fill[2].samples == fill[0].samples
+        assert not any(s.from_cache for s in fill[2].samples)
+        replay = annotate(make_endpoint(), make_cfg(n_samples=2), items, AnnotationCache(path),
+                          replay=True)
+        assert [[s.raw for s in a.samples] for a in replay] == [["a", "b"], ["c", "d"],
+                                                                ["a", "b"]]
+
+    def test_replay_miss_counts_distinct_prompts(self, tmp_path):
+        items = [("i1", "text one"), ("i2", "text two"), ("i3", "text one")]
+        with pytest.raises(ReplayCacheMiss, match=r"^6 samples .*item='i1' sample=0"):
+            annotate(make_endpoint(), make_cfg(), items,
+                     AnnotationCache(tmp_path / "cache.jsonl"), replay=True)
+
+    def test_auth_error_while_a_shared_fetch_is_in_flight(self, tmp_path):
+        """The fetch of a text two items share is in flight when another
+        request is rejected: it is answered and cached once, for both items,
+        and no request starts after the rejection."""
+        items = [("i0", "text a"), ("i1", "text a"), ("i2", "text b"), ("i3", "text c")]
+        cfg = make_cfg(n_samples=2)
+        both_started, rejected = threading.Barrier(2), threading.Event()
+        started, lock = [], threading.Lock()
+
+        def script(messages, call_index, choice_index):
+            item = messages[-1]["content"]
+            if choice_index == 0:
+                with lock:
+                    started.append(item)
+                both_started.wait(timeout=10)
+            if item == "text b":
+                rejected.set()
+                raise AuthError("rejected")
+            if choice_index == 0:
+                assert rejected.wait(timeout=10)
+                time.sleep(0.05)  # answer only once the abort is under way
+            return "positive"
+
+        path = tmp_path / "cache.jsonl"
+        transport = ScriptedTransport(script)
+        with pytest.raises(AuthError):
+            annotate(make_endpoint(max_in_flight=2), cfg, items, AnnotationCache(path),
+                     transport=transport)
+        assert transport.calls == 2 and sorted(started) == ["text a", "text b"]
+        cache = AnnotationCache(path)
+        assert len(cache) == cfg.n_samples
+        for s in range(cfg.n_samples):
+            key = per_sample_key("mock-a", assemble_prompt(cfg, "text a"), cfg.temperature, s)
+            assert cache.get(key).raw_response == "positive"
 
     @pytest.mark.parametrize("abort_with", [AuthError, KeyboardInterrupt])
     def test_abort_ends_a_backoff_wait(self, tmp_path, abort_with):

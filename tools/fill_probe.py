@@ -13,10 +13,13 @@ the range) over 5 runs each with one, two and four workers, alternated.  The
 default size is the benchmark set-up's warm-cache fill (1,800 items x 5
 samples, two workers); the set-up itself is not traced, so this stands in for
 a trace of it.  After every fill the probe reloads the cache and checks that
-it holds one line per (item, sample), each with the scripted reply; it exits
-1 if one does not.  Timings are printed, never checked.  Caches go to a
-temporary directory that is removed at the end; nothing is written under
-`perfbench/`.
+it holds one line per (item, sample), each with the scripted reply.  The
+probe ends with one untimed fill of --items items that repeat a third as many
+texts, through a script whose reply also depends on the call index: it must
+post once per distinct text, and a replay of its cache must return the
+fill's samples for every item.  The probe exits 1 if a check fails.  Timings
+are printed, never checked.  Caches go to a temporary directory that is
+removed at the end; nothing is written under `perfbench/`.
 """
 
 import argparse
@@ -58,13 +61,15 @@ def items(n: int) -> list[tuple[str, str]]:
             for i in range(n)]
 
 
+def endpoint(workers: int) -> ModelEndpoint:
+    return ModelEndpoint(name=MODEL, base_url="http://127.0.0.1:1", api_key_env="FILL_PROBE_KEY",
+                         max_in_flight=workers, retry=RetryPolicy(max_attempts=1, backoff=()))
+
+
 def fill(path: str, batch: list, cfg: PromptConfig, workers: int) -> float:
-    endpoint = ModelEndpoint(name=MODEL, base_url="http://127.0.0.1:1",
-                             api_key_env="FILL_PROBE_KEY", max_in_flight=workers,
-                             retry=RetryPolicy(max_attempts=1, backoff=()))
     t0 = time.perf_counter()
-    annotate(endpoint, cfg, batch, AnnotationCache(path), transport=ScriptedTransport(reply),
-             replay=False)
+    annotate(endpoint(workers), cfg, batch, AnnotationCache(path),
+             transport=ScriptedTransport(reply), replay=False)
     return time.perf_counter() - t0
 
 
@@ -90,6 +95,29 @@ def check(path: str, batch: list, cfg: PromptConfig) -> list[str]:
     return problems
 
 
+def check_repeats(path: str, n: int, cfg: PromptConfig) -> list[str]:
+    """What is wrong with a fill of n items that repeat n // 3 texts: it must
+    post once per distinct text, and a replay must return its samples."""
+    texts = [text for _, text in items(max(1, n // 3))]
+    batch = [(f"rep{i:06d}", texts[i % len(texts)]) for i in range(n)]
+    transport = ScriptedTransport(
+        lambda messages, call, choice: reply(messages, call, choice) + f" (call {call})")
+    filled = annotate(endpoint(2), cfg, batch, AnnotationCache(path), transport=transport,
+                      replay=False)
+    replayed = annotate(endpoint(2), cfg, batch, AnnotationCache(path), replay=True)
+    problems = []
+    if transport.calls != len(texts):
+        problems.append(f"{transport.calls} posts for {len(texts)} distinct texts")
+
+    def samples(annotations):
+        return [[(s.sample_index, s.raw, s.label, s.failure) for s in a.samples]
+                for a in annotations]
+    wrong = sum(a != b for a, b in zip(samples(filled), samples(replayed)))
+    if wrong:
+        problems.append(f"{wrong} items whose replay differs from the fill")
+    return problems
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--items", type=int, default=1800)
@@ -109,6 +137,8 @@ def main(argv=None) -> int:
                 times[workers].append(fill(path, batch, cfg, workers))
                 problems += [f"{workers} workers, run {r + 1}: {problem}"
                              for problem in check(path, batch, cfg)]
+        problems += [f"repeated texts: {problem}" for problem in
+                     check_repeats(os.path.join(tmp, "cache-repeats.jsonl"), args.items, cfg)]
     print(f"annotate fill of {args.items} items x {SAMPLES} samples, {REPEATS} runs each:")
     for workers, values in times.items():
         print(f"  {workers} worker{'s' * (workers > 1)}: median {statistics.median(values):.3f} s "
