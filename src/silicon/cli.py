@@ -39,8 +39,10 @@ from .core import (
     TieRule,
     ValidationError,
     _JSONL_ENCODER,
+    _check_record,
     _decode_line,
     _json_value,
+    _open_text,
     atomic_open,
     load_dataset,
     load_task_spec,
@@ -178,6 +180,17 @@ def _report_json(rep) -> dict:
     }
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer >= 0, as every seeded generator takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return seed
+
+
 def _parse_float_list(text: str, what: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -244,7 +257,7 @@ def cmd_annotate(args) -> tuple[list[str], list[str]]:
     endpoint = load_endpoint(args.endpoint)
     cfg = load_prompt_config(args.prompt, spec)
     items = []
-    with open(args.items, encoding="utf-8") as fh:
+    with _open_text(args.items) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -252,11 +265,9 @@ def cmd_annotate(args) -> tuple[list[str], list[str]]:
             try:  # extra keys are allowed: an item is data, not config
                 obj = _decode_line(line)
                 item_id, text = obj["item_id"], obj["text"]
-                if type(item_id) not in (str, int) or not item_id:
-                    raise TypeError(f"item_id must be a non-empty string or a non-zero integer, "
-                                    f"not {item_id!r}")
+                _check_record(item_id, 0)  # the records' item id rule; an item has no run
                 items.append((item_id, _json_value(text, str, "text")))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, ValidationError) as exc:
                 raise ValidationError(f"{args.items}:{lineno}: bad item ({exc})") from exc
     cache = AnnotationCache(args.cache)
     if cache.dropped_tail:
@@ -269,7 +280,6 @@ def cmd_annotate(args) -> tuple[list[str], list[str]]:
     outputs, fail_path = [args.out], args.out + ".failures.jsonl"
     if failures:
         with atomic_open(fail_path) as fh:
-            fh.reconfigure(errors="backslashreplace")  # a lone surrogate as its JSON escape
             for f in failures:
                 fh.write(_JSONL_ENCODER.encode(f) + "\n")
         outputs.append(fail_path)
@@ -329,7 +339,6 @@ def cmd_fsd(args) -> tuple[list[str], list[str]]:
     dataset = load_dataset(args.runs, spec)
     source, labels, columns = _fsd_scores(dataset, args.source)
     with atomic_open(args.out) as fh:
-        fh.reconfigure(errors="backslashreplace")  # a lone surrogate as its JSON escape
         # each line is _JSONL_ENCODER.encode(record), joined from fragments it
         # writes: the source and each distinct label list once (names[-1] is
         # "null", no second label), and each item id
@@ -487,7 +496,7 @@ def cmd_simulate(args) -> tuple[list[str], list[str]]:
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--task", required=True, help="task spec JSON")
-    common.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
+    common.add_argument("--seed", type=_seed, default=0, help="seed for any randomized step")
 
     parser = _Parser(prog="silicon", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -565,7 +574,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("simulate",
                        help="Monte Carlo check of agreement against a noisy reference")
     p.add_argument("--config", required=True, help="sim config JSON")
-    p.add_argument("--seed", type=int, help="seed in place of the configs' own")
+    p.add_argument("--seed", type=_seed, help="seed in place of the configs' own")
     sweeps = p.add_mutually_exclusive_group()
     sweeps.add_argument("--sweep-e", help="comma list of reference error rates")
     sweeps.add_argument("--sweep-coupling", help="comma list of coupling values")

@@ -208,10 +208,21 @@ _KIND_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "tru
 
 
 @contextmanager
+def _open_text(path, newline: str | None = None):
+    """Open the UTF-8 text file at `path` for reading.  A byte read in the
+    block that is not UTF-8 is a ValidationError naming the file."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 ({exc})") from exc
+
+
+@contextmanager
 def _read_json(path):
     """Yield the JSON value in the file at `path`.  A file that is not valid
     JSON, and a ValidationError raised in the block, are errors naming the file."""
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -595,7 +606,7 @@ def load_dataset(path, spec: TaskSpec) -> Dataset:
     if path.endswith(".csv"):
         if spec.kind is TaskKind.MULTILABEL:
             raise ValidationError("CSV ingestion supports single-label tasks only")
-        with open(path, newline="", encoding="utf-8") as fh:
+        with _open_text(path, newline="") as fh:
             reader = csv.DictReader(fh)
             needed = {"item_id", "role", "name", "run", "label"}
             if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
@@ -616,7 +627,7 @@ def load_dataset(path, spec: TaskSpec) -> Dataset:
         items, item_rows, key_rows = cols.items, cols.item_rows, cols.key_rows
         memo: dict | None = {}            # tail -> (source, run, label) codes
         served = missed = 0
-        with open(path, encoding="utf-8") as fh:
+        with _open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -659,12 +670,12 @@ def atomic_open(path, newline: str | None = None):
     """Open a UTF-8 text file for writing at `path`, through a temp file beside
     it that replaces `path` only once the block completes.  A run that fails or
     is killed part-way leaves `path` as it was, never half-written; a failure
-    inside the process also removes the temp file.  (No fsync: this guards
-    against a crashed process, not a crashed host.)"""
+    inside the process also removes the temp file (no fsync: this guards against
+    a crashed process, not a crashed host).  A lone surrogate is written as \\udXXXX."""
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        fh = open(tmp, "w", encoding="utf-8", newline=newline)
+        fh = open(tmp, "w", encoding="utf-8", errors="backslashreplace", newline=newline)
     except OSError as exc:  # name the file the caller asked for, not the temp file
         raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
@@ -686,7 +697,6 @@ def save_dataset(dataset: Dataset, path) -> None:
     """
     encode = _JSONL_ENCODER.encode
     with atomic_open(path) as fh:
-        fh.reconfigure(errors="backslashreplace")  # a lone surrogate as its JSON escape
         items = [encode(i) for i in dataset.item_ids()]
         sources = [encode(s.to_json()) for s in dataset.sources()]
         labels = [encode(lab.to_names(dataset.spec)) for lab in dataset.label_table]

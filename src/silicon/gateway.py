@@ -44,7 +44,8 @@ except ImportError:  # no flock (Windows): appends from several processes are no
     fcntl = None
 
 from .core import LabelValue, Role, SiliconError, SourceId, TaskKind, TaskSpec, ValidationError
-from .core import _JSONL_ENCODER, Dataset, _decode_line, _json_object, _json_value, _read_json
+from .core import (_JSONL_ENCODER, Dataset, _decode_line, _json_object, _json_value, _open_text,
+                   _read_json)
 
 __all__ = [
     "GatewayError",
@@ -157,6 +158,8 @@ class ModelEndpoint:
     def __post_init__(self):
         if not self.name or not self.base_url or not self.api_key_env:
             raise ValidationError("endpoint needs name, base_url, and api_key_env")
+        if type(self.name) is not str:  # each cache entry's model: refused before a paid request
+            raise ValidationError(f"name must be a string, not {type(self.name).__name__}")
         try:
             url = urlsplit(self.base_url)
             url.port  # raises on a port that is not a number in range
@@ -192,6 +195,9 @@ class PromptConfig:
             raise ValidationError("persona strategy requires persona_text")
         if self.n_samples < 1:
             raise ValidationError("n_samples must be >= 1")
+        if type(self.temperature) not in (float, int):  # a cache line's: refused before a request
+            raise ValidationError(
+                f"temperature must be a number, not {type(self.temperature).__name__}")
         if not 0 <= self.temperature < math.inf:  # no request body can carry NaN or inf
             raise ValidationError(f"temperature must be >= 0 and finite, got {self.temperature}")
 
@@ -383,38 +389,43 @@ _ENTRY_KINDS = {"key": str, "model": str, "temperature": float, "sample_index": 
                 "raw_response": str, "parsed": list, "failure": str, "created": str}
 _ENTRY_DEFAULTS = {"parsed": None, "failure": None, "created": ""}
 _entry_values = operator.itemgetter(*_ENTRY_KINDS)
+_entry_fields = operator.attrgetter(*_ENTRY_KINDS)  # a CacheEntry's, in the same order
 _STR = {str}
 _encode_str = json.encoder.encode_basestring  # how _JSONL_ENCODER writes a str
 
 
+def _check_entry(values) -> float:
+    """The temperature, as a float, of cache entry fields `values` (_ENTRY_KINDS order) that
+    a line may hold; else a TypeError or ValueError naming a field, or an OverflowError."""
+    key, model, temperature, index, raw, parsed, failure, created = values
+    if not (type(key) is str and type(model) is str and type(raw) is str
+            and type(created) is str and type(temperature) in (float, int)
+            and type(index) is int and (failure is None or type(failure) is str)
+            and (parsed is None or type(parsed) in (list, tuple)
+                 and {*map(type, parsed)} <= _STR)):
+        for (name, kind), value in zip(_ENTRY_KINDS.items(), values):
+            if not (name == "parsed" and type(value) is tuple):  # a CacheEntry's parsed
+                _json_value(value, kind, name, null=name in ("parsed", "failure"))
+        for label in parsed:
+            _json_value(label, str, "parsed")
+    return float(temperature)
+
+
 def _entry_line(entry: CacheEntry) -> str:
-    """The cache line of `entry`, _JSONL_ENCODER.encode(entry.to_json()) + "\n".
-
-    It is joined from the JSON text of each field, in sorted-key order.  A
-    value that is not an exact int, finite float, str or None (a NaN or
-    infinite temperature, a bool, ...) goes through the encoder itself.
-    """
-    temperature, index, parsed, failure = (
-        entry.temperature, entry.sample_index, entry.parsed, entry.failure)
-    if ((type(temperature) is float and math.isfinite(temperature) or type(temperature) is int)
-            and type(index) is int and (parsed is None or type(parsed) is tuple)
-            and (failure is None or type(failure) is str)):
-        try:
-            names = "null" if parsed is None else "[" + ", ".join(map(_encode_str, parsed)) + "]"
-            return (f'{{"created": {_encode_str(entry.created)}, "failure": '
-                    f'{"null" if failure is None else _encode_str(failure)}, '
-                    f'"key": {_encode_str(entry.key)}, "model": {_encode_str(entry.model)}, '
-                    f'"parsed": {names}, '
-                    f'"raw_response": {_encode_str(entry.raw_response)}, '
-                    f'"sample_index": {index!r}, "temperature": {temperature!r}}}\n')
-        except TypeError:  # a field that is not a str
-            pass
-    return _JSONL_ENCODER.encode(entry.to_json()) + "\n"
-
-
-def _entry_lines(entries) -> bytes:
-    # a lone surrogate, which no UTF-8 holds, is written as its JSON escape \udXXX
-    return "".join(map(_entry_line, entries)).encode("utf-8", "backslashreplace")
+    """The cache line of an `entry` _check_entry accepts, _JSONL_ENCODER.encode(
+    entry.to_json()) + "\n", joined from the JSON text of each field in sorted-key
+    order.  A NaN or infinite temperature reads NaN, Infinity or -Infinity, as the
+    encoder writes it and the loader reads it back."""
+    temperature, parsed, failure = entry.temperature, entry.parsed, entry.failure
+    if not math.isfinite(temperature):
+        temperature = _JSONL_ENCODER.encode(temperature)
+    names = "null" if parsed is None else "[" + ", ".join(map(_encode_str, parsed)) + "]"
+    return (f'{{"created": {_encode_str(entry.created)}, "failure": '
+            f'{"null" if failure is None else _encode_str(failure)}, '
+            f'"key": {_encode_str(entry.key)}, "model": {_encode_str(entry.model)}, '
+            f'"parsed": {names}, '
+            f'"raw_response": {_encode_str(entry.raw_response)}, '
+            f'"sample_index": {entry.sample_index!r}, "temperature": {temperature}}}\n')
 
 
 _O_BINARY = getattr(os, "O_BINARY", 0)  # Windows: no newline translation
@@ -497,22 +508,14 @@ class AnnotationCache:
                 except (KeyError, TypeError):
                     _json_object(obj, _ENTRY_KINDS.keys(), "cache entry")
                     values = _entry_values({**_ENTRY_DEFAULTS, **obj})
-                key, model, temperature, index, raw, parsed, failure, created = values
-                if not (type(key) is str and type(model) is str and type(raw) is str
-                        and type(created) is str and type(temperature) in (float, int)
-                        and type(index) is int and (failure is None or type(failure) is str)
-                        and (parsed is None or type(parsed) is list
-                             and {*map(type, parsed)} <= _STR)):
-                    for (name, kind), value in zip(_ENTRY_KINDS.items(), values):
-                        _json_value(value, kind, name, null=name in ("parsed", "failure"))
-                    for label in parsed:
-                        _json_value(label, str, "parsed")
-                entry = CacheEntry(key, texts.setdefault(model, model), float(temperature), index,
+                temperature = _check_entry(values)
+                key, model, _, index, raw, parsed, failure, created = values
+                entry = CacheEntry(key, texts.setdefault(model, model), temperature, index,
                                    texts.setdefault(raw, raw),
                                    None if parsed is None else tuple(parsed),
                                    failure and texts.setdefault(failure, failure),
                                    texts.setdefault(created, created))
-            except (KeyError, TypeError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"{self.path}:{lineno}: bad cache entry ({exc})") from exc
             except ValidationError as exc:  # not an object, or an unknown key
                 raise ValidationError(f"{self.path}:{lineno}: {exc}") from exc
@@ -546,9 +549,15 @@ class AnnotationCache:
     def put(self, *entries: CacheEntry) -> None:
         """Append the entries whose keys are new, with one open of the file.
 
-        Which keys are new is decided once, under the flock after catch-up,
-        and only those entries are encoded.
+        An entry no cache line may hold (see _check_entry) is a ValidationError
+        naming its field, and nothing is written.  Which keys are new is decided
+        once, under the flock after catch-up, and only those entries are encoded.
         """
+        for entry in entries:
+            try:
+                _check_entry(_entry_fields(entry))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"{self.path}: bad cache entry, not written ({exc})") from exc
         with self._lock:
             fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND | _O_BINARY, 0o666)
             try:
@@ -566,7 +575,7 @@ class AnnotationCache:
                 data = b"\n" if size != self._end else b""  # ends in a line that decodes
                 if not self._header_written:
                     data += _HEADER.encode() + b"\n"
-                data += _entry_lines(new.values())
+                data += "".join(map(_entry_line, new.values())).encode("utf-8", "backslashreplace")
                 written = 0
                 while written < len(data):
                     written += os.write(fd, data[written:])
@@ -785,6 +794,8 @@ def _choice_texts(resp: dict, n: int) -> list[str]:
         raise TransportError(f"malformed response shape: {exc}") from exc
     if len(texts) != n:
         raise TransportError(f"asked for {n} choices, got {len(texts)}")
+    if not {*map(type, texts)} <= _STR:  # a null content would make an entry put refuses
+        raise TransportError("malformed response shape: a choice's content is not a string")
     return texts
 
 
@@ -1030,7 +1041,7 @@ def load_prompt_config(path, spec: TaskSpec) -> PromptConfig:
             if guideline is None and "guideline_file" in obj:
                 gpath = os.path.join(os.path.dirname(os.path.abspath(path)),
                                      _json_value(obj["guideline_file"], str, "guideline_file"))
-                with open(gpath, encoding="utf-8") as fh:
+                with _open_text(gpath) as fh:
                     guideline = fh.read()
             if guideline is None:
                 raise ValidationError("needs guideline_text or guideline_file")

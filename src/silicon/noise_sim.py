@@ -90,6 +90,8 @@ class SimConfig:
             raise ValidationError("coupling must lie in [-1, 1]")
         if self.n_samples < _MIN_ITEMS:
             raise ValidationError(f"n_samples must be >= {_MIN_ITEMS}")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         object.__setattr__(self, "priors", tuple(float(x) for x in pri))
         object.__setattr__(
             self, "llm_confusion", tuple(tuple(float(x) for x in row) for row in conf)

@@ -36,6 +36,8 @@ class MixConfig:
             raise ValidationError("alphas must lie in [0, 1]")
         if self.replicates < 1:
             raise ValidationError("replicates must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -155,6 +155,20 @@ class TestAgreement:
         assert header[0] == "category"
         assert len(lines) == len(header) - 1 + 1
 
+    def test_confusion_csv_lone_surrogate_label(self, tmp_path):
+        """A label named with a JSON \\ud800 escape holds a lone surrogate; the
+        confusion table writes it back as that escape, and the manifest follows."""
+        task = write_task(tmp_path, labels=("r\ud800d", "green", "blue"))
+        a = write_records(tmp_path / "ann.jsonl",
+                          [(f"i{j}", "crowd", name, 0, [["r\ud800d", "green"][j % 2]])
+                           for j in range(6) for name in ("c1", "c2")])
+        out, confusion = tmp_path / "report.json", tmp_path / "confusion.csv"
+        assert cli.run(["agreement", "--task", task, "--a", a, "--out", str(out),
+                        "--confusion-csv", str(confusion)]) == 0
+        assert confusion.read_bytes().splitlines()[:2] == [
+            b"category,r\\ud800d,green", b"r\\ud800d,3,0"]
+        assert read_manifest(out)["outputs"] == ["report.json", "confusion.csv"]
+
     def test_confusion_csv_of_more_than_two_sources_is_rejected(self, tmp_path, capsys):
         """A confusion table is of one pair: with 3 sources the run exits 1
         and writes no output."""
@@ -632,6 +646,21 @@ class TestEquivalence:
         lines = (out / "forest.csv").read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "model,estimate,lo,hi"
         assert len(lines) == 3
+
+    def test_lone_surrogate_model_name(self, tmp_path):
+        """A model named with a JSON \\ud800 escape holds a lone surrogate;
+        forest.csv writes it back as that escape, and the manifest follows."""
+        task, paths, reference = self.inputs(tmp_path)
+        renamed = tmp_path / "m2.jsonl"
+        renamed.write_text(renamed.read_text(encoding="utf-8").replace(
+            '"name": "m2"', '"name": "m\\ud800x"'), encoding="utf-8")
+        out = tmp_path / "eq"
+        argv = ["equivalence", "--task", task, "--reference", reference, "--out", str(out)]
+        for p in paths:
+            argv += ["--models", p]
+        assert cli.run(argv) == 0
+        assert (out / "forest.csv").read_bytes().splitlines()[1].startswith(b"m\\ud800x,")
+        assert read_manifest(out)["outputs"] == ["report.json", "forest.csv"]
 
     def test_baseline_override(self, tmp_path):
         task, paths, reference = self.inputs(tmp_path)
@@ -1179,6 +1208,29 @@ class TestStrictJsonInputs:
         assert posts == []
         assert not (tmp_path / "out.jsonl").exists()
 
+    @pytest.mark.parametrize("value", ["", 0, True, 1.5, ["x"], None])
+    def test_item_ids_follow_the_record_rule(self, tmp_path, capsys, posts, value):
+        """An item id is read by the rule, and in the words, of a record's."""
+        task = write_task(tmp_path)
+        records = write_records(tmp_path / "records.jsonl",
+                                [(value, "model", "m", 0, ["red"])])
+        assert cli.run(["fsd", "--task", task, "--runs", records,
+                        "--out", str(tmp_path / "fsd.jsonl")]) == 1
+        record_error = capsys.readouterr().err.split("bad annotation record (")[1]
+        assert cli.run(self.inputs(tmp_path, "item", "item_id", value)) == 1
+        assert capsys.readouterr().err.split(":24: bad item (")[1] == record_error
+        assert posts == []
+
+    @pytest.mark.parametrize("file", ["items.jsonl", "guideline.txt", "prompt.json"])
+    def test_input_not_utf8_sends_nothing(self, tmp_path, capsys, posts, file):
+        argv = self.inputs(tmp_path)
+        path = tmp_path / file
+        path.write_bytes(path.read_bytes().replace(b"e", b"\xff", 1))
+        assert cli.run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{path}: not UTF-8 (" in err
+        assert posts == [] and not (tmp_path / "out.jsonl").exists()
+
     def test_extra_item_keys_are_allowed(self, tmp_path, posts):
         assert cli.run(self.inputs(tmp_path, "item", "source", "forum")) == 0
         assert len(posts) == 24
@@ -1193,3 +1245,58 @@ class TestStrictJsonInputs:
         assert posts == []
         assert cache.read_bytes() == (DATA / "replay_cache.jsonl").read_bytes()
         assert len(AnnotationCache(cache)) == len(cache.read_bytes().splitlines()) - 1
+
+
+class TestInputNotUtf8:
+    """A byte that is not UTF-8 in a task spec or an annotation file is bad
+    input naming the file: exit 1 and no output, not a UnicodeDecodeError."""
+
+    @pytest.mark.parametrize("what", ["task", "jsonl", "csv"])
+    def test_fsd_input(self, tmp_path, capsys, what):
+        task = pathlib.Path(write_task(tmp_path))
+        runs = pathlib.Path(TestFsd().runs_file(tmp_path))
+        if what == "csv":
+            runs = tmp_path / "runs.csv"
+            runs.write_text("item_id,role,name,run,label\n" + "".join(
+                f"i{j},model,m1,{r},red\n" for j in range(3) for r in range(2)), encoding="utf-8")
+        bad = task if what == "task" else runs
+        assert cli.run(["fsd", "--task", str(task), "--runs", str(runs),
+                        "--out", str(tmp_path / "fsd.jsonl")]) == 0
+        bad.write_bytes(bad.read_bytes().replace(b"i1", b"i\xff", 1).replace(b"toy", b"t\xffy"))
+        (tmp_path / "fsd.jsonl").unlink()
+        assert cli.run(["fsd", "--task", str(task), "--runs", str(runs),
+                        "--out", str(tmp_path / "fsd.jsonl")]) == 1
+        assert f"error: {bad}: not UTF-8 (" in capsys.readouterr().err
+        assert not (tmp_path / "fsd.jsonl").exists()
+
+
+class TestNegativeSeed:
+    """Every seeded generator takes a seed >= 0: a negative one is bad input."""
+
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_simulate_flag(self, tmp_path, capsys, seed):
+        assert cli.run(["simulate", "--config", TestSimulate().config(tmp_path),
+                        "--seed", seed, "--out", str(tmp_path / "sim")]) == 1
+        assert (f"usage error: argument --seed: seed must be an integer >= 0, got {seed!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "sim").exists()
+
+    def test_sim_config(self, tmp_path, capsys):
+        assert cli.run(["simulate", "--config", TestSimulate().config(tmp_path, seed=-1),
+                        "--out", str(tmp_path / "sim")]) == 1
+        assert "sim.json: seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("subcommand", ["mix-sensitivity", "route-sweep"])
+    def test_common_flag(self, tmp_path, capsys, subcommand):
+        if subcommand == "mix-sensitivity":
+            task, llm, expert, crowd = TestMixSensitivity().inputs(tmp_path)
+            argv = ["mix-sensitivity", "--task", task, "--llm", llm, "--expert", expert,
+                    "--crowd", crowd]
+        else:
+            task, focal, aux1, _, reference = routing_inputs(tmp_path)
+            argv = ["route-sweep", "--task", task, "--focal", focal, "--aux", aux1,
+                    "--reference", reference, "--tie-rule", "random-seeded"]
+        assert cli.run([*argv, "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+        assert "seed must be an integer >= 0, got '-1'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

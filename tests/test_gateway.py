@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import socket
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import time
 import warnings
 from importlib import resources
 
+import numpy as np
 import pytest
 from cache_oracle import OracleCache
 from conftest import CERT, choices_reply
@@ -388,6 +390,16 @@ class TestAnnotationCache:
         with pytest.raises(ValidationError, match=":2: bad cache entry \\(int too large"):
             AnnotationCache(path)
 
+    def test_temperature_beyond_float_range_beside_another_bad_field(self, tmp_path):
+        """With another field of the wrong type, the temperature is worded as
+        too large; before, its ValueError escaped the loader."""
+        path = tmp_path / "cache.jsonl"
+        bad = {**self.entry("k2").to_json(), "temperature": 10**400, "sample_index": "0"}
+        path.write_text(self.HEADER + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError,
+                           match=":2: bad cache entry \\(temperature is too large a number"):
+            AnnotationCache(path)
+
     @pytest.mark.parametrize("header", [
         {"cache_format": True, "digest": "sha256"}, {"cache_format": 1.0, "digest": "sha256"},
         {"cache_format": 1, "digest": "sha256", "note": "x"}, {"cache_format": 1}, [1],
@@ -758,10 +770,7 @@ class TestAnnotationCache:
         CacheEntry("k", "m", math.inf, 0, "x", None, "f", "t"),
         CacheEntry("k", "m", -math.inf, 0, "x", None, "f", "t"),
         CacheEntry("k", "m", math.nan, 0, "x", None, "f", "t"),
-        CacheEntry("k", "m", True, False, "x", None, None, "t"),
         CacheEntry("k", "m", 0.5, 1, "x", ["x", "y"], None, "t"),
-        CacheEntry("k", 5, 0.5, 1, "x", ("x",), None, "t"),
-        CacheEntry("k", "m", 0.5, 1, "x", ("x", None), None, "t"),
     ])
     def test_lines_are_the_encoders(self, tmp_path, entry):
         """Each cache line joined from field fragments is byte for byte the
@@ -771,6 +780,35 @@ class TestAnnotationCache:
         path = tmp_path / "cache.jsonl"
         AnnotationCache(path).put(entry)
         assert path.read_bytes() == (self.HEADER + want).encode("utf-8")
+
+    @pytest.mark.parametrize("entry, field", [
+        (CacheEntry("k", "m", True, False, "x", None, None, "t"), "temperature"),
+        (CacheEntry("k", "m", 0.5, True, "x", None, None, "t"), "sample_index"),
+        (CacheEntry("k", 5, 0.5, 1, "x", ("x",), None, "t"), "model"),
+        (CacheEntry("k", None, 0.5, 1, "x", ("x",), None, "t"), "model"),
+        (CacheEntry("k", "m", 0.5, 1, "x", ("x", None), None, "t"), "parsed"),
+        (CacheEntry("k", "m", 0.5, 1, "x", (1,), None, "t"), "parsed"),
+        (CacheEntry("k", "m", 0.5, 1, "x", "x", None, "t"), "parsed"),
+        (CacheEntry(["k"], "m", 0.5, 1, "x", None, None, "t"), "key"),
+        (CacheEntry("k", "m", 0.5, 1, "x", None, 3, "t"), "failure"),
+        (CacheEntry("k", "m", 0.5, 1, "x", None, None, None), "created"),
+        (CacheEntry("k", "m", 10**400, 1, "x", None, None, "t"), "int too large"),
+    ])
+    def test_put_refuses_a_line_the_loader_rejects(self, tmp_path, entry, field):
+        """An entry no cache line may hold is refused, naming its field, and
+        nothing of its put is written: before, put appended the encoder's line
+        and the next load of the file failed."""
+        path = tmp_path / "cache.jsonl"
+        cache = AnnotationCache(path)
+        with pytest.raises(ValidationError, match=f"bad cache entry, not written \\({field}"):
+            cache.put(entry)
+        assert not path.exists()
+        cache.put(self.entry("k1"))
+        before = path.read_bytes()
+        with pytest.raises(ValidationError, match=field):
+            cache.put(self.entry("k2"), entry)
+        assert path.read_bytes() == before and cache.get("k2") is None
+        assert len(AnnotationCache(path)) == 1
 
     def test_plain_lines_do_not_call_the_encoder(self, monkeypatch):
         monkeypatch.setattr(gateway, "_JSONL_ENCODER", None)
@@ -903,6 +941,85 @@ class TestScanMatchesOracle:
                 if getattr(a, field) == getattr(b, field):
                     assert getattr(a, field) is getattr(b, field)
         assert loaded == entries == [oracle.get(e.key) for e in entries]
+
+
+class TestPutWritesWhatLoads:
+    """Whatever put accepts, a fresh load returns; whatever it refuses leaves
+    the file as it was.  Seeded random entries (hypothesis is not a CI
+    dependency) mix lone surrogates, NaN, infinities and integer temperatures,
+    parsed tuples and lists, and fields of the wrong type."""
+
+    TEXTS = ["", "x", "positive", "\ud800", "a\udfffb", "\udc80\ud800", "é 😀 “q”",
+             'say "hi" \\ back\n\t\x00\x1f\x7f\u2028', "NaN", "labels: [x]"]
+    # (value, valid) choices per field, past the valid strings every str field takes
+    BAD_STR = [(5, False), (None, False), (b"x", False), (["x"], False)]
+    TEMPERATURES = [(0.7, True), (0.0, True), (-0.0, True), (1e-300, True), (2.5e300, True),
+                    (math.nan, True), (math.inf, True), (-math.inf, True), (0, True),
+                    (2, True), (-3, True), (2**60, True), (10**400, False), (True, False),
+                    ("0.7", False), (None, False)]
+    INDICES = [(0, True), (4, True), (-1, True), (2**80, True), (False, False), (1.0, False),
+               ("1", False), (None, False)]
+
+    def value(self, rng, field):
+        """A (value, valid) draw for one CacheEntry field."""
+        if field == "temperature":
+            if rng.random() < 0.3:
+                return rng.uniform(-5, 5), True
+            return rng.choice(self.TEMPERATURES)
+        if field == "sample_index":
+            return rng.choice(self.INDICES)
+        if field == "parsed":
+            labels = [rng.choice(self.TEXTS) for _ in range(rng.randrange(3))]
+            kind = rng.randrange(6)
+            if kind == 0:
+                return None, True
+            if kind == 1:
+                return labels, True
+            if kind == 2 and labels:  # one label that is not a str
+                labels[rng.randrange(len(labels))] = rng.choice([None, 1, b"x"])
+                return tuple(labels), False
+            if kind == 3:
+                return rng.choice(["x", 7]), False
+            return tuple(labels), True
+        if field == "failure" and rng.random() < 0.4:
+            return None, True
+        if rng.random() < 0.06:
+            return rng.choice(self.BAD_STR)
+        return rng.choice(self.TEXTS), True
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_entries(self, tmp_path, seed):
+        rng = random.Random(seed)
+        path = tmp_path / "cache.jsonl"
+        cache = AnnotationCache(path)
+        refused = kept = 0
+        for i in range(50):
+            draws = {f: self.value(rng, f) for f in ("model", "temperature", "sample_index",
+                                                     "raw_response", "parsed", "failure",
+                                                     "created")}
+            key, ok = self.value(rng, "key")
+            if ok:
+                key = f"k{i} {key}"  # a distinct key, so every accepted entry is appended
+            entry = CacheEntry(key=key, **{f: v for f, (v, _) in draws.items()})
+            valid = ok and all(v for _, v in draws.values())
+            before = path.read_bytes() if path.exists() else None
+            try:
+                cache.put(entry)
+            except ValidationError:
+                assert not valid, entry
+                assert (path.read_bytes() if path.exists() else None) == before
+                refused += 1
+                continue
+            assert valid, entry
+            kept += 1
+            want = repr(CacheEntry(key, entry.model, float(entry.temperature),
+                                   entry.sample_index, entry.raw_response,
+                                   None if entry.parsed is None else tuple(entry.parsed),
+                                   entry.failure, entry.created))
+            loaded = oracle_outcome(AnnotationCache, path)
+            assert loaded == oracle_outcome(OracleCache, path)
+            assert loaded[0][-1] == want and len(loaded[0]) == kept
+        assert refused and kept  # both sides of the property were drawn
 
 
 def scripted(mapping_default="positive"):
@@ -1256,6 +1373,32 @@ class TestAnnotate:
         assert sent.count("text one") == 1
         assert [s.failure for s in anns[0].samples] == ["transport: busy"] * 2
         assert anns[1].labels() == [LabelValue.single(0)] * 2
+
+    def test_choice_content_not_a_string_is_a_transport_failure(self, tmp_path):
+        """A null content is the endpoint's fault: its samples fail as a
+        malformed response and the run goes on; before, put wrote a line with
+        a null raw_response and the cache no longer loaded."""
+        path = tmp_path / "cache.jsonl"
+        anns = annotate(make_endpoint(), make_cfg(n_samples=2), ITEMS, AnnotationCache(path),
+                        transport=ScriptedTransport(
+                            lambda m, c, i: None if m[-1]["content"] == "text one" else "positive"))
+        assert [s.failure for s in anns[0].samples] == [
+            "transport: malformed response shape: a choice's content is not a string"] * 2
+        assert anns[1].labels() == [LabelValue.single(0)] * 2
+        assert len(AnnotationCache(path)) == 2
+
+    @pytest.mark.parametrize("make, kw, message", [
+        (make_cfg, {"temperature": True}, "temperature must be a number, not bool"),
+        (make_cfg, {"temperature": np.float64(0.7)}, "temperature must be a number, not float64"),
+        (make_cfg, {"temperature": "0.7"}, "temperature must be a number, not str"),
+        (make_endpoint, {"name": 5}, "name must be a string, not int"),
+    ], ids=["bool temperature", "numpy temperature", "str temperature", "int name"])
+    def test_config_values_no_cache_line_holds_are_refused_before_a_request(self, make, kw,
+                                                                            message):
+        """Each of these would key its requests and be paid for, and then
+        put would refuse the entry that holds it."""
+        with pytest.raises(ValidationError, match=message):
+            make(**kw)
 
     def test_each_post_takes_one_call_index(self, tmp_path):
         """Two workers post at once: every choice of a post sees that post's

@@ -108,6 +108,11 @@ class TestSensitivityCurve:
             sensitivity_curve({"a": S(0)}, {"b": S(0)}, {"b": S(0)},
                               MixConfig(alphas=(0.5,)), TaskKind.MULTICLASS)
 
+    def test_negative_seed_is_rejected(self):
+        """Every seeded generator takes a seed >= 0; numpy's ValueError is not bad input."""
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            MixConfig(alphas=(0.5,), seed=-1)
+
 
 def curve_oracle(llm, expert, crowd, cfg, kind):
     """Per-replicate gaps the direct way: mix_baseline, then the frozen

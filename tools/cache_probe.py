@@ -6,15 +6,17 @@ Run from anywhere:
     python3 tools/cache_probe.py --entries 200000
 
 It writes a synthetic cache of --entries entries with distinct keys to a
-temporary directory, in the line layout `annotate` writes: model `mock-llm`,
-temperature 0.7, five samples per item sharing one timestamp, and responses
-drawn from a few dozen texts (label lines, `labels: [...]` blocks and
-unparseable text), as the benchmark's warm cache holds them.  A fresh child
-process imports the package, loads the cache with `AnnotationCache`, and
-reports the load's wall time and how far it raised the process's peak RSS
-(`ru_maxrss`).  The child then decodes every line again with `json.loads` and
-checks that `get()` returns that entry for its key.  The probe exits 1 unless
-every entry matches.  The temporary directory is removed at the end.
+temporary directory through `AnnotationCache.put`, 10,000 entries a call, as
+`annotate` writes them: model `mock-llm`, temperature 0.7, five samples per
+item sharing one timestamp, and responses drawn from a few dozen texts (label
+lines, `labels: [...]` blocks and unparseable text), as the benchmark's warm
+cache holds them.  A fresh child process imports the package, loads the
+cache with `AnnotationCache`, and reports the load's wall time and how far it
+raised the process's peak RSS (`ru_maxrss`).  The child then builds the same
+entries again and checks that `get()` returns each one for its key, and
+decodes every line with `json.loads` and checks that `get()` returns that
+line's entry: what the writer accepted, the loader returns.  The probe exits 1
+unless every entry matches.  The temporary directory is removed at the end.
 """
 
 import argparse
@@ -30,7 +32,7 @@ import time
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 sys.path.insert(0, SRC)
 
-from silicon.gateway import AnnotationCache, CacheEntry, _entry_lines  # noqa: E402
+from silicon.gateway import AnnotationCache, CacheEntry  # noqa: E402
 
 LABELS = ("positive", "negative", "neutral", "economy", "health", "crime")
 SAMPLES = 5
@@ -47,32 +49,42 @@ def responses() -> list[tuple[str, tuple[str, ...] | None, str | None]]:
     return out
 
 
-def write_cache(path: str, n: int) -> None:
+def entries(n: int):
+    """The n entries of the synthetic cache, in the order they are written."""
     texts = responses()
-    with open(path, "wb") as fh:
-        fh.write(json.dumps({"cache_format": 1, "digest": "sha256"},
-                            sort_keys=True).encode() + b"\n")
-        batch = []
-        for i in range(n):
-            raw, parsed, failure = texts[hashlib.blake2b(str(i).encode(), digest_size=2)
-                                         .digest()[0] % len(texts)]
-            created = f"2026-01-01T00:00:00.{i // SAMPLES:06d}+00:00"  # one per item
-            batch.append(CacheEntry(hashlib.sha256(str(i).encode()).hexdigest(), "mock-llm",
-                                    0.7, i % SAMPLES, raw, parsed, failure, created))
-            if len(batch) == 10_000:
-                fh.write(_entry_lines(batch))
-                batch = []
-        fh.write(_entry_lines(batch))
+    for i in range(n):
+        raw, parsed, failure = texts[hashlib.blake2b(str(i).encode(), digest_size=2)
+                                     .digest()[0] % len(texts)]
+        created = f"2026-01-01T00:00:00.{i // SAMPLES:06d}+00:00"  # one per item
+        yield CacheEntry(hashlib.sha256(str(i).encode()).hexdigest(), "mock-llm",
+                         0.7, i % SAMPLES, raw, parsed, failure, created)
 
 
-def child(path: str) -> int:
-    """Load the cache at `path`, check it, and print the measurements as JSON."""
+def write_cache(path: str, n: int) -> None:
+    cache, batch = AnnotationCache(path), []
+    for entry in entries(n):
+        batch.append(entry)
+        if len(batch) == 10_000:
+            cache.put(*batch)
+            batch = []
+    cache.put(*batch)
+
+
+def child(path: str, n: int) -> int:
+    """Load the cache of `n` entries at `path`, check it, and print the
+    measurements as JSON."""
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     t0 = time.perf_counter()
     cache = AnnotationCache(path)
     load_s = time.perf_counter() - t0
     rise_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
     mismatched = 0
+    for entry in entries(n):
+        if cache.get(entry.key) != entry:
+            mismatched += 1
+            if mismatched <= 3:
+                print(f"{entry!r} was put, get() returned {cache.get(entry.key)!r}",
+                      file=sys.stderr)
     with open(path, encoding="utf-8") as fh:
         next(fh)  # the header
         for lineno, line in enumerate(fh, start=2):
@@ -93,7 +105,7 @@ def main(argv=None) -> int:
     parser.add_argument("--child", help=argparse.SUPPRESS)  # the path the child loads
     args = parser.parse_args(argv)
     if args.child:
-        return child(args.child)
+        return child(args.child, args.entries)
     if args.entries < 1:
         parser.error("--entries must be at least 1")
 
@@ -101,8 +113,8 @@ def main(argv=None) -> int:
         path = os.path.join(tmp, "cache.jsonl")
         write_cache(path, args.entries)
         size = os.path.getsize(path)
-        proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", path],
-                              stdout=subprocess.PIPE, text=True)
+        proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", path,
+                               "--entries", str(args.entries)], stdout=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         print(f"the child process exited with {proc.returncode}", file=sys.stderr)
         return 1
@@ -112,7 +124,7 @@ def main(argv=None) -> int:
           f"({result['rss_rise_mb'] * 2**20 / args.entries:.0f} B per entry)")
     if result["entries"] != args.entries or result["mismatched"]:
         print(f"FAIL: loaded {result['entries']} entries; {result['mismatched']} differ from "
-              f"json.loads of their line", file=sys.stderr)
+              f"the entry put or json.loads of their line", file=sys.stderr)
         return 1
     return 0
 
