@@ -770,6 +770,7 @@ class TestAnnotationCache:
         CacheEntry("k", "m", math.inf, 0, "x", None, "f", "t"),
         CacheEntry("k", "m", -math.inf, 0, "x", None, "f", "t"),
         CacheEntry("k", "m", math.nan, 0, "x", None, "f", "t"),
+        CacheEntry("k", "m", 0.1 + 0.2, 7, "x", ("x", "y"), None, "t"),
         CacheEntry("k", "m", 0.5, 1, "x", ["x", "y"], None, "t"),
     ])
     def test_lines_are_the_encoders(self, tmp_path, entry):
