@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from operator import attrgetter
 from typing import Collection, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import LabelValue, TaskKind, TaskSpec, ValidationError, _code_maps
+from .core import LabelValue, TaskKind, TaskSpec, ValidationError, _code_maps, _label_codes
 
 __all__ = [
     "set_weight",
@@ -111,9 +110,6 @@ class AgreementReport:
     mean_kappa: float | None = None
 
 
-_indices = attrgetter("indices")
-
-
 def _label_error(lab: LabelValue, spec: TaskSpec | None, single: bool):
     """The ValidationError kappa raises for `lab`, or None if it is fine."""
     if single and len(lab.indices) != 1:
@@ -129,11 +125,11 @@ def _label_error(lab: LabelValue, spec: TaskSpec | None, single: bool):
 class _Codes:
     """Several label columns coded once for kappa under one task kind.
 
-    `cats` are the distinct labels sorted in LabelValue order (keyed by their
-    `indices` tuple, which hashes in C) and `columns` each column's int codes
-    into them.  `errors[k]` is the ValidationError kappa raises for cats[k],
-    or None, and `weights` the disagreement weights over `cats`: set weights
-    for multilabel tasks, 1 - identity otherwise.
+    `cats` are the distinct labels in LabelValue order and `columns` each
+    column's int codes into them, both from core._label_codes, the one label
+    coder.  `errors[k]` is the ValidationError kappa raises for cats[k], or
+    None, and `weights` the disagreement weights over `cats`: set weights for
+    multilabel tasks, 1 - identity otherwise.
 
     Every kappa starts from an integer K x K count table over `cats`
     (K = len(cats)): `table` counts the code pairs of two aligned columns.
@@ -144,18 +140,11 @@ class _Codes:
     """
 
     def __init__(self, kind: TaskKind, spec: TaskSpec | None, *columns: Iterable[LabelValue]):
-        table = {}
-        for col in columns:
-            table.update(zip(map(_indices, col), col))
-        keys = sorted(table)
-        code = {key: i for i, key in enumerate(keys)}
-        self.cats = [table[key] for key in keys]
-        self.columns = [np.fromiter(map(code.__getitem__, map(_indices, col)), np.intp)
-                        for col in columns]
+        self.cats, self.columns = _label_codes(*columns)
         self.weighted = kind is TaskKind.MULTILABEL
         self.errors = [_label_error(lab, spec, not self.weighted) for lab in self.cats]
         self._bad = np.array([e is not None for e in self.errors], dtype=bool)
-        self.weights = (_set_weights(list(map(_indices, self.cats))) if self.weighted
+        self.weights = (_set_weights([lab.indices for lab in self.cats]) if self.weighted
                         else 1.0 - np.eye(len(self.cats)))
 
     def check(self, *columns: np.ndarray, key=None) -> None:
@@ -278,20 +267,18 @@ def mean_pairwise_kappa_codes(
 
     `matrix[r, j]` is the code into `table` of source `names[j]`'s label for
     `items[r]`, or -1 where it has none (Dataset.code_matrix gives this).  The
-    labels used are coded once for kappa; each pair is then the count table,
-    one bincount, of its two columns where both are present.  Kappa counts
-    label pairs, so the row order does not change it, and rows no source
-    labels are not counted.  A pair reports the first bad label it holds, as
+    whole table is coded once for kappa; each pair is then the count table,
+    one bincount, of its two columns where both are present, which
+    _Codes._finish restricts to the labels the pair uses.  Kappa counts label
+    pairs, so the row order does not change it, and rows no source labels are
+    not counted.  A pair reports the first bad label it holds, as
     kappa_for_kind on its label lists in sorted item order would.
     """
     if len(names) < 2:
         raise ValidationError("need at least 2 annotators")
     present = matrix >= 0
-    used = np.unique(matrix[present])
-    codes = _Codes(kind, spec, [table[c] for c in used.tolist()])
-    rank = np.full(len(table) + 1, -1, dtype=np.intp)  # the last entry keeps -1 at -1
-    rank[used] = codes.columns[0]
-    matrix = rank[matrix]
+    codes = _Codes(kind, spec, table)
+    matrix = np.append(codes.columns[0], -1)[matrix]  # the last entry keeps -1 at -1
     pair_reports = []
     pairs = []
     for a, b in combinations(range(len(names)), 2):

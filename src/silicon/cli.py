@@ -21,7 +21,6 @@ import os
 import sys
 from contextlib import suppress
 from dataclasses import asdict, replace
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -42,6 +41,8 @@ from .core import (
     _check_record,
     _decode_line,
     _json_value,
+    _label_codes,
+    _now,
     _open_text,
     atomic_open,
     load_dataset,
@@ -74,10 +75,6 @@ class UsageError(SiliconError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we map usage problems to 1
         raise UsageError(message)
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 def _round_floats(obj, ndigits: int = 6):
@@ -315,10 +312,7 @@ def _fsd_scores(dataset: Dataset, source_name: str | None):
         raise ValidationError(
             f"dataset has {len(sources)} sources; pick one with --source"
         )
-    table = dataset.label_table
-    order = sorted(range(len(table)), key=lambda c: table[c].indices)
-    rank = np.empty(len(table), dtype=np.int64)
-    rank[order] = np.arange(len(table))
+    labels, (rank,) = _label_codes(dataset.label_table)
     rows = np.flatnonzero(dataset.source_code == sources.index(source))
     items, fsd, top, second, n = fsd_from_codes(dataset.item_code[rows],
                                                 rank[dataset.label_code[rows]])
@@ -331,7 +325,7 @@ def _fsd_scores(dataset: Dataset, source_name: str | None):
         )
     columns = ([item_ids[i] for i in items.tolist()], fsd.tolist(), top.tolist(),
                second.tolist(), n.tolist())
-    return source, [table[c] for c in order], columns
+    return source, labels, columns
 
 
 def cmd_fsd(args) -> tuple[list[str], list[str]]:

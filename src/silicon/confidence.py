@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import LabelValue, ValidationError
+from .core import LabelValue, ValidationError, _label_codes
 
 __all__ = ["FsdScore", "fsd_from_samples", "fsd_from_probabilities"]
 
@@ -74,10 +74,8 @@ def fsd_from_samples(samples: Sequence[LabelValue]) -> FsdScore:
     n = len(samples)
     if n < 2:
         raise ValidationError("need at least 2 samples")
-    labels = sorted(set(samples))
-    rank = {lab: r for r, lab in enumerate(labels)}
-    _, fsd, top, second, _ = fsd_from_codes(
-        np.zeros(n, dtype=np.int64), np.fromiter(map(rank.__getitem__, samples), np.int64, n))
+    labels, (rank,) = _label_codes(samples)
+    _, fsd, top, second, _ = fsd_from_codes(np.zeros(n, dtype=np.int64), rank)
     second = int(second[0])
     return FsdScore(fsd=float(fsd[0]), top_label=labels[top[0]],
                     second_label=labels[second] if second >= 0 else None,

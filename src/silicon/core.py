@@ -13,9 +13,11 @@ import json
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from enum import Enum
 from itertools import chain
 from json.decoder import scanstring
+from operator import attrgetter
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -609,20 +611,24 @@ def load_dataset(path, spec: TaskSpec) -> Dataset:
         with _open_text(path, newline="") as fh:
             reader = csv.DictReader(fh)
             needed = {"item_id", "role", "name", "run", "label"}
-            if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-                raise ValidationError(f"{path}: CSV must have columns {sorted(needed)}")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    run = int(row["run"])  # CSV cells are text: the one explicit conversion
-                except ValueError as exc:
-                    raise ValidationError(
-                        f"{path}:{lineno}: bad annotation record ({exc})") from exc
-                add({
-                    "item_id": row["item_id"],
-                    "source": {"role": row["role"], "name": row["name"]},
-                    "run": run,
-                    "labels": [row["label"]],
-                }, path, lineno)
+            try:
+                if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
+                    raise ValidationError(f"{path}: CSV must have columns {sorted(needed)}")
+                for row in reader:  # a row's line is its last: a quoted cell may span lines
+                    try:
+                        run = int(row["run"])  # CSV cells are text: the one explicit conversion
+                    except (TypeError, ValueError) as exc:  # TypeError: a short row has no run
+                        raise ValidationError(
+                            f"{path}:{reader.line_num}: bad annotation record ({exc})") from exc
+                    add({
+                        "item_id": row["item_id"],
+                        "source": {"role": row["role"], "name": row["name"]},
+                        "run": run,
+                        "labels": [row["label"]],
+                    }, path, reader.line_num)
+            except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+                raise ValidationError(  # the DictReader's own line_num lags a failed row
+                    f"{path}:{reader.reader.line_num}: bad annotation record ({exc})") from exc
     else:
         items, item_rows, key_rows = cols.items, cols.item_rows, cols.key_rows
         memo: dict | None = {}            # tail -> (source, run, label) codes
@@ -707,6 +713,10 @@ def save_dataset(dataset: Dataset, path) -> None:
                                     dataset.run.tolist(), dataset.label_code.tolist()))
 
 
+def _now() -> str:
+    return datetime.now(timezone.utc).isoformat()
+
+
 def _sorted_ids(ids: Iterable) -> list:
     """Item ids in sorted order.  JSON ids may be ints or strings, which do
     not compare: a mix of them is a ValidationError that names the types."""
@@ -717,19 +727,32 @@ def _sorted_ids(ids: Iterable) -> list:
         raise ValidationError(f"item ids mix {types} and cannot be sorted") from None
 
 
+def _label_codes(*columns: Iterable[LabelValue]) -> tuple[list[LabelValue], list[np.ndarray]]:
+    """The one label coder of the analyses: the distinct labels of `columns`
+    in LabelValue order, and each column's intp codes into them.  Labels are
+    keyed by their `indices` tuple, which hashes in C; each column is read
+    twice, so it must not be an iterator."""
+    indices, table = attrgetter("indices"), {}
+    for col in columns:
+        table.update(zip(map(indices, col), col))
+    keys = sorted(table)
+    code = dict(zip(keys, range(len(keys))))
+    return ([table[key] for key in keys],
+            [np.fromiter(map(code.__getitem__, map(indices, col)), np.intp) for col in columns])
+
+
 def _code_maps(maps: Sequence[Mapping]) -> tuple[list, list[LabelValue], np.ndarray]:
     """The {item -> label} maps as one code matrix: the items in first-seen
-    order, the distinct labels in first-seen order, and an items x maps array
-    of codes into those labels, -1 where a map lacks the item (the layout of
-    Dataset.code_matrix)."""
+    order, the distinct labels from _label_codes (in LabelValue order), and an
+    items x maps array of codes into those labels, -1 where a map lacks the
+    item (the layout of Dataset.code_matrix)."""
     items = list(dict.fromkeys(chain.from_iterable(maps)))
     row = {item: r for r, item in enumerate(items)}
-    code: dict = {}
+    table, codes = _label_codes(*(m.values() for m in maps))
     matrix = np.full((len(items), len(maps)), -1, dtype=np.intp)
-    for col, m in enumerate(maps):
-        matrix[np.fromiter(map(row.__getitem__, m), np.intp, len(m)), col] = np.fromiter(
-            (code.setdefault(lab, len(code)) for lab in m.values()), np.intp, len(m))
-    return items, list(code), matrix
+    for col, (m, code) in enumerate(zip(maps, codes)):
+        matrix[np.fromiter(map(row.__getitem__, m), np.intp, len(m)), col] = code
+    return items, table, matrix
 
 
 def _rng_from_seed(seed) -> np.random.Generator:

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import LabelValue, ValidationError, _code_maps, _sorted_ids
+from .core import LabelValue, ValidationError, _code_maps, _label_codes, _sorted_ids
 
 __all__ = [
     "MatchMatrix",
@@ -41,6 +41,7 @@ __all__ = [
 _MAX_ITER = 100
 _DEV_TOL = 1e-10
 _Z95 = 1.96
+_Z_ONE_SIDED_95 = 1.6448536269514722  # scipy.special.ndtri(0.95)
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,9 @@ def build_match_matrix_codes(
 
     `matrix[r, j]` is the code into `table` of model `models[j]`'s label for
     `items[r]`, or -1 where it has none (Dataset.code_matrix gives this).
-    Each reference label is coded into `table` once, and the matches are one
-    comparison of the reference rows with their codes.
+    The table and the reference labels are coded together by
+    core._label_codes, and the matches are one comparison of the recoded
+    model rows with the reference codes.
     """
     models = tuple(models)
     if len(models) < 2:
@@ -123,13 +125,11 @@ def build_match_matrix_codes(
             for name, lacks in zip(models, missing.T) if lacks.any()
         )
         raise ValidationError(f"models missing reference items ({detail})")
-    code = {lab: c for c, lab in enumerate(table)}
-    ref = np.fromiter((code.get(reference[item], -1) for item in ref_items),
-                      np.intp, len(ref_items))
+    _, (rank, ref) = _label_codes(table, [reference[item] for item in ref_items])
     return MatchMatrix(
         items=ref_items,
         models=models,
-        matches=(codes == ref[:, None]).astype(float),
+        matches=(rank[codes] == ref[:, None]).astype(float),
         baseline_model=baseline_model or models[0],
     )
 
@@ -275,7 +275,7 @@ def fit_equivalence(
     """
     if tost_margin is not None and not 0.0 < tost_margin < math.inf:  # nan fails too
         raise ValidationError(f"tost_margin must be a positive finite number, not {tost_margin}")
-    from scipy.special import chdtrc, ndtr, ndtri  # imported here, as in _exact_ci
+    from scipy.special import chdtrc, ndtr  # imported here, as in _exact_ci
 
     models = matrix.models
     baseline = matrix.baseline_model
@@ -324,7 +324,7 @@ def fit_equivalence(
         if m in coef and tost_margin is not None:
             z_lo = (coef[m] + tost_margin) / se[m]
             z_hi = (tost_margin - coef[m]) / se[m]
-            tost = bool(min(z_lo, z_hi) > ndtri(0.95))
+            tost = bool(min(z_lo, z_hi) > _Z_ONE_SIDED_95)
         if m in coef:
             lo = coef[m] - _Z95 * se[m]
             hi = coef[m] + _Z95 * se[m]

@@ -32,7 +32,6 @@ import ssl
 import threading
 import urllib.request
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from enum import Enum
 from importlib import resources
 from typing import Callable, Mapping, Sequence
@@ -44,8 +43,8 @@ except ImportError:  # no flock (Windows): appends from several processes are no
     fcntl = None
 
 from .core import LabelValue, Role, SiliconError, SourceId, TaskKind, TaskSpec, ValidationError
-from .core import (_JSONL_ENCODER, Dataset, _decode_line, _json_object, _json_value, _open_text,
-                   _read_json)
+from .core import (_JSONL_ENCODER, Dataset, _decode_line, _json_object, _json_value, _now,
+                   _open_text, _read_json)
 
 __all__ = [
     "GatewayError",
@@ -797,10 +796,6 @@ def _choice_texts(resp: dict, n: int) -> list[str]:
     if not {*map(type, texts)} <= _STR:  # a null content would make an entry put refuses
         raise TransportError("malformed response shape: a choice's content is not a string")
     return texts
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 def annotate(

@@ -313,7 +313,7 @@ def _estimate(counts: np.ndarray, n: int, e: float) -> SimResult:
     slope = (1.0 - e) - e / (k - 1)
     chance_rate = e / (k - 1)
     residual = abs(reference_agreement - (slope * truth_agreement + chance_rate + co))
-    se = float(np.sqrt(reference_agreement * (1.0 - reference_agreement) / n))
+    se = _binom_se(reference_agreement, n)
     return SimResult(
         truth_agreement=truth_agreement,
         reference_agreement=reference_agreement,

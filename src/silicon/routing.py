@@ -14,14 +14,14 @@ the auxiliary cost; sweep() measures the actual trade-off.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import compress, count
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .agreement import _Codes, _indices
+from .agreement import _Codes
 from .agreement import kappa_for_kind  # unused here, but perfbench/tracing.py wraps this name
-from .core import LabelValue, TaskSpec, TieRule, ValidationError, _vote, majority_vote
+from .core import LabelValue, TaskSpec, TieRule, ValidationError, _label_codes, _vote, majority_vote
 
 __all__ = ["RoutingPlan", "RoutingResult", "SweepPoint", "route", "sweep"]
 
@@ -74,8 +74,8 @@ def route(
     as the keep-focal fallback (the default): single-label ties keep the focal
     label when it is among the modal candidates; multilabel exact-half
     categories follow the focal's choice, and an empty strict majority keeps
-    it whole.  Every routed item is voted at once by core._vote, with the
-    focal label as its first column.
+    it whole.  Every routed item is voted at once by core._vote, from one code
+    matrix (core._label_codes) whose first column is the focal label.
 
     The first item in order with a fault raises it: no fsd, an fsd outside
     [0, 1] (a non-number raises the TypeError of comparing it), or, if routed,
@@ -98,16 +98,10 @@ def route(
             if not all(map(labels.__contains__, routed)):
                 raise KeyError
             columns.append(list(map(labels.__getitem__, routed)))
-        # the routed votes as one code matrix over their distinct labels
-        first: dict = {}  # label indices -> label, in first-seen order; the tuples hash in C
-        for col in columns:
-            first.update(zip(map(_indices, col), col))
-        table = list(first.values())
+        table, codes = _label_codes(*columns)
         for label in table:
             spec.validate_label(label)
-        code = dict(zip(first, count()))
-        codes = np.array([list(map(code.__getitem__, map(_indices, col))) for col in columns],
-                         dtype=np.intp).T
+        codes = np.array(codes).T
     except (KeyError, TypeError, ValueError, ValidationError) as exc:
         error = exc
     else:  # _vote raises the error of the first row it cannot settle

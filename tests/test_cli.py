@@ -1270,6 +1270,45 @@ class TestInputNotUtf8:
         assert not (tmp_path / "fsd.jsonl").exists()
 
 
+class TestCsvFaults:
+    """A CSV annotation file the csv module cannot read, or a row too short to
+    hold a run, is bad input naming the file and line: exit 1 and no output,
+    not a traceback."""
+
+    def fsd(self, tmp_path, text):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(text, encoding="utf-8")
+        out = tmp_path / "fsd.jsonl"
+        code = cli.run(["fsd", "--task", write_task(tmp_path), "--runs", str(runs),
+                        "--out", str(out)])
+        assert not out.exists()
+        return code, runs
+
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_field_over_the_size_limit(self, tmp_path, capsys, where):
+        big = "x" * 200_000
+        header = "item_id,role,name,run,label" + (f",{big}" if where == "header" else "")
+        rows = "i0,model,m1,0,red\n" + (f"{big},model,m1,1,red\n" if where == "row" else "")
+        code, runs = self.fsd(tmp_path, f"{header}\n{rows}")
+        assert code == 1
+        line = 1 if where == "header" else 3
+        assert (f"error: {runs}:{line}: bad annotation record (field larger than field limit"
+                in capsys.readouterr().err)
+
+    def test_row_without_a_run_cell(self, tmp_path, capsys):
+        code, runs = self.fsd(tmp_path, "item_id,role,name,run,label\n"
+                                        "i0,model,m1,0,red\ni0,model,m1\n")
+        assert code == 1
+        assert f"error: {runs}:3: bad annotation record (" in capsys.readouterr().err
+
+    def test_line_after_a_quoted_newline(self, tmp_path, capsys):
+        """A row's line is its file line, though an earlier quoted cell spans two."""
+        code, runs = self.fsd(tmp_path, 'item_id,role,name,run,label\n"i\n0",model,m1,0,red\n'
+                                        "i1,model,m1,x,red\n")
+        assert code == 1
+        assert f"error: {runs}:4: bad annotation record (" in capsys.readouterr().err
+
+
 class TestNegativeSeed:
     """Every seeded generator takes a seed >= 0: a negative one is bad input."""
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from silicon import equivalence
 from silicon.core import LabelValue, ValidationError
 from silicon.equivalence import build_match_matrix, fit_equivalence, MatchMatrix
 
@@ -298,7 +299,8 @@ def test_equal_accuracies_give_lr_p_one_when_the_statistic_rounds_negative():
 
 def test_special_functions_equal_the_scipy_stats_calls_they_replace():
     """equivalence uses scipy.special directly; each call must give the bits
-    the scipy.stats distribution method gave, boundaries included."""
+    the scipy.stats distribution method gave, boundaries included, and the
+    one constant that replaces a call must give that call's bits."""
     from scipy import special, stats
 
     rng = np.random.default_rng(20261018)
@@ -326,6 +328,8 @@ def test_special_functions_equal_the_scipy_stats_calls_they_replace():
     same(special.ndtr(-np.abs(z)), stats.norm.sf(np.abs(z)))
     p = np.concatenate([rng.random(3000), [0.95, 0.5, 1e-300, 1.0 - 1e-16, 0.0, 1.0]])
     same(special.ndtri(p), stats.norm.ppf(p))
+    # the TOST critical value is a constant, the bits of the call it replaces
+    same(equivalence._Z_ONE_SIDED_95, special.ndtri(0.95))
 
 
 def modules_loaded_by_cli_import(prefixes):
