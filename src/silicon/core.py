@@ -609,26 +609,35 @@ def load_dataset(path, spec: TaskSpec) -> Dataset:
         if spec.kind is TaskKind.MULTILABEL:
             raise ValidationError("CSV ingestion supports single-label tasks only")
         with _open_text(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            needed = {"item_id", "role", "name", "run", "label"}
+            reader = csv.reader(fh)
+            needed = ("item_id", "role", "name", "run", "label")
             try:
-                if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
+                header = next(reader, None)
+                if header is None or not set(needed).issubset(header):
                     raise ValidationError(f"{path}: CSV must have columns {sorted(needed)}")
+                at = {name: j for j, name in enumerate(header)}  # a repeated name: its last cell
+                item_at, role_at, name_at, run_at, label_at = (at[name] for name in needed)
                 for row in reader:  # a row's line is its last: a quoted cell may span lines
+                    if not row:
+                        continue  # a blank line holds no record
+                    if len(row) != len(header):
+                        raise ValidationError(
+                            f"{path}:{reader.line_num}: bad annotation record "
+                            f"(row has {len(row)} cells, header has {len(header)})")
                     try:
-                        run = int(row["run"])  # CSV cells are text: the one explicit conversion
-                    except (TypeError, ValueError) as exc:  # TypeError: a short row has no run
+                        run = int(row[run_at])  # CSV cells are text: the one explicit conversion
+                    except ValueError as exc:
                         raise ValidationError(
                             f"{path}:{reader.line_num}: bad annotation record ({exc})") from exc
                     add({
-                        "item_id": row["item_id"],
-                        "source": {"role": row["role"], "name": row["name"]},
+                        "item_id": row[item_at],
+                        "source": {"role": row[role_at], "name": row[name_at]},
                         "run": run,
-                        "labels": [row["label"]],
+                        "labels": [row[label_at]],
                     }, path, reader.line_num)
             except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-                raise ValidationError(  # the DictReader's own line_num lags a failed row
-                    f"{path}:{reader.reader.line_num}: bad annotation record ({exc})") from exc
+                raise ValidationError(
+                    f"{path}:{reader.line_num}: bad annotation record ({exc})") from exc
     else:
         items, item_rows, key_rows = cols.items, cols.item_rows, cols.key_rows
         memo: dict | None = {}            # tail -> (source, run, label) codes

@@ -5,7 +5,9 @@ on a seeded random subset of items; sensitivity_curve reports, per alpha, the
 absolute shift of the model-vs-reference kappa relative to the pure-expert
 reference, averaged over seeded replicates.  alpha = 0 is a zero gap by
 construction and alpha = 1 is the full expert-vs-crowd reference swap, both
-independent of the seed.
+independent of the seed: an alpha whose swap count is 0 or n (all n items) is
+scored once for all its replicates, with the same numbers and first error, bit
+for bit, as scoring each replicate.
 """
 
 from __future__ import annotations
@@ -110,6 +112,11 @@ def sensitivity_curve(
     (llm, crowd) cell, and only the crowd labels swapped in are checked: the
     first rejected one by position is the error a check of the whole mixed
     column would raise.  One replicate's table is held at a time.
+
+    An alpha whose swap count round(alpha * n) is 0 or n swaps the same items
+    in every replicate, none or all, so it is scored once, with no draw, and
+    that gap fills all its replicates: the same numbers and the same first
+    error, bit for bit, as drawing each replicate.
     """
     items = _sorted_ids(set(llm) & set(expert))
     if len(items) < 2:
@@ -124,14 +131,23 @@ def sensitivity_curve(
     _check_crowd(items, crowd)
     leave, enter = codes.cells(llm_codes, expert_codes), codes.cells(llm_codes, crowd_codes)
 
+    n = len(items)
     out = []
     for a_idx, alpha in enumerate(cfg.alphas):
-        gaps = []
-        for rep in range(cfg.replicates):
-            swapped = _swap_positions(len(items), alpha, _replicate_seed(cfg.seed, a_idx, rep))
-            codes.check(crowd_codes[swapped], key=swapped.__getitem__)
-            table = codes.moved(base, leave[swapped], enter[swapped])
-            gaps.append(abs(kappa_ref - codes.score(table)[0]))
+        k = int(round(alpha * n))  # the swap count _swap_positions draws
+        if k == 0:  # the mix is the expert reference: a zero gap by construction
+            gaps = [0.0] * cfg.replicates
+        elif k == n:  # every draw swaps every item: one check and one table
+            codes.check(crowd_codes)
+            table = codes.moved(base, leave, enter)
+            gaps = [abs(kappa_ref - codes.score(table)[0])] * cfg.replicates
+        else:
+            gaps = []
+            for rep in range(cfg.replicates):
+                swapped = _swap_positions(n, alpha, _replicate_seed(cfg.seed, a_idx, rep))
+                codes.check(crowd_codes[swapped], key=swapped.__getitem__)
+                table = codes.moved(base, leave[swapped], enter[swapped])
+                gaps.append(abs(kappa_ref - codes.score(table)[0]))
         out.append(AlphaGap(
             alpha=alpha,
             mean_gap=float(np.mean(gaps)),

@@ -1309,6 +1309,32 @@ class TestCsvFaults:
         assert f"error: {runs}:4: bad annotation record (" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("row,cells", [
+        ("i1,model,m1,0,red,blue", 6),   # a cell more than the header: not a second label
+        ("i1,model,m1,0", 4),            # a run but no label
+        ("i1,model,m1", 3),              # no run cell
+    ], ids=["long", "short-with-run", "short-without-run"])
+    def test_row_cells_differ_from_the_header(self, tmp_path, capsys, row, cells):
+        code, runs = self.fsd(tmp_path, f"item_id,role,name,run,label\ni0,model,m1,0,red\n{row}\n")
+        assert code == 1
+        assert (f"error: {runs}:3: bad annotation record (row has {cells} cells, header has 5)"
+                in capsys.readouterr().err)
+
+    def test_row_cells_after_a_quoted_newline(self, tmp_path, capsys):
+        code, runs = self.fsd(tmp_path, 'item_id,role,name,run,label\n"i\n0",model,m1,0,red\n'
+                                        "i1,model,m1,0,red,blue\n")
+        assert code == 1
+        assert (f"error: {runs}:4: bad annotation record (row has 6 cells, header has 5)"
+                in capsys.readouterr().err)
+
+    def test_blank_line_holds_no_record(self, tmp_path, capsys):
+        """A blank line is skipped, and the row after it reports its own file line."""
+        code, runs = self.fsd(tmp_path, "item_id,role,name,run,label\ni0,model,m1,0,red\n\n"
+                                        "i1,model,m1,x,red\n")
+        assert code == 1
+        assert f"error: {runs}:4: bad annotation record (" in capsys.readouterr().err
+
+
 class TestNegativeSeed:
     """Every seeded generator takes a seed >= 0: a negative one is bad input."""
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import silicon.sensitivity as sensitivity
 from silicon.core import LabelValue, TaskKind, ValidationError
 from silicon.sensitivity import MixConfig, _replicate_seed, mix_baseline, sensitivity_curve
 from kappa_oracle import old_cohen_kappa, old_kappa_for_kind
@@ -194,3 +195,82 @@ class TestCurveMatchesDirectOracle:
         assert sensitivity_curve(llm, expert, crowd, only_zero, TaskKind.MULTICLASS)[0].mean_gap == 0.0
         with pytest.raises(ValidationError, match="single labels"):
             sensitivity_curve(llm, expert, crowd, MixConfig(alphas=(1.0,)), TaskKind.MULTICLASS)
+
+
+class TestSwapNothingAndSwapEverything:
+    """An alpha whose swap count round(alpha * n) is 0 or n swaps the same
+    items in every replicate; it is scored once, and the curve still equals
+    the per-replicate oracle bit for bit."""
+
+    def check(self, llm, expert, crowd, cfg, kind=TaskKind.MULTICLASS):
+        curve = sensitivity_curve(llm, expert, crowd, cfg, kind)
+        want = curve_oracle(llm, expert, crowd, cfg, kind)
+        assert [point.gaps for point in curve] == want
+        for point, gaps in zip(curve, want):
+            assert (point.mean_gap, point.lo, point.hi) == (
+                float(np.mean(gaps)), float(np.min(gaps)), float(np.max(gaps)))
+        return curve
+
+    def test_counts_round_to_none_and_all_inside_the_unit_interval(self):
+        """n = 3: alpha 0.1 swaps round(0.3) = 0 items, alpha 0.9 round(2.7) = 3."""
+        llm = {"a": S(0), "b": S(1), "c": S(2)}
+        expert = {"a": S(0), "b": S(1), "c": S(1)}
+        crowd = {"a": S(2), "b": S(0), "c": S(1)}
+        curve = self.check(llm, expert, crowd,
+                           MixConfig(alphas=(0.1, 0.5, 0.9), replicates=7, seed=3))
+        assert curve[0].gaps == (0.0,) * 7
+        assert len(set(curve[2].gaps)) == 1 and curve[2].gaps[0] > 0.0
+
+    @pytest.mark.parametrize("replicates", [1, 400])
+    def test_replicate_counts(self, replicates):
+        llm, expert, crowd, _ = make_maps(n=30, seed=2)
+        self.check(llm, expert, crowd,
+                   MixConfig(alphas=(0.0, 0.02, 0.4, 0.98, 1.0), replicates=replicates, seed=5))
+
+    def test_multilabel(self):
+        llm, expert, crowd, _ = make_set_maps(n=25, seed=4)
+        self.check(llm, expert, crowd, MixConfig(alphas=(0.0, 0.01, 0.6, 0.99, 1.0),
+                                                 replicates=9, seed=8), TaskKind.MULTILABEL)
+
+    def assert_first_error_at(self, llm, expert, crowd, alphas, at):
+        """The oracle and the curve run clean on alphas[:at] and raise the same
+        error once alphas[at] is added."""
+        cfg = MixConfig(alphas=alphas[:at], replicates=6, seed=1)
+        self.check(llm, expert, crowd, cfg)
+        cfg = MixConfig(alphas=alphas[:at + 1], replicates=6, seed=1)
+        with pytest.raises(ValidationError) as want:
+            curve_oracle(llm, expert, crowd, cfg, TaskKind.MULTICLASS)
+        with pytest.raises(ValidationError) as got:
+            sensitivity_curve(llm, expert, crowd, cfg, TaskKind.MULTICLASS)
+        assert str(got.value) == str(want.value)
+        assert "single labels" in str(got.value)
+
+    def test_rejected_crowd_label_first_reached_by_swapping_everything(self):
+        llm, expert, crowd, items = make_maps(n=40, seed=3)
+        crowd[items[17]] = LabelValue.of([0, 1])
+        # 0.025 of 40 items is one swap per replicate; none of these six draws item 17
+        self.assert_first_error_at(llm, expert, crowd, (0.0, 0.025, 1.0), at=2)
+
+    def test_rejected_crowd_label_first_reached_at_an_interior_alpha(self):
+        llm, expert, crowd, items = make_maps(n=40, seed=3)
+        for i in items[::3]:
+            crowd[i] = LabelValue.of([0, 2])
+        self.assert_first_error_at(llm, expert, crowd, (0.0, 0.5, 1.0), at=1)
+
+    def test_only_interior_replicates_draw(self, monkeypatch):
+        draws = []
+        real = sensitivity._swap_positions
+
+        def counted(n, alpha, seed):
+            draws.append(alpha)
+            return real(n, alpha, seed)
+
+        llm, expert, crowd, _ = make_maps(n=20, seed=6)
+        # round(alpha * 20): 0, 0, 5, 10, 20, 20
+        cfg = MixConfig(alphas=(0.0, 0.02, 0.25, 0.5, 0.98, 1.0), replicates=4, seed=9)
+        monkeypatch.setattr(sensitivity, "_swap_positions", counted)
+        curve = sensitivity_curve(llm, expert, crowd, cfg, TaskKind.MULTICLASS)
+        assert draws == [0.25] * 4 + [0.5] * 4
+        monkeypatch.undo()
+        assert [point.gaps for point in curve] == curve_oracle(
+            llm, expert, crowd, cfg, TaskKind.MULTICLASS)
