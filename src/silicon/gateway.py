@@ -244,35 +244,31 @@ _encode_ascii = json.encoder.encode_basestring_ascii  # how _KEY_ENCODER writes 
 
 
 def _content_hasher(model: str, messages: Sequence[Mapping[str, str]]):
-    """rest -> sha256 state after the key JSON of `messages`, with the last
-    message's content followed by `rest` as that content, up to and
-    including `"sample_index":`.
+    """content -> sha256 state after the key JSON of `messages`, with `content`
+    as the last message's content, up to and including `"sample_index":`.
 
     With sorted keys the key JSON reads {"messages":..,"model":..,
     "sample_index":..,"temperature":..}, so only _key_tail depends on the
     sample.  The last message reads {"content":C,"role":..}, so only C
-    depends on the content.  C is escaped as _KEY_ENCODER escapes a str, one
-    code point at a time, so the escape of P + R is that of P followed by
-    that of R.  The JSON before C and the escaped P, the content `messages`
-    gives, are hashed once, and each call hashes the escaped R and the JSON
-    after it.  An empty list has no C, and every rest gives its one state.
+    depends on the content: the JSON before C is hashed once, and each call
+    hashes C, escaped as _KEY_ENCODER escapes a str, and the JSON after it.
+    An empty list has no C, and every content gives its one state.
     """
     shown = [{"role": m["role"], "content": m["content"]} for m in messages]
     if shown:
-        prefix, shown[-1]["content"] = shown[-1]["content"], ""
+        shown[-1]["content"] = ""
     head = _KEY_ENCODER.encode({"messages": shown, "model": model})[:-1] + ',"sample_index":'
     if not shown:
         state = hashlib.sha256(head.encode("ascii"))
-        return lambda rest: state.copy()
+        return lambda content: state.copy()
     # with every '"' inside a string escaped, this text marks only the last message's content
     cut = head.rindex('{"content":""') + len('{"content":')
     before = hashlib.sha256(head[:cut].encode("ascii"))
-    before.update(_encode_ascii(prefix)[:-1].encode("ascii"))  # the opening quote and P
     after = head[cut + 2:].encode("ascii")
 
-    def content_hash(rest: str):
+    def content_hash(content: str):
         digest = before.copy()
-        digest.update(_encode_ascii(rest)[1:].encode("ascii"))  # R and the closing quote
+        digest.update(_encode_ascii(content).encode("ascii"))
         digest.update(after)
         return digest
     return content_hash
@@ -291,7 +287,7 @@ def cache_key(model: str, messages: Sequence[Mapping[str, str]], temperature: fl
     "sample_index"}, sort_keys=True, ensure_ascii=True, separators=(",", ":")),
     hashed by the one hasher annotate uses.
     """
-    digest = _content_hasher(model, messages)("")
+    digest = _content_hasher(model, messages)(messages[-1]["content"] if messages else "")
     digest.update(_key_tail(sample_index, temperature))
     return digest.hexdigest()
 
@@ -815,11 +811,9 @@ def annotate(
     The unit of work is the distinct prompt.  An item changes only the last
     message's content, so items with one text share one prompt and its cache
     keys: each distinct text is assembled, hashed, looked up and fetched once,
-    and every item with it gets that prompt's samples.  The instructions are
-    assembled once per call, and every prompt's messages share that one str.
-    The key JSON before the item text (the instructions included, when they
-    lead the last message) is hashed once per call, and each prompt's item
-    text once; a sample's key extends that hash with its index and
+    and every item with it gets that prompt's samples.  The key JSON before
+    the last message's content is hashed once per call, and each prompt's
+    content once; a sample's key extends that hash with its index and
     temperature.  Cache misses go to the endpoint from min(max_in_flight,
     prompts with a miss) worker threads, started before the cache hits are
     parsed.  Each worker takes the next such prompt, in the order of its first
@@ -849,19 +843,14 @@ def annotate(
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate item_ids in annotate input")
 
-    # an item changes only the last message's content: one assembled template
-    # gives every prompt its text before the item, as one shared str
-    template = assemble_prompt(cfg, "")
-    *fixed, last = template
-    prompts = {text: [*map(dict, fixed), {**last, "content": last["content"] + text}]
-               for text in dict.fromkeys(t for _, t in items)}
-    content_hash = _content_hasher(endpoint.name, template)  # hashes a text after that
+    prompts = {text: assemble_prompt(cfg, text) for text in dict.fromkeys(t for _, t in items)}
+    content_hash = _content_hasher(endpoint.name, assemble_prompt(cfg, ""))
     tails = [_key_tail(s, cfg.temperature) for s in range(cfg.n_samples)]
     results: dict[str, list[SampleResult | None]] = {}  # text -> its prompt's samples
     hits: list[tuple[str, int, str]] = []
     missing: dict[str, list[tuple[int, str]]] = {}  # text -> [(sample index, key)]
-    for text in prompts:
-        prompt_hash = content_hash(text)
+    for text, messages in prompts.items():
+        prompt_hash = content_hash(messages[-1]["content"])
         for s, tail in enumerate(tails):
             digest = prompt_hash.copy()
             digest.update(tail)

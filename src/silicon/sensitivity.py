@@ -135,19 +135,16 @@ def sensitivity_curve(
     out = []
     for a_idx, alpha in enumerate(cfg.alphas):
         k = int(round(alpha * n))  # the swap count _swap_positions draws
-        if k == 0:  # the mix is the expert reference: a zero gap by construction
-            gaps = [0.0] * cfg.replicates
-        elif k == n:  # every draw swaps every item: one check and one table
-            codes.check(crowd_codes)
-            table = codes.moved(base, leave, enter)
-            gaps = [abs(kappa_ref - codes.score(table)[0])] * cfg.replicates
-        else:
-            gaps = []
-            for rep in range(cfg.replicates):
-                swapped = _swap_positions(n, alpha, _replicate_seed(cfg.seed, a_idx, rep))
-                codes.check(crowd_codes[swapped], key=swapped.__getitem__)
-                table = codes.moved(base, leave[swapped], enter[swapped])
-                gaps.append(abs(kappa_ref - codes.score(table)[0]))
+        fixed = k in (0, n)  # every replicate swaps the same items, none or all
+        gaps = []
+        for rep in range(1 if fixed else cfg.replicates):
+            swapped = np.arange(k) if fixed else _swap_positions(
+                n, alpha, _replicate_seed(cfg.seed, a_idx, rep))
+            codes.check(crowd_codes[swapped], key=swapped.__getitem__)
+            table = codes.moved(base, leave[swapped], enter[swapped])
+            gaps.append(abs(kappa_ref - codes.score(table)[0]))
+        if fixed:
+            gaps *= cfg.replicates
         out.append(AlphaGap(
             alpha=alpha,
             mean_gap=float(np.mean(gaps)),

@@ -217,44 +217,6 @@ class TestCacheKey:
             cache_key("modèle \"β\"", assemble_prompt(cfg, text), 0.7, s)
             for _, text in items for s in range(cfg.n_samples))
 
-    # each side of a split: ASCII, non-ASCII, astral, and a lone surrogate of either half
-    CUT_ENDS = ("x", "é", "😀", "\ud83d", "\n\n")
-    CUT_STARTS = ("x", "€", "😀", "\ude00", "\"")
-
-    @pytest.mark.parametrize("prefix_end", CUT_ENDS)
-    def test_content_hasher_hashes_a_rest_after_its_prefix(self, prefix_end):
-        """The hasher escapes the last message's content P once and each rest R
-        after it; the key is still that of the content P + R, whatever code
-        points meet at the cut."""
-        prefix = "Guideline: naïve 😀 “quoted”" + prefix_end
-        for rest_start, s in itertools.product(self.CUT_STARTS, range(2)):
-            rest = rest_start + " the item"
-            head = [{"role": "system", "content": "sys"}]
-            hasher = gateway._content_hasher("modèle", [*head, {"role": "user", "content": prefix}])
-            digest = hasher(rest)
-            digest.update(gateway._key_tail(s, 0.7))
-            assert digest.hexdigest() == per_sample_key(
-                "modèle", [*head, {"role": "user", "content": prefix + rest}], 0.7, s)
-
-    def test_user_placement_keys_with_wide_characters_at_the_cut(self, tmp_path):
-        """In the user placement annotate hashes the key JSON through the
-        instructions once and each item text after it.  Instructions that
-        end in non-ASCII and astral labels, and items that start with them or
-        with a lone surrogate, still give the per-sample formula's keys."""
-        spec = TaskSpec(task_id="wide", kind=TaskKind.MULTICLASS,
-                        label_universe=("ok", "é", "😀"))
-        cfg = make_cfg(task=spec, placement=Placement.USER, guideline_text="naïve 😀 “x”",
-                       n_samples=2, temperature=0.7)
-        texts = ["é first", "😀 first", "\udc00 low half first", "\ud83d", "ascii then 😀", ""]
-        items = [(f"w{i}", text) for i, text in enumerate(texts)]
-        path = tmp_path / "cache.jsonl"
-        annotate(make_endpoint(), cfg, items, AnnotationCache(path),
-                 transport=ScriptedTransport(lambda m, c, i: "ok"))
-        written = [json.loads(line)["key"] for line in path.read_bytes().splitlines()[1:]]
-        assert sorted(written) == sorted(
-            per_sample_key("mock-a", assemble_prompt(cfg, text), 0.7, s)
-            for text in texts for s in range(2))
-
     def test_shape_and_determinism(self):
         messages = assemble_prompt(make_cfg(), ITEM)
         key = cache_key("mock-a", messages, 0.0, 0)
@@ -1510,23 +1472,6 @@ class TestAnnotate:
                 and bool(started) == bool(missing))
         assert [a.item_id for a in anns] == [item_id for item_id, _ in items]
         assert all(a.labels() == [LabelValue.single(0)] * 3 for a in anns)
-
-    @pytest.mark.parametrize("placement", [Placement.SYSTEM, Placement.USER])
-    def test_one_call_sends_one_system_message_text(self, tmp_path, placement):
-        """The instructions are assembled once per call: every request's
-        system message holds that one str, not an equal copy."""
-        sent = []
-
-        def script(messages, call_index, choice_index):
-            sent.append(messages)
-            return "positive"
-
-        cfg = make_cfg(placement=placement, n_samples=1)
-        annotate(make_endpoint(), cfg, [(f"k{i}", text) for i, text in enumerate(KEY_TEXTS)],
-                 AnnotationCache(tmp_path / "cache.jsonl"), transport=ScriptedTransport(script))
-        assert sorted(sent, key=str) == sorted(
-            (assemble_prompt(cfg, text) for text in KEY_TEXTS), key=str)
-        assert len({id(messages[0]["content"]) for messages in sent}) == 1
 
     def test_duplicate_item_ids_rejected(self, tmp_path):
         cache = AnnotationCache(tmp_path / "cache.jsonl")

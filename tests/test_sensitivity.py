@@ -147,12 +147,23 @@ def make_set_maps(n=60, seed=0):
     return llm, expert, crowd, items
 
 
+def three_items():
+    llm = {"a": S(0), "b": S(1), "c": S(2)}
+    expert = {"a": S(0), "b": S(1), "c": S(1)}
+    crowd = {"a": S(2), "b": S(0), "c": S(2)}  # every crowd label differs from the expert one
+    return llm, expert, crowd
+
+
 class TestCurveMatchesDirectOracle:
     CFG = MixConfig(alphas=(0.0, 0.1, 0.35, 0.5, 0.9, 1.0), replicates=6, seed=4)
 
-    def check(self, llm, expert, crowd, kind):
-        curve = sensitivity_curve(llm, expert, crowd, self.CFG, kind)
-        assert [point.gaps for point in curve] == curve_oracle(llm, expert, crowd, self.CFG, kind)
+    def check(self, llm, expert, crowd, kind, cfg=CFG):
+        curve = sensitivity_curve(llm, expert, crowd, cfg, kind)
+        want = curve_oracle(llm, expert, crowd, cfg, kind)
+        assert [point.gaps for point in curve] == want
+        for point, gaps in zip(curve, want):
+            assert (point.mean_gap, point.lo, point.hi) == (
+                float(np.mean(gaps)), float(np.min(gaps)), float(np.max(gaps)))
 
     def test_single_label_with_crowd_only_categories(self):
         llm, expert, crowd, items = make_maps(n=50, seed=8)
@@ -197,46 +208,29 @@ class TestCurveMatchesDirectOracle:
             sensitivity_curve(llm, expert, crowd, MixConfig(alphas=(1.0,)), TaskKind.MULTICLASS)
 
 
-class TestSwapNothingAndSwapEverything:
-    """An alpha whose swap count round(alpha * n) is 0 or n swaps the same
-    items in every replicate; it is scored once, and the curve still equals
-    the per-replicate oracle bit for bit."""
-
-    def check(self, llm, expert, crowd, cfg, kind=TaskKind.MULTICLASS):
-        curve = sensitivity_curve(llm, expert, crowd, cfg, kind)
-        want = curve_oracle(llm, expert, crowd, cfg, kind)
-        assert [point.gaps for point in curve] == want
-        for point, gaps in zip(curve, want):
-            assert (point.mean_gap, point.lo, point.hi) == (
-                float(np.mean(gaps)), float(np.min(gaps)), float(np.max(gaps)))
-        return curve
-
-    def test_counts_round_to_none_and_all_inside_the_unit_interval(self):
-        """n = 3: alpha 0.1 swaps round(0.3) = 0 items, alpha 0.9 round(2.7) = 3."""
-        llm = {"a": S(0), "b": S(1), "c": S(2)}
-        expert = {"a": S(0), "b": S(1), "c": S(1)}
-        crowd = {"a": S(2), "b": S(0), "c": S(1)}
-        curve = self.check(llm, expert, crowd,
-                           MixConfig(alphas=(0.1, 0.5, 0.9), replicates=7, seed=3))
-        assert curve[0].gaps == (0.0,) * 7
-        assert len(set(curve[2].gaps)) == 1 and curve[2].gaps[0] > 0.0
-
-    @pytest.mark.parametrize("replicates", [1, 400])
-    def test_replicate_counts(self, replicates):
-        llm, expert, crowd, _ = make_maps(n=30, seed=2)
-        self.check(llm, expert, crowd,
-                   MixConfig(alphas=(0.0, 0.02, 0.4, 0.98, 1.0), replicates=replicates, seed=5))
-
-    def test_multilabel(self):
-        llm, expert, crowd, _ = make_set_maps(n=25, seed=4)
-        self.check(llm, expert, crowd, MixConfig(alphas=(0.0, 0.01, 0.6, 0.99, 1.0),
-                                                 replicates=9, seed=8), TaskKind.MULTILABEL)
+    # an alpha whose swap count round(alpha * n) is 0 or n is scored once for all its replicates
+    @pytest.mark.parametrize("maps, kind, cfg", [
+        pytest.param(lambda: three_items(), TaskKind.MULTICLASS,
+                     MixConfig(alphas=(0.1, 0.5, 0.9), replicates=7, seed=3),
+                     id="n3-counts-round-to-none-and-all"),  # round(0.3) = 0, round(2.7) = 3
+        pytest.param(lambda: make_maps(n=30, seed=2)[:3], TaskKind.MULTICLASS,
+                     MixConfig(alphas=(0.0, 0.02, 0.4, 0.98, 1.0), replicates=1, seed=5),
+                     id="one-replicate"),
+        pytest.param(lambda: make_maps(n=30, seed=2)[:3], TaskKind.MULTICLASS,
+                     MixConfig(alphas=(0.0, 0.02, 0.4, 0.98, 1.0), replicates=400, seed=5),
+                     id="400-replicates"),
+        pytest.param(lambda: make_set_maps(n=25, seed=4)[:3], TaskKind.MULTILABEL,
+                     MixConfig(alphas=(0.0, 0.01, 0.6, 0.99, 1.0), replicates=9, seed=8),
+                     id="multilabel"),
+    ])
+    def test_swap_counts_of_none_and_all(self, maps, kind, cfg):
+        self.check(*maps(), kind, cfg)
 
     def assert_first_error_at(self, llm, expert, crowd, alphas, at):
         """The oracle and the curve run clean on alphas[:at] and raise the same
         error once alphas[at] is added."""
-        cfg = MixConfig(alphas=alphas[:at], replicates=6, seed=1)
-        self.check(llm, expert, crowd, cfg)
+        self.check(llm, expert, crowd, TaskKind.MULTICLASS,
+                   MixConfig(alphas=alphas[:at], replicates=6, seed=1))
         cfg = MixConfig(alphas=alphas[:at + 1], replicates=6, seed=1)
         with pytest.raises(ValidationError) as want:
             curve_oracle(llm, expert, crowd, cfg, TaskKind.MULTICLASS)
