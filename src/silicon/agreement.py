@@ -291,7 +291,8 @@ def mean_pairwise_kappa_codes(
             )
         ca, cb = matrix[rows, a], matrix[rows, b]
         # kappa_for_kind lists a pair's items sorted: report the earliest bad one
-        codes.check(ca, cb, key=lambda k: items[rows[k]])
+        # (ids that do not sort, ints and strs, put the ints first)
+        codes.check(ca, cb, key=lambda k: (isinstance(items[rows[k]], str), items[rows[k]]))
         if n < 2:
             raise ValidationError("need at least 2 items to measure agreement")
         rep = codes.kappa(ca, cb)

@@ -615,7 +615,10 @@ def load_dataset(path, spec: TaskSpec) -> Dataset:
                 header = next(reader, None)
                 if header is None or not set(needed).issubset(header):
                     raise ValidationError(f"{path}: CSV must have columns {sorted(needed)}")
-                at = {name: j for j, name in enumerate(header)}  # a repeated name: its last cell
+                at = {name: j for j, name in enumerate(header)}
+                if len(at) < len(header):
+                    repeated = next(name for j, name in enumerate(header) if at[name] != j)
+                    raise ValidationError(f"{path}: CSV header repeats column {repeated!r}")
                 item_at, role_at, name_at, run_at, label_at = (at[name] for name in needed)
                 for row in reader:  # a row's line is its last: a quoted cell may span lines
                     if not row:

@@ -180,38 +180,33 @@ def _log_likelihood(y: np.ndarray, mu: np.ndarray) -> float:
 
 
 def _irls(x: np.ndarray, y: np.ndarray):
-    """Newton with step halving on the binomial deviance. Returns (beta, converged, iters)."""
-    beta = np.zeros(x.shape[1])
-    dev = -2.0 * _log_likelihood(y, np.full_like(y, 0.5))
-    converged = False
-    it = 0
+    """Newton's method on the binomial deviance, every step taken whole.
+    Returns (beta, mu, converged, iters), mu being the fitted means at beta.
+
+    No step overshoots: the design is saturated and Newton's method does not
+    depend on the parametrisation, so each step is a 1-D Newton step per model
+    logit from 0.  Between 0 and its optimum a logit's score is convex and
+    falling (or concave and rising), so the step stops short of the optimum,
+    and in exact arithmetic the deviance falls at every step.
+    """
+    eta = np.zeros_like(y)
+    mu = np.full_like(y, 0.5)
+    dev = -2.0 * _log_likelihood(y, mu)
     for it in range(1, _MAX_ITER + 1):
-        eta = x @ beta
-        mu = 1.0 / (1.0 + np.exp(-eta))
         w = np.clip(mu * (1.0 - mu), 1e-10, None)
         # weighted least squares step on the working response
-        z = eta + (y - mu) / w
         xtw = x.T * w
-        direction = np.linalg.solve(xtw @ x, xtw @ z) - beta
-        step = 1.0
-        new_dev = dev
-        for _ in range(40):
-            cand = beta + step * direction
-            new_dev = -2.0 * _log_likelihood(y, 1.0 / (1.0 + np.exp(-(x @ cand))))
-            if new_dev <= dev + 1e-14:
-                break
-            step *= 0.5
-        beta = beta + step * direction
+        beta = np.linalg.solve(xtw @ x, xtw @ (eta + (y - mu) / w))
+        eta = x @ beta
+        mu = 1.0 / (1.0 + np.exp(-eta))
+        new_dev = -2.0 * _log_likelihood(y, mu)
         if abs(dev - new_dev) < _DEV_TOL:
-            dev = new_dev
-            converged = True
-            break
+            return beta, mu, True, it
         dev = new_dev
-    return beta, converged, it
+    return beta, mu, False, _MAX_ITER
 
 
-def _cluster_sandwich(x, y, beta, n_clusters: int, correction: str) -> np.ndarray:
-    mu = 1.0 / (1.0 + np.exp(-(x @ beta)))
+def _cluster_sandwich(x, y, mu, n_clusters: int, correction: str) -> np.ndarray:
     w = mu * (1.0 - mu)
     bread = np.linalg.inv((x.T * w) @ x)
     resid = (y - mu)[:, None] * x
@@ -302,14 +297,13 @@ def fit_equivalence(
         # observation r belongs to item r // j and model fit_models[r % j]
         x = np.eye(j)[np.arange(n_obs) % j]
         x[:, 0] = 1.0
-        beta, converged, n_iter = _irls(x, y)
-        cov = _cluster_sandwich(x, y, beta, n_items, correction)
+        beta, mu, converged, n_iter = _irls(x, y)
+        cov = _cluster_sandwich(x, y, mu, n_items, correction)
         ses = np.sqrt(np.diag(cov))
         intercept, intercept_se = float(beta[0]), float(ses[0])
         for col in range(1, j):
             coef[fit_models[col]] = float(beta[col])
             se[fit_models[col]] = float(ses[col])
-        mu = 1.0 / (1.0 + np.exp(-(x @ beta)))
         ll_full = _log_likelihood(y, mu)
         p_bar = float(y.mean())
         ll_null = _log_likelihood(y, np.full_like(y, p_bar))
@@ -360,5 +354,5 @@ def fit_equivalence(
         converged=converged,
         n_iter=n_iter,
         cluster_correction=correction,
-        separation_flag=matrix.separation_flag or bool(separated),
+        separation_flag=matrix.separation_flag,
     )

@@ -10,7 +10,7 @@ from silicon.agreement import (
     set_weight,
     weighted_kappa,
 )
-from silicon.core import LabelValue, TaskKind, ValidationError
+from silicon.core import LabelValue, TaskKind, TaskSpec, ValidationError
 
 
 def S(*indices):
@@ -319,3 +319,22 @@ class TestMeanPairwise:
         b = {"i1": S(0), "i2": S(2)}
         rep = mean_pairwise_kappa({"x": a, "y": b}, TaskKind.MULTILABEL)
         assert rep.weighted
+
+    @pytest.mark.parametrize("order", ["int-first", "str-first"])
+    def test_rejected_labels_on_int_and_str_ids_name_the_int_item(self, order):
+        """Ids that do not sort (an int and strs) still report one rejected
+        label, by a fixed rule: int ids before str ids, whatever the map order."""
+        spec = TaskSpec("t", TaskKind.MULTICLASS, ("a", "b", "c"))
+        x = {2: S(5), "i1": S(7), "i3": S(0)}
+        if order == "str-first":
+            x = {"i1": S(7), 2: S(5), "i3": S(0)}
+        y = {2: S(1), "i1": S(1), "i3": S(1)}
+        with pytest.raises(ValidationError, match="label index 5 out of range"):
+            mean_pairwise_kappa({"x": x, "y": y}, TaskKind.MULTICLASS, spec)
+
+    def test_rejected_labels_on_str_ids_name_the_first_sorted_item(self):
+        spec = TaskSpec("t", TaskKind.MULTICLASS, ("a", "b", "c"))
+        x = {"i2": S(5), "i1": S(7), "i3": S(0)}
+        y = {"i2": S(1), "i1": S(1), "i3": S(1)}
+        with pytest.raises(ValidationError, match="label index 7 out of range"):
+            mean_pairwise_kappa({"x": x, "y": y}, TaskKind.MULTICLASS, spec)

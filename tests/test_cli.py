@@ -190,6 +190,16 @@ class TestAgreement:
                         "--out", str(tmp_path / "r.json")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_expert_and_crowd_sharing_a_name_rejected(self, tmp_path, capsys):
+        task = write_task(tmp_path)
+        a = write_records(tmp_path / "ann.jsonl",
+                          [(f"i{j}", role, "ann", 0, ["red"])
+                           for j in range(4) for role in ("expert", "crowd")])
+        out = tmp_path / "report.json"
+        assert cli.run(["agreement", "--task", task, "--a", a, "--out", str(out)]) == 1
+        assert "error: duplicate source name across roles: 'ann'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_out_is_io_error(self, tmp_path):
         task = write_task(tmp_path)
         out = tmp_path / "no-such-dir" / "report.json"
@@ -702,6 +712,18 @@ class TestEquivalence:
         assert cli.run(["equivalence", "--task", task, "--models", paths[0],
                         "--reference", reference,
                         "--out", str(tmp_path / "eq")]) == 1
+
+    def test_reference_without_records_is_bad_input(self, tmp_path, capsys):
+        task, paths, _ = self.inputs(tmp_path)
+        reference = tmp_path / "empty.jsonl"
+        reference.write_text("\n", encoding="utf-8")
+        argv = ["equivalence", "--task", task, "--reference", str(reference),
+                "--out", str(tmp_path / "eq")]
+        for p in paths:
+            argv += ["--models", p]
+        assert cli.run(argv) == 1
+        assert f"error: {reference}: no annotation records" in capsys.readouterr().err
+        assert not (tmp_path / "eq").exists()
 
     def test_int_and_str_item_ids_are_bad_input(self, tmp_path, capsys):
         task, paths, reference = self.inputs(tmp_path, items=[1, 2, "x", "y", 5])
@@ -1293,6 +1315,20 @@ class TestCsvFaults:
         assert code == 1
         line = 1 if where == "header" else 3
         assert (f"error: {runs}:{line}: bad annotation record (field larger than field limit"
+                in capsys.readouterr().err)
+
+    def test_header_repeats_a_column(self, tmp_path, capsys):
+        """A second `label` column is not a second label: its cells would
+        override the first's, so the header is bad input."""
+        code, runs = self.fsd(tmp_path, "item_id,role,name,run,label,label\n"
+                                        "i0,model,m1,0,red,blue\ni0,model,m1,1,red,blue\n")
+        assert code == 1
+        assert f"error: {runs}: CSV header repeats column 'label'" in capsys.readouterr().err
+
+    def test_header_without_a_run_column(self, tmp_path, capsys):
+        code, runs = self.fsd(tmp_path, "item_id,role,name,label\ni0,model,m1,red\n")
+        assert code == 1
+        assert (f"error: {runs}: CSV must have columns ['item_id', 'label', 'name', 'role', 'run']"
                 in capsys.readouterr().err)
 
     def test_row_without_a_run_cell(self, tmp_path, capsys):

@@ -286,6 +286,126 @@ class TestSeparation:
         assert np.isfinite(rep.lr_stat)
 
 
+    def test_separated_models_better_and_worse(self):
+        """Exact binomial CIs clear the baseline's on either side: 20/20 lies
+        above 10/20 (better), 0/20 below it (worse)."""
+        matches = np.zeros((20, 3))
+        matches[:10, 0] = 1.0
+        matches[:, 1] = 1.0
+        m = MatchMatrix(items=tuple(f"i{j}" for j in range(20)),
+                        models=("base", "perfect", "never"), matches=matches,
+                        baseline_model="base")
+        rep = fit_equivalence(m)
+        by_model = {c.model: c for c in rep.comparisons}
+        assert by_model["perfect"].method == by_model["never"].method == "binomial"
+        assert by_model["perfect"].verdict == "better"
+        assert by_model["never"].verdict == "worse"
+        assert math.isnan(rep.lr_stat)  # no fitted model beside the baseline
+
+
+def irls_with_step_halving(x, y):
+    """The fit before full Newton steps, frozen: Newton with step halving on
+    the binomial deviance.  Returns (beta, converged, iters)."""
+    beta = np.zeros(x.shape[1])
+    dev = -2.0 * equivalence._log_likelihood(y, np.full_like(y, 0.5))
+    converged = False
+    it = 0
+    for it in range(1, 101):
+        eta = x @ beta
+        mu = 1.0 / (1.0 + np.exp(-eta))
+        w = np.clip(mu * (1.0 - mu), 1e-10, None)
+        z = eta + (y - mu) / w
+        xtw = x.T * w
+        direction = np.linalg.solve(xtw @ x, xtw @ z) - beta
+        step = 1.0
+        new_dev = dev
+        for _ in range(40):
+            cand = beta + step * direction
+            new_dev = -2.0 * equivalence._log_likelihood(y, 1.0 / (1.0 + np.exp(-(x @ cand))))
+            if new_dev <= dev + 1e-14:
+                break
+            step *= 0.5
+        beta = beta + step * direction
+        if abs(dev - new_dev) < 1e-10:
+            dev = new_dev
+            converged = True
+            break
+        dev = new_dev
+    return beta, converged, it
+
+
+def seeded_design(n, seed):
+    """n items x 2-5 models; each model's match odds shift a shared item
+    difficulty.  No baseline of the seeds below is separated."""
+    from scipy.special import expit
+
+    rng = np.random.default_rng(seed)
+    j = rng.integers(2, 6)
+    d = rng.normal(rng.uniform(-1, 2), rng.uniform(0.1, 2.5), n)
+    matches = [rng.random(n) < expit(d + b) for b in rng.normal(0, 0.5, j)]
+    return MatchMatrix(items=tuple(f"i{i}" for i in range(n)),
+                       models=tuple(f"m{k}" for k in range(j)),
+                       matches=np.array(matches, dtype=float).T, baseline_model="m0")
+
+
+def cli_fixture_matrix():
+    """The match matrix of the CLI's equivalence fixture: 12 items, models
+    right on their first 9, 8 and 10 items, the first model the baseline."""
+    matches = (np.arange(12)[:, None] < np.array([9, 8, 10])).astype(float)
+    return MatchMatrix(items=tuple(f"i{i}" for i in range(12)), models=("m1", "m2", "m3"),
+                       matches=matches, baseline_model="m1")
+
+
+def fitted_design(matrix):
+    """The (x, y) that fit_equivalence fits: baseline first, separated models
+    left out, observations item-major."""
+    fit = [matrix.baseline_model] + [
+        m for m in matrix.models
+        if m != matrix.baseline_model and 0.0 < matrix.accuracy(m) < 1.0]
+    y = matrix.matches[:, [matrix.models.index(m) for m in fit]].reshape(-1)
+    x = np.eye(len(fit))[np.arange(y.size) % len(fit)]
+    x[:, 0] = 1.0
+    return x, y
+
+
+SEEDED = [(n, seed) for n in (12, 40, 200, 1000) for seed in range(10)]
+
+
+class TestNewtonFit:
+    @pytest.mark.parametrize("n, seed", SEEDED)
+    def test_estimates_and_errors_are_those_of_the_closed_form(self, n, seed):
+        """The saturated design's MLE is each model's logit; full Newton steps
+        land on it (at n=40, seed=2 step halving stopped 2.8e-8 short), and
+        the standard errors are the sandwich at the closed-form means."""
+        m = seeded_design(n, seed)
+        rep = fit_equivalence(m)
+        base = m.accuracy(m.baseline_model)
+        assert abs(rep.intercept - logit(base)) <= 1e-10
+        fitted = [c for c in rep.comparisons if c.method == "wald"]
+        for c in fitted:
+            assert abs(c.coefficient - (logit(c.accuracy) - logit(base))) <= 1e-10
+        models = (m.baseline_model, *(c.model for c in fitted))
+        sub = MatchMatrix(m.items, models, m.matches[:, [m.models.index(k) for k in models]],
+                          m.baseline_model)
+        want = np.sqrt(np.diag(sandwich_oracle(sub, m.baseline_model)))
+        assert [rep.intercept_se] + [c.se for c in fitted] == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("n, seed", SEEDED)
+    def test_iterations_and_convergence_are_those_of_step_halving(self, n, seed):
+        m = seeded_design(n, seed)
+        _, converged, n_iter = irls_with_step_halving(*fitted_design(m))
+        rep = fit_equivalence(m)
+        assert (rep.n_iter, rep.converged) == (n_iter, converged)
+
+    def test_cli_fixture_iterations_are_those_of_step_halving(self):
+        m = cli_fixture_matrix()
+        _, converged, n_iter = irls_with_step_halving(*fitted_design(m))
+        rep = fit_equivalence(m)
+        assert converged and rep.converged
+        assert rep.n_iter == n_iter
+        assert rep.intercept == pytest.approx(logit(0.75), abs=1e-10)
+
+
 def test_equal_accuracies_give_lr_p_one_when_the_statistic_rounds_negative():
     """Three models with 7/12 matches each: the LR statistic is 0 up to
     rounding, here a little below it, and the p-value is 1 as chi2.sf gives."""

@@ -1388,6 +1388,30 @@ class TestAnnotate:
         assert anns[1].labels() == [LabelValue.single(0)] * 2
         assert len(AnnotationCache(path)) == 2
 
+    @pytest.mark.parametrize("reply, failure", [
+        ({"id": "r1"}, "transport: malformed response shape: 'choices'"),
+        ({"choices": [{"message": {"content": "positive"}}]},
+         "transport: asked for 2 choices, got 1"),
+    ], ids=["no choices", "too few choices"])
+    def test_malformed_choices_are_a_transport_failure(self, tmp_path, reply, failure):
+        """A response without `choices`, or with other than the number asked
+        for, fails that prompt's samples; nothing is cached for them and the
+        run goes on."""
+        path = tmp_path / "cache.jsonl"
+        scripted = ScriptedTransport(lambda m, c, i: "positive")
+
+        class Transport:
+            def post(self, payload):
+                if payload["messages"][-1]["content"] == "text one":
+                    return reply
+                return scripted.post(payload)
+
+        anns = annotate(make_endpoint(), make_cfg(n_samples=2), ITEMS, AnnotationCache(path),
+                        transport=Transport())
+        assert [s.failure for s in anns[0].samples] == [failure] * 2
+        assert anns[1].labels() == [LabelValue.single(0)] * 2
+        assert len(AnnotationCache(path)) == 2
+
     @pytest.mark.parametrize("make, kw, message", [
         (make_cfg, {"temperature": True}, "temperature must be a number, not bool"),
         (make_cfg, {"temperature": np.float64(0.7)}, "temperature must be a number, not float64"),
