@@ -487,33 +487,28 @@ def cmd_simulate(args) -> tuple[list[str], list[str]]:
 
 # -------------------------------------------------------------------- parser
 
-def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--task", required=True, help="task spec JSON")
-    common.add_argument("--seed", type=_seed, default=0, help="seed for any randomized step")
+def _task_and_seed(p) -> None:
+    p.add_argument("--task", required=True, help="task spec JSON")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for any randomized step")
 
-    parser = _Parser(prog="silicon", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND",
-                                parser_class=_Parser)
 
-    p = sub.add_parser("agreement", parents=[common],
-                       help="chance-corrected agreement between annotators")
+def _agreement_args(p) -> None:
+    _task_and_seed(p)
     p.add_argument("--a", required=True, help="annotation JSONL/CSV")
     p.add_argument("--b", help="second annotation file (optional if --a has many sources)")
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--confusion-csv", help="also write the confusion table (2 sources only)")
-    p.set_defaults(func=cmd_agreement)
 
-    p = sub.add_parser("baseline-compare", parents=[common],
-                       help="expert vs crowd mean pairwise agreement")
+
+def _baseline_compare_args(p) -> None:
+    _task_and_seed(p)
     p.add_argument("--expert", required=True)
     p.add_argument("--crowd", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_baseline_compare)
 
-    p = sub.add_parser("annotate", parents=[common],
-                       help="label items with an LLM endpoint, cache-first")
+
+def _annotate_args(p) -> None:
+    _task_and_seed(p)
     p.add_argument("--items", required=True, help="JSONL of {item_id, text}")
     p.add_argument("--endpoint", required=True, help="endpoint config JSON")
     p.add_argument("--prompt", required=True, help="prompt config JSON")
@@ -521,17 +516,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="annotation JSONL path")
     p.add_argument("--replay", action="store_true",
                    help="answer from the response cache only; any miss is an error")
-    p.set_defaults(func=cmd_annotate)
 
-    p = sub.add_parser("fsd", parents=[common],
-                       help="per-item first-second distance from repeated runs")
+
+def _fsd_args(p) -> None:
+    _task_and_seed(p)
     p.add_argument("--runs", required=True, help="annotation JSONL with run 0..n-1")
     p.add_argument("--source", help="model name when the file has several sources")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fsd)
 
-    p = sub.add_parser("route-sweep", parents=[common],
-                       help="agreement/cost curve for confidence-routed voting")
+
+def _route_sweep_args(p) -> None:
+    _task_and_seed(p)
     p.add_argument("--focal", required=True, help="focal model runs JSONL")
     p.add_argument("--source", help="focal model name when the file has several sources")
     p.add_argument("--aux", action="append", required=True,
@@ -541,10 +536,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--tie-rule", default=TieRule.KEEP_FOCAL.value,
                    choices=[r.value for r in TieRule])
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_route_sweep)
 
-    p = sub.add_parser("equivalence", parents=[common],
-                       help="clustered logistic equivalence test of model accuracies")
+
+def _equivalence_args(p) -> None:
+    _task_and_seed(p)
     p.add_argument("--models", action="append", required=True,
                    help="model annotation JSONL (repeatable)")
     p.add_argument("--reference", required=True)
@@ -553,20 +548,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--tost-margin", type=float, default=None,
                    help="also run two one-sided tests against this log-odds margin")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_equivalence)
 
-    p = sub.add_parser("mix-sensitivity", parents=[common],
-                       help="kappa gap when crowd labels replace part of the expert reference")
+
+def _mix_sensitivity_args(p) -> None:
+    _task_and_seed(p)
     p.add_argument("--llm", required=True)
     p.add_argument("--expert", required=True)
     p.add_argument("--crowd", required=True)
     p.add_argument("--alphas", default="0,0.25,0.5,0.75,1")
     p.add_argument("--replicates", type=int, default=20)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_mix_sensitivity)
 
-    p = sub.add_parser("simulate",
-                       help="Monte Carlo check of agreement against a noisy reference")
+
+def _simulate_args(p) -> None:
     p.add_argument("--config", required=True, help="sim config JSON")
     p.add_argument("--seed", type=_seed, help="seed in place of the configs' own")
     sweeps = p.add_mutually_exclusive_group()
@@ -574,13 +568,46 @@ def _build_parser() -> _Parser:
     sweeps.add_argument("--sweep-coupling", help="comma list of coupling values")
     p.add_argument("--contrast", help="variant sim config JSON to compare against")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_simulate)
 
+
+# name -> (help, function, argument adder), in the order `silicon -h` lists them
+_SUBCOMMANDS = {
+    "agreement": ("chance-corrected agreement between annotators",
+                  cmd_agreement, _agreement_args),
+    "baseline-compare": ("expert vs crowd mean pairwise agreement",
+                         cmd_baseline_compare, _baseline_compare_args),
+    "annotate": ("label items with an LLM endpoint, cache-first",
+                 cmd_annotate, _annotate_args),
+    "fsd": ("per-item first-second distance from repeated runs", cmd_fsd, _fsd_args),
+    "route-sweep": ("agreement/cost curve for confidence-routed voting",
+                    cmd_route_sweep, _route_sweep_args),
+    "equivalence": ("clustered logistic equivalence test of model accuracies",
+                    cmd_equivalence, _equivalence_args),
+    "mix-sensitivity": ("kappa gap when crowd labels replace part of the expert reference",
+                        cmd_mix_sensitivity, _mix_sensitivity_args),
+    "simulate": ("Monte Carlo check of agreement against a noisy reference",
+                 cmd_simulate, _simulate_args),
+}
+
+
+def _build_parser(names=None) -> _Parser:
+    """The `silicon` parser with the subparsers of `names` (all of them if None)."""
+    parser = _Parser(prog="silicon", description=__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND",
+                                parser_class=_Parser)
+    for name, (text, func, add_arguments) in _SUBCOMMANDS.items():
+        if names is None or name in names:
+            p = sub.add_parser(name, help=text)
+            add_arguments(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a named subcommand needs only its own subparser; -h, --version and errors get all
+    parser = _build_parser([argv[0]] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
         if not args.subcommand:

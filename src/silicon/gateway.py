@@ -34,6 +34,7 @@ import urllib.request
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from json.decoder import scanstring
 from typing import Callable, Mapping, Sequence
 from urllib.parse import unquote, urlsplit
 
@@ -43,8 +44,8 @@ except ImportError:  # no flock (Windows): appends from several processes are no
     fcntl = None
 
 from .core import LabelValue, Role, SiliconError, SourceId, TaskKind, TaskSpec, ValidationError
-from .core import (_JSONL_ENCODER, Dataset, _decode_line, _json_object, _json_value, _now,
-                   _open_text, _read_json)
+from .core import (_JSONL_ENCODER, _TAIL_MEMO_SIZE, Dataset, _decode_line, _json_object,
+                   _json_value, _now, _open_text, _read_json)
 
 __all__ = [
     "GatewayError",
@@ -428,6 +429,10 @@ def _entry_line(entry: CacheEntry) -> str:
 
 
 _O_BINARY = getattr(os, "O_BINARY", 0)  # Windows: no newline translation
+# How every _entry_line starts, and what follows the failure member; _scan reads
+# the created and key string tokens of such a line on their own.
+_CREATED_FIRST = b'{"created": "'
+_KEY_NEXT = ', "key": "'
 
 
 class AnnotationCache:
@@ -476,18 +481,57 @@ class AnnotationCache:
         last line that has a newline.  Returns the line after that one if it
         is a torn tail (it does not decode), else b"".
 
-        Each line is decoded once, by core._decode_line.  Equal model,
+        Each line is decoded at most once, by core._decode_line.  Equal model,
         raw_response, failure and created texts are kept as one str, shared
         by every entry this cache reads them in.
+
+        Lines that differ only in their key and created texts are decoded
+        once.  A line that starts as _entry_line writes one, `{"created": "`,
+        has its created token, and the key token after the first `, "key": "`,
+        read with json's own scanner (as strict as json.loads).  The text
+        between the two tokens and the text after the key, its newline
+        included, are looked up in a memo of the other fields of lines already
+        read.  A hit adds an entry with those fields and its own parsed tuple,
+        without decoding the line: swapping one valid JSON string token for
+        another leaves a line valid and every other member unchanged.  A line
+        enters the memo only after it decoded and checked cleanly, and only if
+        neither text holds `"key"`, `"created"` or a `\\u` escape, so no other
+        member can be named key or created (a `\\n` escape may stay).  Every
+        other line, and every error, takes the full decode.  The memo holds
+        at most core._TAIL_MEMO_SIZE pairs of texts; once it is full and has
+        missed more lines than it served, the rest of fh skips it.
         """
         offset, lineno, line = self._end, self._lines, b"\n"
-        texts = self._texts
+        texts, entries = self._texts, self._entries
+        memo: dict | None = {}   # (text between, text after) -> (model, ..., failure)
+        served = missed = 0
         for lineno, line in enumerate(fh, start=lineno + 1):
             start, offset = offset, offset + len(line)
             if not line.strip():
                 continue
+            text = between = None
+            if memo is not None and line.startswith(_CREATED_FIRST):
+                try:
+                    text = line.decode("utf-8")
+                    created, end = scanstring(text, len(_CREATED_FIRST), True)
+                    at = text.index(_KEY_NEXT, end)
+                    key, key_end = scanstring(text, at + len(_KEY_NEXT), True)
+                except ValueError:
+                    pass                  # the full decode words it
+                else:
+                    between, after = text[end:at], text[key_end:]
+                    fields = memo.get((between, after))
+                    if fields is not None:
+                        model, temperature, index, raw, parsed, failure = fields
+                        entries.setdefault(key, CacheEntry(
+                            key, model, temperature, index, raw,
+                            None if parsed is None else tuple(parsed), failure,
+                            texts.setdefault(created, created)))
+                        served += 1
+                        continue
+                    missed += 1
             try:
-                obj = _decode_line(line.decode("utf-8"))
+                obj = _decode_line(line.decode("utf-8") if text is None else text)
             except ValueError as exc:
                 if line.endswith(b"\n"):
                     what = "cache entry" if self._header_written else "cache header"
@@ -518,7 +562,15 @@ class AnnotationCache:
                 raise ValidationError(f"{self.path}:{lineno}: bad cache entry ({exc})") from exc
             except ValidationError as exc:  # not an object, or an unknown key
                 raise ValidationError(f"{self.path}:{lineno}: {exc}") from exc
-            self._entries.setdefault(entry.key, entry)
+            entries.setdefault(key, entry)
+            if between is not None:
+                if len(memo) < _TAIL_MEMO_SIZE:
+                    if not ('"key"' in between or '"created"' in between or "\\u" in between
+                            or '"key"' in after or '"created"' in after or "\\u" in after):
+                        memo[between, after] = (entry.model, temperature, index,
+                                                entry.raw_response, parsed, entry.failure)
+                elif missed > served:
+                    memo = None
         if line.endswith(b"\n"):
             self._end, self._lines = offset, lineno
         else:

@@ -94,6 +94,29 @@ class TestUsage:
             cli.run(["--version"])
         assert exc.value.code == 0
 
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:  # -h and --version exit from argparse
+            code = ("exit", exc.code)
+        return code, *capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--version"], [], ["frobnicate"]] + [
+        [name, *rest] for name in cli._SUBCOMMANDS
+        for rest in (["-h"], [], ["--nope"], ["--seed", "x"])])
+    def test_one_subparser_says_what_all_of_them_say(self, capsys, monkeypatch, argv):
+        """run builds only the subparser argv names; its help, usage errors and
+        exit codes are those of the parser with every subparser."""
+        built = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda names=None: built.append(names)
+                            or build(names))
+        got = self.outcome(capsys, argv)
+        monkeypatch.setattr(cli, "_build_parser", lambda names=None: build())
+        assert got == self.outcome(capsys, argv)
+        assert built == [[argv[0]] if argv and argv[0] in cli._SUBCOMMANDS else None]
+
     def test_module_entry_point(self):
         src = str(pathlib.Path(cli.__file__).resolve().parents[1])
         path = [src, os.environ.get("PYTHONPATH", "")]
@@ -784,6 +807,18 @@ class TestMixSensitivity:
                         "--expert", expert, "--crowd", crowd,
                         "--out", str(tmp_path / "mix")]) == 1
         assert "error: item ids mix int and str and cannot be sorted" in capsys.readouterr().err
+        assert not (tmp_path / "mix").exists()
+
+    @pytest.mark.parametrize("alphas, message", [
+        (",", "usage error: empty alpha list\n"),
+        ("0,x", "usage error: bad alpha list '0,x': could not convert string to float: 'x'\n"),
+    ])
+    def test_bad_alpha_list_is_a_usage_error(self, tmp_path, capsys, alphas, message):
+        task, llm, expert, crowd = self.inputs(tmp_path)
+        assert cli.run(["mix-sensitivity", "--task", task, "--llm", llm, "--expert", expert,
+                        "--crowd", crowd, "--alphas", alphas,
+                        "--out", str(tmp_path / "mix")]) == 1
+        assert capsys.readouterr().err == message
         assert not (tmp_path / "mix").exists()
 
 

@@ -39,6 +39,7 @@ UNCOERCED_FIELDS = [
     ("role", "5", "role must be a string, not int"),
     ("name", "5", "name must be a string, not int"),
     ("name", '["m"]', "name must be a string, not list"),
+    ("name", '""', "source name must be non-empty"),
     ("item_id", "true", "item_id must be a string or an integer, not bool"),
     ("item_id", "1.5", "item_id must be a string or an integer, not float"),
     ("item_id", "1.0", "item_id must be a string or an integer, not float"),
@@ -101,6 +102,15 @@ class TestTaskSpec:
         with pytest.raises(ValidationError):
             TaskSpec(task_id="t", kind=TaskKind.BINARY, label_universe=("a", "b"),
                      agreement_threshold=2.0)
+
+    @pytest.mark.parametrize("task_id, labels, message", [
+        ("", ("a", "b"), "task_id must be non-empty"),
+        ("t", ("a", ""), "bad label name ''"),
+        ("t", ("a", " b"), "bad label name ' b'"),
+    ])
+    def test_empty_task_id_and_bad_label_names(self, task_id, labels, message):
+        with pytest.raises(ValidationError, match=message):
+            TaskSpec(task_id=task_id, kind=TaskKind.MULTICLASS, label_universe=labels)
 
     def test_json_round_trip(self):
         spec = make_spec()

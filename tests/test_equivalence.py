@@ -68,6 +68,24 @@ def sandwich_oracle(matrix, baseline):
     return bread @ meat @ bread
 
 
+class TestMatchMatrixChecks:
+    @pytest.mark.parametrize("change, message", [
+        ({"matches": np.ones((3, 2))}, "match matrix shape disagrees with items/models"),
+        ({"models": ("m0",), "matches": np.ones((3, 1))}, "need at least 2 models"),
+        ({"items": ("i0",), "matches": np.ones((1, 3))}, "need at least 2 items"),
+        ({"models": ("m0", "m1", "m0")}, "duplicate model or item names"),
+        ({"items": ("i0", "i1", "i0")}, "duplicate model or item names"),
+        ({"matches": np.full((3, 3), 0.5)}, "matches must be 0/1"),
+        ({"matches": np.full((3, 3), np.nan)}, "matches must be 0/1"),
+        ({"baseline_model": "m9"}, "baseline 'm9' not among models"),
+    ])
+    def test_each_rejection(self, change, message):
+        fields = {"items": ("i0", "i1", "i2"), "models": ("m0", "m1", "m2"),
+                  "matches": np.eye(3), "baseline_model": "m0"}
+        with pytest.raises(ValidationError, match=message):
+            MatchMatrix(**{**fields, **change})
+
+
 class TestBuildMatchMatrix:
     def test_exact_equality_matching(self):
         ref = {"a": S(0), "b": S(1, 2)}

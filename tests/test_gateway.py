@@ -22,8 +22,8 @@ from cache_oracle import OracleCache
 from conftest import CERT, choices_reply
 
 import silicon.gateway as gateway
-from silicon.core import (_JSONL_ENCODER, AnnotationRecord, LabelValue, Role, SourceId,
-                          TaskKind, TaskSpec, ValidationError)
+from silicon.core import (_JSONL_ENCODER, _TAIL_MEMO_SIZE, AnnotationRecord, LabelValue, Role,
+                          SourceId, TaskKind, TaskSpec, ValidationError)
 from silicon.gateway import (
     REPLAY_ENV,
     AnnotationCache,
@@ -883,7 +883,63 @@ class TestScanMatchesOracle:
         "temperature past float range": lambda t: t.HEADER + t.line("k1").replace(
             '"temperature": 0.0', '"temperature": ' + "9" * 400),
         "bad header": lambda t: '{"cache_format": 2, "digest": "sha256"}\n' + t.line("k1"),
+        # A bad line after a good line with the same text around its key and created
+        # tokens: the reader must not serve it from what it read of the good line.
+        "memo: duplicate key in the tail": lambda t: t.HEADER + t.twins(
+            lambda line: line.replace('"model"', '"key": "k9", "model"')) + t.line("k3"),
+        "memo: duplicate key ending the tail": lambda t: t.HEADER + t.twins(
+            lambda line: line.replace("}\n", ', "key": "k9"}\n')),
+        "memo: duplicate created in the tail": lambda t: t.HEADER + t.twins(
+            lambda line: line.replace('"model"', '"created": "later", "model"')),
+        "memo: duplicate key between the tokens": lambda t: t.HEADER + t.twins(
+            lambda line: line.replace('"failure"', '"key": "k9", "failure"')),
+        "memo: escaped key name in the tail": lambda t: t.HEADER + t.twins(
+            lambda line: line.replace('"model"', '"k\\u0065y": "k9", "model"')),
+        "memo: escaped created name in the tail": lambda t: t.HEADER + t.twins(
+            lambda line: line.replace('"model"', '"cr\\u0065ated": "later", "model"')),
+        "memo: escaped key name": lambda t: t.HEADER + t.twins(
+            lambda line: line.replace('"key"', '"k\\u0065y"')),
+        "memo: escaped created name": lambda t: t.HEADER + t.twins(
+            lambda line: line.replace('"created"', '"cr\\u0065ated"')),
+        "memo: number key": lambda t: t.HEADER + t.line("k1") + t.line("k2").replace(
+            '"key": "k2"', '"key": 2'),
+        "memo: number created": lambda t: t.HEADER + t.line("k1") + t.line("k2").replace(
+            f'"created": "{t.CREATED}"', '"created": 2026'),
+        "memo: unterminated key": lambda t: t.HEADER + t.line("k1") + t.line("k2").replace(
+            '"key": "k2"', '"key": "k2'),
+        "memo: unterminated created": lambda t: t.HEADER + t.line("k1") + t.line("k2").replace(
+            f'"created": "{t.CREATED}"', f'"created": "{t.CREATED}'),
+        "memo: control character in the key": lambda t: t.HEADER + t.line("k1")
+            + t.line("k2").replace('"key": "k2"', '"key": "k\x012"'),
+        "memo: tail differs only in spacing": lambda t: t.HEADER + t.line("k1")
+            + t.line("k2").replace('"model": ', '"model":  ') + t.line("k3"),
+        "memo: text between differs only in spacing": lambda t: t.HEADER + t.line("k1")
+            + t.line("k2").replace('"failure": null', '"failure":null') + t.line("k3"),
+        "memo: newline escapes in raw_response": lambda t: t.HEADER + t.twins(
+            raw="Reasoning done.\nlabels: [positive]\n") + t.line("k3"),
+        "memo: a \\u escape in raw_response": lambda t: t.HEADER + t.twins(raw="a\x01b"),
+        "memo: torn tail cut inside the key": lambda t: t.HEADER + t.line("k1")
+            + t.line("k22")[:t.line("k22").index('"k22"') + 2],
+        "memo: more distinct tails than it holds": lambda t: t.HEADER + t.many(
+            [f"r{i}" for i in range(_TAIL_MEMO_SIZE + 50)] + ["r0", "r1"] * 5)
+            + t.line("k1", "r0").replace('"model"', '"key": "k9", "model"'),
+        "memo: a full memo that keeps serving": lambda t: t.HEADER + t.many(
+            [f"r{i // 2}" for i in range(2 * _TAIL_MEMO_SIZE)] + ["s0", "s1", "r0", "r1"])
+            + t.line("k1", "r1").replace('"key": "k1"', '"key": 1'),
     }
+    CREATED = TestAnnotationCache().entry().created
+
+    def twins(self, edit=lambda line: line, raw="positive"):
+        """Two lines, of keys k1 and k2, that differ only in their key token."""
+        return edit(self.line("k1", raw)) + edit(self.line("k2", raw))
+
+    def many(self, raws):
+        """One line per raw response text, each of its own key and timestamp."""
+        line = self.line("KEY", "RAW")
+        return "".join(line.replace("KEY", f"m{i}")
+                       .replace('"RAW"', json.dumps(raw, ensure_ascii=False))
+                       .replace(self.CREATED, f"2026-02-01T00:00:{i:05d}")
+                       for i, raw in enumerate(raws))
 
     def cases(self):
         return {name: build(self).encode("utf-8")
@@ -923,6 +979,36 @@ class TestScanMatchesOracle:
             outcomes.append(([repr(e) for e in cache._entries.values()], cache.dropped_tail,
                              cache._end, cache._lines, path.read_bytes()))
         assert outcomes[0] == outcomes[1]
+
+    def decodes(self, monkeypatch, path) -> int:
+        """How many lines loading `path` decodes, once it loads as the oracle does."""
+        decoded = []
+        decode = gateway._decode_line
+        monkeypatch.setattr(gateway, "_decode_line", lambda text: decoded.append(text)
+                            or decode(text))
+        assert oracle_outcome(AnnotationCache, path) == oracle_outcome(OracleCache, path)
+        return len(decoded)
+
+    def test_lines_differing_only_in_key_and_created_are_decoded_once(self, tmp_path,
+                                                                       monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        raws = ["positive", "negative", "labels: [positive]\n", "positive"] * 10
+        path.write_text(self.HEADER + self.many(raws), encoding="utf-8")
+        assert self.decodes(monkeypatch, path) == 1 + 3  # the header, each distinct line
+        parsed = [entry.parsed for entry in AnnotationCache(path)._entries.values()]
+        assert len({*map(id, parsed)}) == len(parsed) == 40  # each entry has its own tuple
+
+    def test_a_full_memo_that_misses_more_than_it_serves_is_dropped(self, tmp_path,
+                                                                     monkeypatch):
+        monkeypatch.setattr(gateway, "_TAIL_MEMO_SIZE", 4)
+        path = tmp_path / "cache.jsonl"
+        # 4 fill the memo and serve 4; 5 more miss (9 > 4): the repeats after them decode
+        raws = ["a", "b", "c", "d"] * 2 + ["e", "f", "g", "h", "i"] + ["a", "b"]
+        path.write_text(self.HEADER + self.many(raws), encoding="utf-8")
+        assert self.decodes(monkeypatch, path) == 1 + 4 + 5 + 2
+        raws = ["a", "b", "c", "d"] * 4 + ["e", "f", "g", "h", "i"] + ["a", "b"]
+        path.write_text(self.HEADER + self.many(raws), encoding="utf-8")
+        assert self.decodes(monkeypatch, path) == 1 + 4 + 5  # 9 missed, 12 served: kept
 
     def test_repeated_texts_are_kept_once(self, tmp_path):
         """After a load, entries with equal field texts share one str, and
@@ -1821,6 +1907,9 @@ class TestConfigLoaders:
         ({"retry": {"max_attempts": "3"}}, "retry.max_attempts must be an integer, not str"),
         ({"retry": {"backoff": "1,2"}}, "retry.backoff must be a list, not str"),
         ({"retry": {"backoff": [1, True]}}, "retry.backoff must be a number, not bool"),
+        ({"retry": {"max_attempts": 0}}, "max_attempts must be >= 1"),
+        ({"max_in_flight": 0}, "max_in_flight must be >= 1"),
+        ({"name": ""}, "endpoint needs name, base_url, and api_key_env"),
     ])
     def test_load_endpoint_is_strict(self, tmp_path, change, message):
         path = tmp_path / "endpoint.json"

@@ -71,6 +71,18 @@ class TestValidation:
             SimConfig(n_classes=3, priors=(0.5, 0.5), error_rate=0.1,
                       llm_confusion=((1, 0), (0, 1)))
 
+    @pytest.mark.parametrize("change, message", [
+        ({"n_classes": 1, "priors": (1.0,), "llm_confusion": ((1.0,),)},
+         "need at least 2 classes"),
+        ({"llm_confusion": ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))}, "llm_confusion must be 2x2"),
+        ({"error_rate": 1.5}, r"error_rate must lie in \[0, 1\]"),
+        ({"error_rate": -0.1}, r"error_rate must lie in \[0, 1\]"),
+        ({"error_rate": float("nan")}, r"error_rate must lie in \[0, 1\]"),
+    ])
+    def test_each_field_check(self, change, message):
+        with pytest.raises(ValidationError, match=message):
+            replace(uniform_cfg(k=2), **change)
+
 
 class TestConstants:
     def test_slope_and_chance_rate(self):

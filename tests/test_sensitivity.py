@@ -54,10 +54,28 @@ class TestMixBaseline:
         with pytest.raises(ValidationError):
             mix_baseline({"a": S(0)}, {"a": S(1)}, 1.2, seed=0)
 
+    def test_empty_reference(self):
+        with pytest.raises(ValidationError, match="empty reference"):
+            mix_baseline({}, {"a": S(1)}, 0.5, seed=0)
+
     def test_int_and_str_item_ids(self):
         labels = {1: S(0), "x": S(1), 2: S(0)}
         with pytest.raises(ValidationError, match="item ids mix int and str"):
             mix_baseline(labels, labels, 0.5, seed=0)
+
+
+class TestMixConfig:
+    @pytest.mark.parametrize("change, message", [
+        ({"alphas": ()}, "no alphas given"),
+        ({"alphas": (0.5, 1.5)}, r"alphas must lie in \[0, 1\]"),
+        ({"alphas": (-0.25,)}, r"alphas must lie in \[0, 1\]"),
+        ({"alphas": (float("nan"),)}, r"alphas must lie in \[0, 1\]"),
+        ({"replicates": 0}, "replicates must be >= 1"),
+        ({"seed": -1}, "seed must be >= 0"),
+    ])
+    def test_each_field_check(self, change, message):
+        with pytest.raises(ValidationError, match=message):
+            MixConfig(**{"alphas": (0.0, 1.0), **change})
 
 
 class TestSensitivityCurve:
