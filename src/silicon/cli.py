@@ -77,13 +77,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _round_floats(obj, ndigits: int = 6):
+def _round_floats(obj):
     if isinstance(obj, float):
-        return round(obj, ndigits)
+        return round(obj, 6)
     if isinstance(obj, dict):
-        return {k: _round_floats(v, ndigits) for k, v in obj.items()}
+        return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, ndigits) for v in obj]
+        return [_round_floats(v) for v in obj]
     return obj
 
 
@@ -628,9 +628,6 @@ def run(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
-        return 2
-    except SiliconError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

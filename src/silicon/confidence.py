@@ -46,9 +46,6 @@ def fsd_from_codes(item: np.ndarray, rank: np.ndarray):
     """
     item = np.asarray(item, dtype=np.int64)
     rank = np.asarray(rank, dtype=np.int64)
-    if len(item) == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, np.zeros(0), empty, empty, empty
     width = int(rank.max()) + 1   # keys stay below records**2, in int64 range
     pairs, count = np.unique(item * width + rank, return_counts=True)
     pair_item, pair_rank = np.divmod(pairs, width)

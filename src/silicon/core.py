@@ -578,29 +578,47 @@ def _decode_line(line: str):
     return json.loads(line)
 
 
+# Most tails one read of a JSONL file remembers (see _remember_tail).
+_TAIL_MEMO_SIZE = 4096
+
+
+def _remember_tail(memo: dict, tail, value, text: str, names: tuple[str, ...],
+                   served: int, missed: int) -> dict | None:
+    """The tail memo rule of load_dataset and AnnotationCache._scan.  They
+    read a line's leading JSON string tokens with json's own scanner (as
+    strict as json.loads) and look the rest of the line, the tail, up in
+    `memo`.  Swapping one valid string token for another leaves a line valid
+    and every other member unchanged, so a hit yields what a full decode
+    would, unless a member of the tail repeats a scanned token's name.  A
+    line that missed, decoded and passed its reader's checks stores `value`
+    under `tail` only if `text`, the tail's text, holds neither a \\u escape
+    nor one of the quoted member `names`: without a \\u escape a name is
+    spelled out.  The memo holds at most _TAIL_MEMO_SIZE tails; once it is
+    full and has missed more lines than it served, None drops it.
+    """
+    if len(memo) >= _TAIL_MEMO_SIZE:
+        return None if missed > served else memo
+    if "\\u" not in text:
+        for name in names:
+            if name in text:
+                return memo
+        memo[tail] = value
+    return memo
+
+
 # How every save_dataset line starts (and any record of its keys written with
 # sort_keys=True); load_dataset reads the item id of such a line on its own.
 _ITEM_FIRST = '{"item_id": "'
-# Most distinct line tails one load_dataset call remembers.
-_TAIL_MEMO_SIZE = 4096
 
 
 def load_dataset(path, spec: TaskSpec) -> Dataset:
     """Read annotations from JSONL (any task) or CSV (single-label tasks only).
 
-    JSONL lines that differ only in their item id are decoded once.  For a
-    line that starts with `{"item_id": "`, the item id's string token is read
-    with json's own scanner (as strict as json.loads), and the text after it,
-    the tail, is looked up in a memo of the (source, run, label) codes of
-    tails already decoded.  A hit adds the row without decoding the line.
-    Swapping one valid JSON string token for another leaves a line valid and
-    every other member unchanged, so a hit yields what a full decode would.
-    A tail enters the memo only after its line decoded and checked cleanly,
-    and only when it holds neither the text `item_id` nor a backslash, so no
-    later key can override the item id.  Lines with an empty item id, and
-    all other lines, take the full decode, which words every error.  The memo
-    holds at most _TAIL_MEMO_SIZE tails; once it is full and has missed more
-    lines than it served, the rest of the file skips it.
+    JSONL lines that differ only in their item id are decoded once: for a
+    line that starts with `{"item_id": "`, the text after the item id's token
+    is looked up in a memo of (source, run, label) codes (see _remember_tail).
+    Lines with an empty item id, and all other lines, take the full decode,
+    which words every error.
     """
     path = str(path)
     cols = _Columns(spec)
@@ -671,11 +689,7 @@ def load_dataset(path, spec: TaskSpec) -> Dataset:
                     raise ValidationError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
                 key = add(obj, path, lineno)
                 if tail is not None:
-                    if len(memo) < _TAIL_MEMO_SIZE:
-                        if "item_id" not in tail and "\\" not in tail:
-                            memo[tail] = key
-                    elif missed > served:
-                        memo = None
+                    memo = _remember_tail(memo, tail, key, tail, ('"item_id"',), served, missed)
     return cols.fill(Dataset.__new__(Dataset))
 
 

@@ -221,10 +221,10 @@ def _cluster_sandwich(x, y, mu, n_clusters: int, correction: str) -> np.ndarray:
     return bread @ meat @ bread
 
 
-def _exact_ci(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
+def _exact_ci(successes: int, trials: int) -> tuple[float, float]:
     from scipy.special import betaincinv  # imported here: only equivalence loads scipy
 
-    alpha = 1.0 - level
+    alpha = 1.0 - 0.95  # the 95% Clopper-Pearson interval
     # betaincinv(a, b, q) is the beta(a, b) quantile at q
     lo = 0.0 if successes == 0 else float(
         betaincinv(successes, trials - successes + 1, alpha / 2))

@@ -44,8 +44,8 @@ except ImportError:  # no flock (Windows): appends from several processes are no
     fcntl = None
 
 from .core import LabelValue, Role, SiliconError, SourceId, TaskKind, TaskSpec, ValidationError
-from .core import (_JSONL_ENCODER, _TAIL_MEMO_SIZE, Dataset, _decode_line, _json_object,
-                   _json_value, _now, _open_text, _read_json)
+from .core import (_JSONL_ENCODER, Dataset, _decode_line, _json_object, _json_value, _now,
+                   _open_text, _read_json, _remember_tail)
 
 __all__ = [
     "GatewayError",
@@ -488,18 +488,10 @@ class AnnotationCache:
         Lines that differ only in their key and created texts are decoded
         once.  A line that starts as _entry_line writes one, `{"created": "`,
         has its created token, and the key token after the first `, "key": "`,
-        read with json's own scanner (as strict as json.loads).  The text
-        between the two tokens and the text after the key, its newline
-        included, are looked up in a memo of the other fields of lines already
-        read.  A hit adds an entry with those fields and its own parsed tuple,
-        without decoding the line: swapping one valid JSON string token for
-        another leaves a line valid and every other member unchanged.  A line
-        enters the memo only after it decoded and checked cleanly, and only if
-        neither text holds `"key"`, `"created"` or a `\\u` escape, so no other
-        member can be named key or created (a `\\n` escape may stay).  Every
-        other line, and every error, takes the full decode.  The memo holds
-        at most core._TAIL_MEMO_SIZE pairs of texts; once it is full and has
-        missed more lines than it served, the rest of fh skips it.
+        read on their own; the texts between and after the two are looked up
+        in a memo of the other fields (see core._remember_tail).  A hit adds an
+        entry with those fields and its own parsed tuple.  Every other line,
+        and every error, takes the full decode.
         """
         offset, lineno, line = self._end, self._lines, b"\n"
         texts, entries = self._texts, self._entries
@@ -564,13 +556,9 @@ class AnnotationCache:
                 raise ValidationError(f"{self.path}:{lineno}: {exc}") from exc
             entries.setdefault(key, entry)
             if between is not None:
-                if len(memo) < _TAIL_MEMO_SIZE:
-                    if not ('"key"' in between or '"created"' in between or "\\u" in between
-                            or '"key"' in after or '"created"' in after or "\\u" in after):
-                        memo[between, after] = (entry.model, temperature, index,
-                                                entry.raw_response, parsed, entry.failure)
-                elif missed > served:
-                    memo = None
+                memo = _remember_tail(memo, (between, after), (
+                    entry.model, temperature, index, entry.raw_response, parsed, entry.failure),
+                    between + after, ('"key"', '"created"'), served, missed)
         if line.endswith(b"\n"):
             self._end, self._lines = offset, lineno
         else:

@@ -159,8 +159,8 @@ class SimResult:
         return asdict(self)
 
 
-def _streams(seed: int, count: int = 4) -> list[np.random.Generator]:
-    return [_rng_from_seed(s) for s in np.random.SeedSequence(seed).spawn(count)]
+def _streams(seed: int) -> list[np.random.Generator]:
+    return [_rng_from_seed(s) for s in np.random.SeedSequence(seed).spawn(4)]
 
 
 def _inverse_cdf(rows: np.ndarray, which, u: np.ndarray) -> np.ndarray:

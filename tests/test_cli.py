@@ -5,6 +5,7 @@ import math
 import os
 import pathlib
 import random
+import runpy
 import subprocess
 import sys
 import types
@@ -125,6 +126,16 @@ class TestUsage:
                               capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == 0
         assert done.stdout.strip() == __version__
+
+    def test_main_exits_with_the_code_run_returns(self, capsys, monkeypatch):
+        """`python -m silicon.cli` runs main in-process here: the module is
+        already imported, which runpy warns of."""
+        monkeypatch.setattr(sys, "argv", ["silicon", "frobnicate"])
+        with pytest.warns(RuntimeWarning, match="found in sys.modules"), \
+                pytest.raises(SystemExit) as exc:
+            runpy.run_module("silicon.cli", run_name="__main__", alter_sys=True)
+        assert exc.value.code == 1
+        assert "usage error" in capsys.readouterr().err
 
 
 class TestAgreement:
@@ -1287,6 +1298,17 @@ class TestStrictJsonInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{path}: not UTF-8 (" in err
         assert posts == [] and not (tmp_path / "out.jsonl").exists()
+
+    def test_blank_item_lines_are_skipped(self, tmp_path, posts):
+        argv = self.inputs(tmp_path)
+        items = tmp_path / "items.jsonl"
+        lines = items.read_text(encoding="utf-8").splitlines()
+        items.write_text("\n  \n" + "\n\n".join(lines) + "\n", encoding="utf-8")
+        assert cli.run(argv) == 0
+        assert len(posts) == 24
+        out = (tmp_path / "out.jsonl").read_text(encoding="utf-8").splitlines()
+        assert {json.loads(line)["item_id"] for line in out} == {
+            json.loads(line)["item_id"] for line in lines}
 
     def test_extra_item_keys_are_allowed(self, tmp_path, posts):
         assert cli.run(self.inputs(tmp_path, "item", "source", "forum")) == 0

@@ -498,6 +498,23 @@ def test_item_ids_of_every_form_match_the_oracle(tmp_path):
     assert_same_analyses(new, old)
 
 
+def test_a_tail_with_other_escapes_is_decoded_once(tmp_path, monkeypatch):
+    """Only a \\u escape can spell a member name without its letters: a tail
+    that holds other escapes, here a source name with a backslash and a
+    quote, enters the memo, and the lines that repeat it are not decoded."""
+    spec = SPECS["multiclass"]
+    source = {"name": 'back\\slash "quoted"', "role": "model"}
+    rows = [{"item_id": f"i{i}", "labels": ["alpha"], "run": 0, "source": source}
+            for i in range(20)]
+    path = write_jsonl(tmp_path / "ann.jsonl", rows, sort_keys=True)
+    assert "\\\\" in path.read_text(encoding="utf-8")
+    decoded, decode = [], core._decode_line
+    monkeypatch.setattr(core, "_decode_line", lambda line: decoded.append(line) or decode(line))
+    new = load_dataset(path, spec)
+    assert len(decoded) == 1
+    assert_same_dataset(new, old_load_dataset(path, spec))
+
+
 @pytest.mark.parametrize("hits_first", [False, True])
 def test_more_distinct_tails_than_the_memo_holds(tmp_path, hits_first):
     """Past core._TAIL_MEMO_SIZE distinct tails the memo takes no more, and

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
 
-from silicon.confidence import fsd_from_probabilities, fsd_from_samples
+from silicon.confidence import FsdScore, fsd_from_probabilities, fsd_from_samples
 from silicon.core import LabelValue, ValidationError
 
 
 def S(*indices):
     return LabelValue.of(indices)
+
+
+@pytest.mark.parametrize("fsd", [-0.1, 1.5, float("nan")])
+def test_fsd_score_out_of_range(fsd):
+    with pytest.raises(ValidationError, match="fsd out of range"):
+        FsdScore(fsd=fsd, top_label=S(0), second_label=None, n_samples=2, method="sampling")
 
 
 class TestSamplingRoute:

@@ -320,6 +320,15 @@ class TestSeparation:
         assert by_model["never"].verdict == "worse"
         assert math.isnan(rep.lr_stat)  # no fitted model beside the baseline
 
+    def test_separated_model_as_accurate_as_a_separated_baseline(self):
+        matches = np.ones((8, 2))
+        m = MatchMatrix(items=tuple(f"i{j}" for j in range(8)), models=("base", "same"),
+                        matches=matches, baseline_model="base")
+        comp = fit_equivalence(m).comparisons[0]
+        assert comp.separated and comp.method == "binomial"
+        assert comp.coefficient == 0.0
+        assert comp.verdict == "equivalent"
+
 
 def irls_with_step_halving(x, y):
     """The fit before full Newton steps, frozen: Newton with step halving on
@@ -434,6 +443,25 @@ def test_equal_accuracies_give_lr_p_one_when_the_statistic_rounds_negative():
                                       matches, "a"))
     assert -1e-12 < rep.lr_stat < 0.0
     assert rep.lr_p == 1.0
+
+def test_a_fit_that_runs_out_of_iterations_is_reported_unconverged(monkeypatch):
+    monkeypatch.setattr(equivalence, "_MAX_ITER", 1)
+    rep = fit_equivalence(fixture_matrix())
+    assert (rep.converged, rep.n_iter) == (False, 1)
+
+
+def test_a_zero_standard_error_gives_an_infinite_wald_statistic(monkeypatch):
+    """A non-zero coefficient over a zero standard error is infinitely many
+    errors from 0, on the coefficient's side, with p-value 0."""
+    monkeypatch.setattr(equivalence, "_cluster_sandwich",
+                        lambda x, y, mu, n_clusters, correction: np.zeros((x.shape[1],) * 2))
+    rep = fit_equivalence(fixture_matrix(baseline="m2"))
+    by_model = {c.model: c for c in rep.comparisons}
+    assert by_model["m0"].coefficient < 0.0 < by_model["m1"].coefficient
+    assert by_model["m0"].wald_z == -math.inf and by_model["m1"].wald_z == math.inf
+    assert by_model["m0"].wald_p == by_model["m1"].wald_p == 0.0
+    assert by_model["m0"].verdict == "worse" and by_model["m1"].verdict == "better"
+
 
 def test_special_functions_equal_the_scipy_stats_calls_they_replace():
     """equivalence uses scipy.special directly; each call must give the bits

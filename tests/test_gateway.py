@@ -8,6 +8,7 @@ import math
 import os
 import pathlib
 import random
+import runpy
 import socket
 import subprocess
 import sys
@@ -242,6 +243,9 @@ class TestParseResponse:
     def test_exact_line(self):
         assert parse_response("negative", SPEC) == LabelValue.single(1)
         assert parse_response("  neutral  \n", SPEC) == LabelValue.single(2)
+
+    def test_blank_lines_are_skipped(self):
+        assert parse_response("\n   \nnegative\n", SPEC) == LabelValue.single(1)
 
     def test_first_exact_line_wins(self):
         out = parse_response("negative\npositive or neutral?", SPEC)
@@ -546,6 +550,20 @@ class TestAnnotationCache:
             fh.write(self.line("k1").rstrip("\n"))
         a.put(self.entry("k2"))
         assert path.read_text(encoding="utf-8") == self.HEADER + self.line("k1") + self.line("k2")
+
+    def test_without_flock_put_appends_unlocked(self, tmp_path, monkeypatch):
+        """Where fcntl does not import (Windows) the module loads with fcntl
+        None, and put appends without a flock.  The module runs under another
+        name, so silicon.gateway and its classes stay as they are; runpy warns
+        that it is imported already."""
+        monkeypatch.setitem(sys.modules, "fcntl", None)
+        with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+            unlocked = runpy.run_module("silicon.gateway", run_name="gateway_without_flock",
+                                        alter_sys=True)  # dataclasses look the module up
+        assert unlocked["fcntl"] is None
+        path = tmp_path / "cache.jsonl"
+        unlocked["AnnotationCache"](path).put(self.entry())
+        assert path.read_text(encoding="utf-8") == self.HEADER + self.line("k1")
 
     @pytest.mark.parametrize("start", ["absent", "torn tail"])
     def test_processes_appending_at_once(self, tmp_path, start):
@@ -1000,7 +1018,7 @@ class TestScanMatchesOracle:
 
     def test_a_full_memo_that_misses_more_than_it_serves_is_dropped(self, tmp_path,
                                                                      monkeypatch):
-        monkeypatch.setattr(gateway, "_TAIL_MEMO_SIZE", 4)
+        monkeypatch.setattr("silicon.core._TAIL_MEMO_SIZE", 4)
         path = tmp_path / "cache.jsonl"
         # 4 fill the memo and serve 4; 5 more miss (9 > 4): the repeats after them decode
         raws = ["a", "b", "c", "d"] * 2 + ["e", "f", "g", "h", "i"] + ["a", "b"]
@@ -1800,6 +1818,29 @@ class TestConnections:
         finally:
             transport.close()
         assert len(server.requests) == 2 and server.connections == 2
+
+    def test_an_interrupted_request_closes_its_connection(self, loopback):
+        """A KeyboardInterrupt mid-request leaves the connection's state
+        unknown: post closes it and lets the interrupt through, and the next
+        request opens a new connection."""
+        server = loopback()
+        transport = HttpTransport(make_endpoint(base_url=server.url))
+        try:
+            transport.post({"n": 1})
+            conn = transport._connection()
+
+            def interrupted():
+                raise KeyboardInterrupt
+
+            conn.getresponse = interrupted
+            with pytest.raises(KeyboardInterrupt):
+                transport.post({"n": 1})
+            assert conn.sock is None
+            del conn.getresponse
+            assert transport.post({"n": 1})["choices"]
+        finally:
+            transport.close()
+        assert len(server.requests) == 3 and server.connections == 2
 
     def test_no_resource_warning_after_annotate(self, tmp_path, loopback):
         server = loopback()

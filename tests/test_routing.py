@@ -124,6 +124,21 @@ class TestRoute:
         with pytest.raises(ValidationError, match="fsd"):
             route(plan, {"i": S(0)}, {"i": 1.5}, {"x": {"i": S(0)}}, SPEC)
 
+    def test_a_fault_the_walk_cannot_name_is_raised_as_found(self):
+        """The walk re-asks each check to name the first faulty item; if no
+        item fails it (a mapping whose answer changed in between), the bulk
+        check's own error is raised."""
+        class Flaky(dict):
+            asked = 0
+
+            def __contains__(self, key):  # missing for the bulk check, present for the walk
+                self.asked += 1
+                return self.asked > 1
+
+        plan = RoutingPlan(focal="f", auxiliaries=("x",), tau=1.0)
+        with pytest.raises(KeyError):
+            route(plan, {"i": S(0)}, Flaky(i=0.0), {"x": {"i": S(0)}}, SPEC)
+
 
 class TestRouteMultilabel:
     def test_per_category_majority(self):
