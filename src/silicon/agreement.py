@@ -135,8 +135,10 @@ class _Codes:
     (K = len(cats)): `table` counts the code pairs of two aligned columns.
     A caller whose columns differ from an already tabled pair in a few items
     builds its table with `moved`, which shifts those items' counts from their
-    old `cells` to their new ones.  `kappa` (the full report) and `score`
-    (kappa and degeneracy only) finish a table with one float path.
+    old `cells` to their new ones.  One float path, `_finish`, finishes a
+    stack of tables: mean pairwise kappa finishes all its pairs in one call,
+    and `kappa` (the full report) and `score` (kappa and degeneracy only)
+    finish a stack of one.
     """
 
     def __init__(self, kind: TaskKind, spec: TaskSpec | None, *columns: Iterable[LabelValue]):
@@ -172,38 +174,73 @@ class _Codes:
         return table + (np.bincount(enter, minlength=size)
                         - np.bincount(leave, minlength=size)).reshape(table.shape)
 
-    def _finish(self, table: np.ndarray):
-        """Kappa's float steps on `table`, restricted to the categories either
-        side uses, so K, the matrix layout and every float operation are those
-        of coding the two label lists on their own."""
-        used = np.flatnonzero(table.any(axis=1) | table.any(axis=0))
-        weights = self.weights.take(used, axis=0).take(used, axis=1)
-        observed = table.take(used, axis=0).take(used, axis=1).astype(float)
-        n = int(table.sum())
-        marg_a = observed.sum(axis=1) / n
-        marg_b = observed.sum(axis=0) / n
-        expected = n * np.outer(marg_a, marg_b)
-        num = float((weights * observed).sum())
-        den = float((weights * expected).sum())
+    def _finish(self, stack: np.ndarray):
+        """Kappa's float steps on every table of `stack`, m K x K count tables.
+
+        Each table is restricted to the categories either side uses, so K, the
+        matrix layout and every float operation are those of coding its two
+        label lists on their own.  Tables that use the same categories are
+        restricted once and finished together.  Returns per-table lists of
+        kappa, degenerate, n, num and den, and per group of tables (their rows
+        in `stack`, used, observed, expected, weights).
+        """
+        # integer row and column sums are exact in float, so the marginals are
+        # those of the restricted float table
+        count_a, count_b = stack.sum(axis=2), stack.sum(axis=1)
+        n = count_a.sum(axis=1)
+        num, den = np.empty(len(stack)), np.empty(len(stack))
+        groups = []
+        for rows, used in _same_rows(count_a + count_b > 0):
+            block, weights, count_a_g, count_b_g = (
+                stack[rows], self.weights, count_a[rows], count_b[rows])
+            if len(used) < len(self.cats):
+                block = block.take(used, axis=1).take(used, axis=2)
+                weights = weights.take(used, axis=0).take(used, axis=1)
+                count_a_g, count_b_g = count_a_g.take(used, axis=1), count_b_g.take(used, axis=1)
+            # C-ordered whatever the layout of `stack`: a sum over a table walks
+            # memory in layout order, and a block with the stack axis innermost
+            # would round each table's sums differently
+            observed = np.ascontiguousarray(block, dtype=float)
+            n_g = n[rows, None]
+            marg_a = count_a_g / n_g
+            marg_b = count_b_g / n_g
+            expected = n_g[:, :, None] * (marg_a[:, :, None] * marg_b[:, None, :])
+            num[rows] = (weights * observed).sum(axis=(1, 2))
+            den[rows] = (weights * expected).sum(axis=(1, 2))
+            groups.append((rows, used, observed, expected, weights))
+        num, den = num.tolist(), den.tolist()
         # den <= 0: all mass on one category for both annotators, so chance agreement is total
-        degenerate = den <= 0.0
-        kappa = (1.0 if num <= 0.0 else 0.0) if degenerate else 1.0 - num / den
-        return kappa, degenerate, n, num, den, used, observed, expected, weights
+        degenerate = [d <= 0.0 for d in den]
+        kappa = [(1.0 if x <= 0.0 else 0.0) if d <= 0.0 else 1.0 - x / d
+                 for x, d in zip(num, den)]
+        return kappa, degenerate, n.tolist(), num, den, groups
 
     def score(self, table: np.ndarray) -> tuple[float, bool]:
         """(kappa, degenerate) of a count table, without the report."""
-        return self._finish(table)[:2]
+        kappa, degenerate = self._finish(table[None])[:2]
+        return kappa[0], degenerate[0]
 
-    def kappa(self, ca: np.ndarray, cb: np.ndarray) -> AgreementReport:
-        """The AgreementReport of two aligned code arrays: their table, finished."""
-        kappa, degenerate, n, num, den, used, observed, expected, weights = self._finish(
-            self.table(ca, cb))
+    def kappa(self, table: np.ndarray) -> AgreementReport:
+        """The AgreementReport of a count table: a stack of one, finished."""
+        (kappa,), (degenerate,), (n,), (num,), (den,), groups = self._finish(table[None])
+        _, used, observed, expected, weights = groups[0]
         return AgreementReport(
             kappa=kappa, p_o=1.0 - num / n, p_e=1.0 - den / n, n_items=n,
             degenerate=degenerate, weighted=self.weighted,
             categories=tuple(self.cats[u] for u in used),
-            observed=observed, expected=expected, weights=weights,
+            observed=observed[0], expected=expected[0], weights=weights,
         )
+
+
+def _same_rows(used: np.ndarray) -> list[tuple[slice | np.ndarray, np.ndarray]]:
+    """For each distinct row of the boolean matrix `used`: the rows equal to
+    it, and its true columns."""
+    if len(used) == 1:
+        return [(slice(0, 1), np.flatnonzero(used[0]))]
+    width, raw, rows = used.shape[1], used.tobytes(), {}
+    for r in range(len(used)):
+        rows.setdefault(raw[r * width:(r + 1) * width], []).append(r)
+    return [(np.array(group), np.flatnonzero(used[group[0]])) for group in rows.values()]
 
 
 def kappa_for_kind(a: Sequence[LabelValue], b: Sequence[LabelValue],
@@ -217,7 +254,7 @@ def kappa_for_kind(a: Sequence[LabelValue], b: Sequence[LabelValue],
         raise ValidationError(f"annotator lengths differ: {len(a)} vs {len(b)}")
     if len(a) < 2:
         raise ValidationError("need at least 2 items to measure agreement")
-    return codes.kappa(*codes.columns)
+    return codes.kappa(codes.table(*codes.columns))
 
 
 def cohen_kappa(a: Sequence[LabelValue], b: Sequence[LabelValue],
@@ -267,20 +304,74 @@ def mean_pairwise_kappa_codes(
 
     `matrix[r, j]` is the code into `table` of source `names[j]`'s label for
     `items[r]`, or -1 where it has none (Dataset.code_matrix gives this).  The
-    whole table is coded once for kappa; each pair is then the count table,
-    one bincount, of its two columns where both are present, which
-    _Codes._finish restricts to the labels the pair uses.  Kappa counts label
-    pairs, so the row order does not change it, and rows no source labels are
-    not counted.  A pair reports the first bad label it holds, as
-    kappa_for_kind on its label lists in sorted item order would.
+    whole table is coded once for kappa.  Every pair's count table, over the
+    rows where both its sources are present, comes from one bincount
+    (_pair_tables), and one _Codes._finish call finishes the stack, each
+    table restricted to the labels its pair uses.  Kappa counts label pairs,
+    so the row order does not change it, and rows no source labels are not
+    counted.  If any pair fails, the first in pair order raises its error; a
+    bad label is reported as kappa_for_kind on the pair's label lists in
+    sorted item order would.
     """
     if len(names) < 2:
         raise ValidationError("need at least 2 annotators")
     present = matrix >= 0
     codes = _Codes(kind, spec, table)
     matrix = np.append(codes.columns[0], -1)[matrix]  # the last entry keeps -1 at -1
-    pair_reports = []
-    pairs = []
+    first, second = np.triu_indices(len(names), 1)  # the pairs in combinations order
+    stack = _pair_tables(codes, matrix, present, first, second, max(min_common, 2))
+    if stack is None:
+        _raise_pair_error(names, items, codes, matrix, present, min_common)
+    if len(stack) == 1:
+        rep = codes.kappa(stack[0])
+        return replace(rep, pairwise=(PairKappa(names[0], names[1], rep.kappa, rep.n_items),),
+                       mean_kappa=rep.kappa)
+    kappas, _, counts = codes._finish(stack)[:3]
+    mean = float(np.mean(kappas))
+    return AgreementReport(
+        kappa=mean, p_o=float("nan"), p_e=float("nan"),
+        n_items=int(np.count_nonzero(present.any(axis=1))),
+        weighted=codes.weighted, mean_kappa=mean,
+        pairwise=tuple(PairKappa(names[a], names[b], kappa, n) for a, b, kappa, n
+                       in zip(first.tolist(), second.tolist(), kappas, counts)),
+    )
+
+
+# Most rows x pairs cells _pair_tables codes in one bincount (8 MB of int64).
+_PAIR_CELLS = 2**20
+
+
+def _pair_tables(codes: _Codes, matrix: np.ndarray, present: np.ndarray,
+                 first: np.ndarray, second: np.ndarray, need: int) -> np.ndarray | None:
+    """The K x K count tables of the source pairs (first[p], second[p]) of a
+    coded items x sources `matrix`, as one pairs x K x K stack, or None if a
+    pair shares fewer than `need` rows or holds a rejected label on one.
+
+    Pair p's cell (ca, cb) is flat index (p * K + ca) * K + cb, so the pairs
+    are counted by one bincount over the rows where both sources are present,
+    for each block of pairs that keeps the rows x pairs arrays under
+    _PAIR_CELLS cells.
+    """
+    k = len(codes.cats)
+    bad = codes._bad[matrix] & present
+    stack = np.empty((len(first), k, k), dtype=np.int64)
+    step = max(1, _PAIR_CELLS // max(len(matrix), 1))
+    for lo in range(0, len(first), step):
+        a, b = first[lo:lo + step], second[lo:lo + step]
+        both = present[:, a] & present[:, b]
+        if (np.count_nonzero(both, axis=0) < need).any() or (both & (bad[:, a] | bad[:, b])).any():
+            return None
+        cells = (np.arange(len(a)) * k + matrix[:, a]) * k + matrix[:, b]
+        stack[lo:lo + len(a)] = np.bincount(
+            cells[both], minlength=len(a) * k * k).reshape(len(a), k, k)
+    return stack
+
+
+def _raise_pair_error(names: Sequence[str], items: Sequence, codes: _Codes,
+                      matrix: np.ndarray, present: np.ndarray, min_common: int) -> None:
+    """Raise the error of the first failing pair, in pair order: too few shared
+    items, a bad label (the first, as kappa_for_kind on the pair's label lists
+    in sorted item order would report it), or fewer than 2 items."""
     for a, b in combinations(range(len(names)), 2):
         rows = np.flatnonzero(present[:, a] & present[:, b])
         n = len(rows)
@@ -289,20 +380,8 @@ def mean_pairwise_kappa_codes(
                 f"annotators {names[a]!r} and {names[b]!r} share only {n} items "
                 f"(need >= {min_common})"
             )
-        ca, cb = matrix[rows, a], matrix[rows, b]
-        # kappa_for_kind lists a pair's items sorted: report the earliest bad one
-        # (ids that do not sort, ints and strs, put the ints first)
-        codes.check(ca, cb, key=lambda k: (isinstance(items[rows[k]], str), items[rows[k]]))
+        # ids that do not sort, ints and strs, put the ints first
+        codes.check(matrix[rows, a], matrix[rows, b],
+                    key=lambda k: (isinstance(items[rows[k]], str), items[rows[k]]))
         if n < 2:
             raise ValidationError("need at least 2 items to measure agreement")
-        rep = codes.kappa(ca, cb)
-        pair_reports.append(rep)
-        pairs.append(PairKappa(names[a], names[b], rep.kappa, n))
-    mean = float(np.mean([p.kappa for p in pairs]))
-    if len(pairs) == 1:
-        return replace(pair_reports[0], pairwise=tuple(pairs), mean_kappa=mean)
-    return AgreementReport(
-        kappa=mean, p_o=float("nan"), p_e=float("nan"),
-        n_items=int(np.count_nonzero(present.any(axis=1))),
-        weighted=codes.weighted, pairwise=tuple(pairs), mean_kappa=mean,
-    )

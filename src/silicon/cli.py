@@ -37,6 +37,7 @@ from .core import (
     TaskSpec,
     TieRule,
     ValidationError,
+    _Columns,
     _JSONL_ENCODER,
     _check_record,
     _decode_line,
@@ -44,6 +45,7 @@ from .core import (
     _label_codes,
     _now,
     _open_text,
+    _read_records,
     atomic_open,
     load_dataset,
     load_task_spec,
@@ -153,7 +155,22 @@ def _pairwise_kappa(dataset: Dataset, sources: list[SourceId], spec: TaskSpec):
 
 
 def _merge_datasets(spec: TaskSpec, paths: list[str]) -> Dataset:
-    return Dataset.concat([load_dataset(path, spec) for path in paths])
+    """Every record of `paths`, in order, read into one set of columns: the
+    files share their tables, so nothing is re-coded, copied or checked for
+    duplicates twice.  It fails as loading each file and concatenating them
+    would: a file read in full reports its own duplicate key before a later
+    file's error, and a key repeated across files names its earliest repeat."""
+    cols = _Columns(spec)
+    ends = [0]
+    try:
+        for path in paths:
+            _read_records(cols, path)
+            ends.append(len(cols.key_rows))
+        return cols.fill(Dataset.__new__(Dataset))
+    except ValidationError:
+        for start, stop in zip(ends, ends[1:]):
+            cols.fill(Dataset.__new__(Dataset), slice(start, stop))
+        raise
 
 
 def _reference_map(path: str, spec: TaskSpec):
@@ -173,7 +190,8 @@ def _report_json(rep) -> dict:
         "degenerate": rep.degenerate,
         "weighted": rep.weighted,
         "mean_kappa": rep.mean_kappa,
-        "pairwise": [asdict(p) for p in rep.pairwise],
+        # a PairKappa holds two strs, a float and an int: asdict's deep copy buys nothing
+        "pairwise": [vars(p) for p in rep.pairwise],
     }
 
 

@@ -367,6 +367,8 @@ class Dataset:
         The columns are re-coded into merged tables and concatenated; labels
         are not validated again.  Keys repeated across datasets are rejected.
         """
+        if not datasets:
+            raise ValidationError("concat needs at least one dataset")
         if len(datasets) == 1:
             return datasets[0]
         spec = datasets[0].spec
@@ -524,17 +526,20 @@ class _Columns:
         except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise ValidationError(f"{path}:{lineno}: bad annotation record ({exc})") from exc
 
-    def fill(self, ds: Dataset) -> Dataset:
-        """Give `ds` these columns; duplicate keys are rejected."""
-        n = len(self.key_rows)
+    def fill(self, ds: Dataset, rows: slice | None = None) -> Dataset:
+        """Give `ds` these columns, or just `rows` of them over the same
+        tables; duplicate keys are rejected."""
+        item_rows, key_rows = ((self.item_rows, self.key_rows) if rows is None
+                               else (self.item_rows[rows], self.key_rows[rows]))
+        n = len(key_rows)
         try:
-            keys = np.fromiter(chain.from_iterable(self.key_rows), dtype=np.int64,
+            keys = np.fromiter(chain.from_iterable(key_rows), dtype=np.int64,
                                count=3 * n).reshape(n, 3).T.copy()
         except OverflowError:
             raise ValidationError("run index does not fit in 64 bits") from None
         return ds._set_columns(self.spec, tuple(self.items), tuple(self.sources),
                                tuple(self.label_table),
-                               np.fromiter(self.item_rows, dtype=np.int64, count=n), *keys)
+                               np.fromiter(item_rows, dtype=np.int64, count=n), *keys)
 
 
 def _check_duplicates(ds: Dataset) -> None:
@@ -620,11 +625,16 @@ def load_dataset(path, spec: TaskSpec) -> Dataset:
     Lines with an empty item id, and all other lines, take the full decode,
     which words every error.
     """
-    path = str(path)
     cols = _Columns(spec)
+    _read_records(cols, str(path))
+    return cols.fill(Dataset.__new__(Dataset))
+
+
+def _read_records(cols: _Columns, path: str) -> None:
+    """Append the records of the file at `path` to `cols` (see load_dataset)."""
     add = cols.add_obj
     if path.endswith(".csv"):
-        if spec.kind is TaskKind.MULTILABEL:
+        if cols.spec.kind is TaskKind.MULTILABEL:
             raise ValidationError("CSV ingestion supports single-label tasks only")
         with _open_text(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -690,7 +700,6 @@ def load_dataset(path, spec: TaskSpec) -> Dataset:
                 key = add(obj, path, lineno)
                 if tail is not None:
                     memo = _remember_tail(memo, tail, key, tail, ('"item_id"',), served, missed)
-    return cols.fill(Dataset.__new__(Dataset))
 
 
 # One JSON line per record or cache entry: json.dumps(obj, sort_keys=True, ensure_ascii=False).

@@ -310,6 +310,10 @@ def test_two_merged_files_match_the_oracle(tmp_path, kind, seed):
     new, old = cli._merge_datasets(spec, paths), old_merge(spec, paths)
     assert_same_dataset(new, old)
     assert_same_analyses(new, old)
+    # the public concat of the files loaded one by one gives the same dataset
+    parts = [load_dataset(path, spec) for path in paths]
+    assert_same_dataset(Dataset.concat(parts), old)
+    assert Dataset.concat(parts[:1]) is parts[0]
 
 
 def test_duplicate_across_merged_files(tmp_path):
@@ -321,6 +325,8 @@ def test_duplicate_across_merged_files(tmp_path):
     message = raised(old_merge, spec, paths)
     assert message.startswith("duplicate record")
     assert raised(cli._merge_datasets, spec, paths) == message
+    parts = [load_dataset(path, spec) for path in paths]
+    assert raised(Dataset.concat, parts) == message
 
 
 def test_concat_rejects_mixed_tasks(tmp_path):
@@ -473,6 +479,67 @@ def test_ingest_errors_unchanged(tmp_path, case):
     spec = SPECS["multiclass"]
     message = raised(old_load_dataset, path, spec)
     assert raised(load_dataset, path, spec) == message
+
+
+# files for the merge error grid below, besides a few of ERROR_FILES
+MERGE_FILES = {
+    "good": _line("m1") + _line("m2", name="f"),
+    "repeats good": _line("m2", name="f"),
+    "own duplicate after a repeat": _line("m2", name="f") + _line("z") + _line("z"),
+    **{case: ERROR_FILES[case] for case in (
+        "duplicate key", "bad json", "unknown label", "known tail, extra data",
+        "fault before a duplicate")},
+}
+
+
+@pytest.mark.parametrize("first", sorted(MERGE_FILES))
+def test_merged_files_fail_as_the_record_oracle(tmp_path, first):
+    """Every ordered pair and a few triples of files: a file read in full
+    reports its own duplicate before a later file's fault or a key repeated
+    across files, and each fault names its file and line."""
+    spec = SPECS["multiclass"]
+    paths = {}
+    for k, (case, text) in enumerate(sorted(MERGE_FILES.items())):
+        paths[case] = tmp_path / f"f{k}.jsonl"
+        paths[case].write_text(text, encoding="utf-8")
+    for rest in [[case] for case in sorted(MERGE_FILES)] + [["good", "bad json"],
+                                                            ["repeats good", "good"]]:
+        files = [str(paths[case]) for case in [first, *rest]]
+        try:
+            old = old_merge(spec, files)
+        except ValidationError as exc:
+            assert raised(cli._merge_datasets, spec, files) == str(exc), (first, rest)
+        else:
+            assert_same_dataset(cli._merge_datasets(spec, files), old)
+
+
+def test_merged_run_overflow_comes_before_a_later_fault(tmp_path):
+    """The record oracle stores any run; the columns stop at 64 bits, and a
+    file whose run overflows fails before the next file is looked at, as
+    loading each file and concatenating them does."""
+    spec = SPECS["multiclass"]
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    a.write_text(_line(run=2**70), encoding="utf-8")
+    b.write_text(ERROR_FILES["bad json"], encoding="utf-8")
+    paths = [str(a), str(b)]
+    message = raised(lambda: Dataset.concat([load_dataset(p, spec) for p in paths]))
+    assert raised(cli._merge_datasets, spec, paths) == message == (
+        "run index does not fit in 64 bits")
+
+
+def test_merge_reads_each_file_into_one_set_of_columns(tmp_path, monkeypatch):
+    """No file becomes a Dataset of its own, so nothing is concatenated."""
+    spec = SPECS["multilabel"]
+    rng = np.random.default_rng(12)
+    paths = [str(write_jsonl(tmp_path / f"{k}.jsonl", random_rows(rng, spec, tag=str(k))))
+             for k in range(3)]
+    monkeypatch.setattr(Dataset, "concat", None)
+    monkeypatch.setattr(cli, "load_dataset", None)
+    assert_same_dataset(cli._merge_datasets(spec, paths), old_merge(spec, paths))
+
+
+def test_concat_of_nothing_is_a_validation_error():
+    assert raised(Dataset.concat, []) == "concat needs at least one dataset"
 
 
 def test_item_ids_of_every_form_match_the_oracle(tmp_path):
