@@ -179,46 +179,28 @@ def _log_likelihood(y: np.ndarray, mu: np.ndarray) -> float:
     return float(np.sum(y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu)))
 
 
-def _irls(x: np.ndarray, y: np.ndarray):
-    """Newton's method on the binomial deviance, every step taken whole.
-    Returns (beta, mu, converged, iters), mu being the fitted means at beta.
+def _irls(p: np.ndarray, n: int):
+    """Newton's method on the binomial deviance of J match rates `p` over `n`
+    items each, every step taken whole.  Returns (eta, mu, converged, iters),
+    eta being the J fitted model logits and mu their means.
 
-    No step overshoots: the design is saturated and Newton's method does not
-    depend on the parametrisation, so each step is a 1-D Newton step per model
-    logit from 0.  Between 0 and its optimum a logit's score is convex and
-    falling (or concave and rising), so the step stops short of the optimum,
-    and in exact arithmetic the deviance falls at every step.
+    The model-dummy design is saturated and Newton's method does not depend
+    on the parametrisation, so each step is a 1-D Newton step per model logit
+    from 0.  Between 0 and its optimum a logit's score is convex and falling
+    (or concave and rising), so no step overshoots the optimum, and in exact
+    arithmetic the deviance falls at every step.
     """
-    eta = np.zeros_like(y)
-    mu = np.full_like(y, 0.5)
-    dev = -2.0 * _log_likelihood(y, mu)
+    eta = np.zeros_like(p)
+    mu = np.full_like(p, 0.5)
+    dev = -2.0 * n * _log_likelihood(p, mu)
     for it in range(1, _MAX_ITER + 1):
-        w = np.clip(mu * (1.0 - mu), 1e-10, None)
-        # weighted least squares step on the working response
-        xtw = x.T * w
-        beta = np.linalg.solve(xtw @ x, xtw @ (eta + (y - mu) / w))
-        eta = x @ beta
+        eta = eta + (p - mu) / np.clip(mu * (1.0 - mu), 1e-10, None)
         mu = 1.0 / (1.0 + np.exp(-eta))
-        new_dev = -2.0 * _log_likelihood(y, mu)
+        new_dev = -2.0 * n * _log_likelihood(p, mu)
         if abs(dev - new_dev) < _DEV_TOL:
-            return beta, mu, True, it
+            return eta, mu, True, it
         dev = new_dev
-    return beta, mu, False, _MAX_ITER
-
-
-def _cluster_sandwich(x, y, mu, n_clusters: int, correction: str) -> np.ndarray:
-    w = mu * (1.0 - mu)
-    bread = np.linalg.inv((x.T * w) @ x)
-    resid = (y - mu)[:, None] * x
-    # clusters are equal-sized consecutive row blocks: one score sum per cluster
-    g = resid.reshape(n_clusters, -1, x.shape[1]).sum(axis=1)
-    meat = g.T @ g
-    if correction == "CR1":
-        n_obs, n_par = x.shape
-        meat *= (n_clusters / (n_clusters - 1)) * ((n_obs - 1) / (n_obs - n_par))
-    elif correction != "CR0":
-        raise ValidationError(f"unknown cluster correction {correction!r}")
-    return bread @ meat @ bread
+    return eta, mu, False, _MAX_ITER
 
 
 def _exact_ci(successes: int, trials: int) -> tuple[float, float]:
@@ -233,7 +215,7 @@ def _exact_ci(successes: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _binomial_comparison(model, acc, base_acc, n_items, tost) -> ModelComparison:
+def _binomial_comparison(model, acc, base_acc, n_items) -> ModelComparison:
     ci_m = _exact_ci(round(acc * n_items), n_items)
     ci_b = _exact_ci(round(base_acc * n_items), n_items)
     if ci_m[0] > ci_b[1]:
@@ -249,7 +231,7 @@ def _binomial_comparison(model, acc, base_acc, n_items, tost) -> ModelComparison
     return ModelComparison(
         model=model, accuracy=acc, coefficient=coef, se=float("nan"),
         ci_low=ci_m[0], ci_high=ci_m[1], wald_z=float("nan"), wald_p=float("nan"),
-        verdict=verdict, separated=True, method="binomial", tost_equivalent=tost,
+        verdict=verdict, separated=True, method="binomial",
     )
 
 
@@ -260,14 +242,19 @@ def fit_equivalence(
 ) -> EquivalenceReport:
     """Fit the model-dummy logistic regression with item-clustered errors.
 
-    Observations are ordered item-major so each item forms one cluster of J
-    rows.  Models whose match column is constant (separation) are excluded
-    from the fit and judged by exact binomial CIs; if the baseline itself is
-    constant no regression is possible and every model takes the binomial
-    route.  tost_margin, when given, additionally runs two one-sided tests at
-    5% against a +/-margin log-odds band (reported per model, not the primary
-    verdict); it must be a positive finite number.
+    The saturated design is fitted as one logit per model, with each item
+    one cluster: a standard error is the root sum of squares over items of
+    the item's influence on the coefficient, and CR1 scales it by the usual
+    small-sample factor.  A model whose column equals the baseline's gets
+    exactly 0 +/- 0.  Models whose match column is constant (separation) are
+    excluded from the fit and judged by exact binomial CIs; if the baseline
+    itself is constant no regression is possible and every model takes the
+    binomial route.  tost_margin, when given, additionally runs two one-sided
+    tests at 5% against a +/-margin log-odds band (reported per model, not
+    the primary verdict); it must be a positive finite number.
     """
+    if correction not in ("CR0", "CR1"):
+        raise ValidationError(f"unknown cluster correction {correction!r}")
     if tost_margin is not None and not 0.0 < tost_margin < math.inf:  # nan fails too
         raise ValidationError(f"tost_margin must be a positive finite number, not {tost_margin}")
     from scipy.special import chdtrc, ndtr  # imported here, as in _exact_ci
@@ -292,21 +279,23 @@ def fit_equivalence(
     se = {}
     if can_fit:
         j = len(fit_models)
-        y = matrix.matches[:, [models.index(m) for m in fit_models]].reshape(-1)  # item-major
+        y = matrix.matches[:, [models.index(m) for m in fit_models]]
         n_obs = y.size
-        # observation r belongs to item r // j and model fit_models[r % j]
-        x = np.eye(j)[np.arange(n_obs) % j]
-        x[:, 0] = 1.0
-        beta, mu, converged, n_iter = _irls(x, y)
-        cov = _cluster_sandwich(x, y, mu, n_items, correction)
-        ses = np.sqrt(np.diag(cov))
-        intercept, intercept_se = float(beta[0]), float(ses[0])
+        p = y.mean(axis=0)
+        eta, mu, converged, n_iter = _irls(p, n_items)
+        # u[i, k]: item i's influence on model k's logit, and after the subtraction
+        # on coefficient k; each item is one cluster
+        u = (y - mu) / (n_items * mu * (1.0 - mu))
+        u[:, 1:] -= u[:, :1]
+        ses = np.sqrt(np.einsum("ik,ik->k", u, u))
+        if correction == "CR1":
+            ses *= math.sqrt((n_items / (n_items - 1)) * ((n_obs - 1) / (n_obs - j)))
+        intercept, intercept_se = float(eta[0]), float(ses[0])
         for col in range(1, j):
-            coef[fit_models[col]] = float(beta[col])
+            coef[fit_models[col]] = float(eta[col] - eta[0])
             se[fit_models[col]] = float(ses[col])
-        ll_full = _log_likelihood(y, mu)
-        p_bar = float(y.mean())
-        ll_null = _log_likelihood(y, np.full_like(y, p_bar))
+        ll_full = n_items * _log_likelihood(p, mu)
+        ll_null = n_items * _log_likelihood(p, np.full_like(p, p.mean()))
         lr_stat = 2.0 * (ll_full - ll_null)
         lr_df = j - 1
         # chdtrc is nan below 0, where the chi-square upper tail is 1
@@ -314,31 +303,21 @@ def fit_equivalence(
 
     comparisons = []
     for m in others:
-        tost = None
-        if m in coef and tost_margin is not None:
-            z_lo = (coef[m] + tost_margin) / se[m]
-            z_hi = (tost_margin - coef[m]) / se[m]
-            tost = bool(min(z_lo, z_hi) > _Z_ONE_SIDED_95)
-        if m in coef:
-            lo = coef[m] - _Z95 * se[m]
-            hi = coef[m] + _Z95 * se[m]
-            if se[m] > 0:
-                z = coef[m] / se[m]
-            elif coef[m] == 0.0:
-                z = 0.0  # identical columns: no evidence either way
-            else:
-                z = math.copysign(float("inf"), coef[m])
-            verdict = "equivalent" if lo <= 0.0 <= hi else ("better" if lo > 0 else "worse")
-            comparisons.append(ModelComparison(
-                model=m, accuracy=accs[m], coefficient=coef[m], se=se[m],
-                ci_low=lo, ci_high=hi, wald_z=float(z),
-                wald_p=float(2.0 * ndtr(-abs(z))), verdict=verdict,
-                tost_equivalent=tost,
-            ))
-        else:
-            comparisons.append(
-                _binomial_comparison(m, accs[m], accs[baseline], n_items, tost)
-            )
+        if m not in coef:
+            comparisons.append(_binomial_comparison(m, accs[m], accs[baseline], n_items))
+            continue
+        lo = coef[m] - _Z95 * se[m]
+        hi = coef[m] + _Z95 * se[m]
+        # a zero se means the column is the baseline's, and then coef is 0
+        z = coef[m] / se[m] if se[m] > 0 else 0.0
+        verdict = "equivalent" if lo <= 0.0 <= hi else ("better" if lo > 0 else "worse")
+        comparisons.append(ModelComparison(
+            model=m, accuracy=accs[m], coefficient=coef[m], se=se[m],
+            ci_low=lo, ci_high=hi, wald_z=z,
+            wald_p=float(2.0 * ndtr(-abs(z))), verdict=verdict,
+            tost_equivalent=None if tost_margin is None
+            else abs(coef[m]) + _Z_ONE_SIDED_95 * se[m] < tost_margin,
+        ))
 
     return EquivalenceReport(
         baseline_model=baseline,

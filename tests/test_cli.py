@@ -691,6 +691,42 @@ class TestEquivalence:
         assert lines[0] == "model,estimate,lo,hi"
         assert len(lines) == 3
 
+    def test_a_rerun_of_the_baseline_is_equivalent(self, tmp_path):
+        """A second --models file with the baseline's labels under another
+        name: its row is 0 +/- 0, and report.json is strict JSON."""
+        task = write_task(tmp_path)
+        labels = ["red", "green", "blue"]
+        rng = random.Random(3)
+        ref = {f"i{j:03d}": rng.choice(labels) for j in range(200)}
+        paths = []
+        for name, p_right in (("m1", 0.7), ("m1-rerun", 0.7), ("m2", 0.6)):
+            if name != "m1-rerun":  # the rerun writes m1's labels again
+                got = {item: lab if rng.random() < p_right else rng.choice(labels)
+                       for item, lab in ref.items()}
+            paths.append(write_records(tmp_path / f"{name}.jsonl",
+                                       [(item, "model", name, 0, [lab])
+                                        for item, lab in got.items()]))
+        reference = write_records(tmp_path / "ref.jsonl",
+                                  [(i, "expert", "e1", 0, [l]) for i, l in ref.items()])
+        out = tmp_path / "eq"
+        argv = ["equivalence", "--task", task, "--reference", reference,
+                "--tost-margin", "0.5", "--out", str(out)]
+        for p in paths:
+            argv += ["--models", p]
+        assert cli.run(argv) == 0
+
+        def no_constant(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"),
+                            parse_constant=no_constant)
+        rerun = {c["model"]: c for c in report["comparisons"]}["m1-rerun"]
+        assert (rerun["coefficient"], rerun["se"], rerun["wald_z"], rerun["wald_p"]) == (
+            0.0, 0.0, 0.0, 1.0)
+        assert rerun["verdict"] == "equivalent" and rerun["tost_equivalent"] is True
+        lines = (out / "forest.csv").read_text(encoding="utf-8").splitlines()
+        assert "m1-rerun,0.0,0.0,0.0" in lines
+
     def test_lone_surrogate_model_name(self, tmp_path):
         """A model named with a JSON \\ud800 escape holds a lone surrogate;
         forest.csv writes it back as that escape, and the manifest follows."""
