@@ -52,10 +52,11 @@ from .core import (
     majority_reference,
     save_dataset,
 )
-from .equivalence import build_match_matrix_codes, fit_equivalence
+from .equivalence import _CORRECTIONS, build_match_matrix_codes, fit_equivalence
 from .equivalence import build_match_matrix  # unused here, but perfbench/tracing.py wraps this name
 from .gateway import (
     GatewayError,
+    _replay_mode,
     annotate,
     annotations_to_dataset,
     AnnotationCache,
@@ -268,6 +269,7 @@ def cmd_baseline_compare(args) -> tuple[list[str], list[str]]:
 
 
 def cmd_annotate(args) -> tuple[list[str], list[str]]:
+    args.replay = _replay_mode(args.replay or None)  # the mode the manifest records
     spec = load_task_spec(args.task)
     endpoint = load_endpoint(args.endpoint)
     cfg = load_prompt_config(args.prompt, spec)
@@ -288,8 +290,7 @@ def cmd_annotate(args) -> tuple[list[str], list[str]]:
     if cache.dropped_tail:
         print(f"warning: {args.cache}: skipped a torn last line ({len(cache.dropped_tail)} "
               f"bytes); it is cut off before the next append", file=sys.stderr)
-    replay = True if args.replay else None
-    annotations = annotate(endpoint, cfg, items, cache, replay=replay)
+    annotations = annotate(endpoint, cfg, items, cache, replay=args.replay)
     dataset, failures = annotations_to_dataset(annotations, endpoint.name, spec)
     save_dataset(dataset, args.out)
     outputs, fail_path = [args.out], args.out + ".failures.jsonl"
@@ -551,7 +552,7 @@ def _route_sweep_args(p) -> None:
                    help="auxiliary annotation JSONL (repeatable)")
     p.add_argument("--reference", required=True)
     p.add_argument("--taus", default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1")
-    p.add_argument("--tie-rule", default=TieRule.KEEP_FOCAL.value,
+    p.add_argument("--tie-rule", default=RoutingPlan.tie_rule.value,
                    choices=[r.value for r in TieRule])
     p.add_argument("--out", required=True, help="output directory")
 
@@ -562,7 +563,7 @@ def _equivalence_args(p) -> None:
                    help="model annotation JSONL (repeatable)")
     p.add_argument("--reference", required=True)
     p.add_argument("--baseline", help="baseline model name (default: first)")
-    p.add_argument("--correction", default="CR0", choices=["CR0", "CR1"])
+    p.add_argument("--correction", default=_CORRECTIONS[0], choices=_CORRECTIONS)
     p.add_argument("--tost-margin", type=float, default=None,
                    help="also run two one-sided tests against this log-odds margin")
     p.add_argument("--out", required=True, help="output directory")
@@ -574,7 +575,7 @@ def _mix_sensitivity_args(p) -> None:
     p.add_argument("--expert", required=True)
     p.add_argument("--crowd", required=True)
     p.add_argument("--alphas", default="0,0.25,0.5,0.75,1")
-    p.add_argument("--replicates", type=int, default=20)
+    p.add_argument("--replicates", type=int, default=MixConfig.replicates)
     p.add_argument("--out", required=True, help="output directory")
 
 

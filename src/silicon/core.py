@@ -18,7 +18,7 @@ from enum import Enum
 from itertools import chain
 from json.decoder import scanstring
 from operator import attrgetter
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -182,20 +182,18 @@ class TaskSpec:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "TaskSpec":
-        _json_object(obj, _TASK_KEYS, "task spec")
         try:
-            return cls(
-                task_id=_json_value(obj["task_id"], str, "task_id"),
-                kind=TaskKind(_json_value(obj["kind"], str, "kind")),
-                label_universe=tuple(_json_value(name, str, "labels")
-                                     for name in _json_value(obj["labels"], list, "labels")),
-                agreement_threshold=_json_value(obj.get("threshold", 0.5), float, "threshold"),
-            )
+            m = _json_members(obj, _TASK_MEMBERS, "task spec", ("task_id", "kind", "labels"))
+            m["label_universe"] = m.pop("labels")
+            if "threshold" in m:
+                m["agreement_threshold"] = m.pop("threshold")
+            return cls(**m)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad task spec: {exc}") from exc
 
 
-_TASK_KEYS = frozenset({"task_id", "kind", "labels", "threshold"})
+# a task spec file's members (see _json_members), under their JSON names
+_TASK_MEMBERS = {"task_id": str, "kind": str, "labels": [str], "threshold": float}
 
 
 def load_task_spec(path) -> TaskSpec:
@@ -261,6 +259,33 @@ def _json_object(obj, known: AbstractSet[str], what: str) -> None:
     if unknown:
         raise ValidationError(f"bad {what}: unknown keys {unknown}; "
                               f"expected some of {sorted(known)}")
+
+
+def _json_members(obj, kinds: Mapping, what: str, required: Collection[str] = (),
+                  prefix: str = "") -> dict:
+    """The members of the JSON object `obj` (see _json_object), each read by its
+    kind in `kinds`: a _json_value kind, `[kind]` (a list of it, as a tuple),
+    `(kind, None)` (it or null) or None (allowed, not read).  Members are read
+    in table order, and the first missing `required` one is a KeyError.  Only
+    the members `obj` holds are returned, so each default is its dataclass's.
+    Error messages name each member `prefix + key`."""
+    _json_object(obj, kinds.keys(), what)
+    members = {}
+    for key, kind in kinds.items():
+        if key in obj:
+            if kind is not None:
+                members[key] = _json_kind(obj[key], kind, prefix + key)
+        elif key in required:
+            raise KeyError(key)
+    return members
+
+
+def _json_kind(value, kind, name: str):
+    """`value` read as the _json_members `kind`."""
+    if isinstance(kind, list):
+        return tuple(_json_kind(x, kind[0], name) for x in _json_value(value, list, name))
+    null = isinstance(kind, tuple)
+    return _json_value(value, kind[0] if null else kind, name, null)
 
 
 @dataclass(frozen=True, order=True)
@@ -522,7 +547,7 @@ class _Columns:
                     _json_value(n, str, "each label")
                 label = self.label(LabelValue.from_names(names, self.spec))
                 self.label_keys[tuple(names)] = label
-            return self.add(obj["item_id"], source, obj.get("run", 0), label)
+            return self.add(obj["item_id"], source, obj.get("run", AnnotationRecord.run_index), label)
         except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise ValidationError(f"{path}:{lineno}: bad annotation record ({exc})") from exc
 

@@ -42,6 +42,7 @@ _MAX_ITER = 100
 _DEV_TOL = 1e-10
 _Z95 = 1.96
 _Z_ONE_SIDED_95 = 1.6448536269514722  # scipy.special.ndtri(0.95)
+_CORRECTIONS = ("CR0", "CR1")  # fit_equivalence's cluster corrections, its default first
 
 
 @dataclass(frozen=True)
@@ -237,7 +238,7 @@ def _binomial_comparison(model, acc, base_acc, n_items) -> ModelComparison:
 
 def fit_equivalence(
     matrix: MatchMatrix,
-    correction: str = "CR0",
+    correction: str = _CORRECTIONS[0],
     tost_margin: float | None = None,
 ) -> EquivalenceReport:
     """Fit the model-dummy logistic regression with item-clustered errors.
@@ -253,7 +254,7 @@ def fit_equivalence(
     tests at 5% against a +/-margin log-odds band (reported per model, not
     the primary verdict); it must be a positive finite number.
     """
-    if correction not in ("CR0", "CR1"):
+    if correction not in _CORRECTIONS:
         raise ValidationError(f"unknown cluster correction {correction!r}")
     if tost_margin is not None and not 0.0 < tost_margin < math.inf:  # nan fails too
         raise ValidationError(f"tost_margin must be a positive finite number, not {tost_margin}")

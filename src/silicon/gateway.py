@@ -44,8 +44,8 @@ except ImportError:  # no flock (Windows): appends from several processes are no
     fcntl = None
 
 from .core import LabelValue, Role, SiliconError, SourceId, TaskKind, TaskSpec, ValidationError
-from .core import (_JSONL_ENCODER, Dataset, _decode_line, _json_object, _json_value, _now,
-                   _open_text, _read_json, _remember_tail)
+from .core import (_JSONL_ENCODER, Dataset, _decode_line, _json_members, _json_object,
+                   _json_value, _now, _open_text, _read_json, _remember_tail)
 
 __all__ = [
     "GatewayError",
@@ -838,6 +838,11 @@ def _choice_texts(resp: dict, n: int) -> list[str]:
     return texts
 
 
+def _replay_mode(replay: bool | None) -> bool:
+    """Whether a run replays: `replay` if given, else whether SILICON_REPLAY=1."""
+    return os.environ.get(REPLAY_ENV, "") == "1" if replay is None else replay
+
+
 def annotate(
     endpoint: ModelEndpoint,
     cfg: PromptConfig,
@@ -877,8 +882,7 @@ def annotate(
     the error is raised.  The connections of an HttpTransport are closed
     before annotate returns.
     """
-    if replay is None:
-        replay = os.environ.get(REPLAY_ENV, "") == "1"
+    replay = _replay_mode(replay)
     ids = [item_id for item_id, _ in items]
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate item_ids in annotate input")
@@ -1033,62 +1037,43 @@ def annotations_to_dataset(
     return Dataset.from_rows(spec, rows), failures
 
 
-_ENDPOINT_KEYS = frozenset({"name", "base_url", "api_key_env", "max_in_flight", "timeout",
-                            "supports_n", "retry"})
-_RETRY_KEYS = frozenset({"max_attempts", "backoff"})
-_PROMPT_KEYS = frozenset({"guideline_text", "guideline_file", "strategy", "placement",
-                          "persona_text", "temperature", "n_samples"})
+# each config file's members (see core._json_members); "retry" holds _RETRY_MEMBERS
+_ENDPOINT_MEMBERS = {"name": str, "base_url": str, "api_key_env": str, "max_in_flight": int,
+                     "timeout": float, "supports_n": bool, "retry": None}
+_RETRY_MEMBERS = {"max_attempts": int, "backoff": [float]}
+_PROMPT_MEMBERS = {"guideline_text": (str, None), "guideline_file": None, "strategy": str,
+                   "placement": str, "persona_text": (str, None), "temperature": float,
+                   "n_samples": int}
 
 
 def load_endpoint(path) -> ModelEndpoint:
     """The endpoint config at `path`, read as core reads every JSON config."""
     with _read_json(path) as obj:
-        _json_object(obj, _ENDPOINT_KEYS, "endpoint config")
-        retry = obj.get("retry", {})
-        _json_object(retry, _RETRY_KEYS, "endpoint config retry")
         try:
-            return ModelEndpoint(
-                name=_json_value(obj["name"], str, "name"),
-                base_url=_json_value(obj["base_url"], str, "base_url"),
-                api_key_env=_json_value(obj["api_key_env"], str, "api_key_env"),
-                max_in_flight=_json_value(obj.get("max_in_flight", 4), int, "max_in_flight"),
-                timeout=_json_value(obj.get("timeout", 60.0), float, "timeout"),
-                supports_n=_json_value(obj.get("supports_n", True), bool, "supports_n"),
-                retry=RetryPolicy(
-                    max_attempts=_json_value(retry.get("max_attempts", 3), int,
-                                             "retry.max_attempts"),
-                    backoff=tuple(_json_value(b, float, "retry.backoff") for b in _json_value(
-                        retry.get("backoff", [1.0, 2.0, 4.0]), list, "retry.backoff")),
-                ),
-            )
+            members = _json_members(obj, _ENDPOINT_MEMBERS, "endpoint config",
+                                    ("name", "base_url", "api_key_env"))
+            if "retry" in obj:
+                members["retry"] = RetryPolicy(**_json_members(
+                    obj["retry"], _RETRY_MEMBERS, "endpoint config retry", prefix="retry."))
+            return ModelEndpoint(**members)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad endpoint config: {exc}") from exc
 
 
 def load_prompt_config(path, spec: TaskSpec) -> PromptConfig:
-    """The prompt config at `path`, read as core reads every JSON config; a
-    guideline_file is read relative to it."""
+    """The prompt config at `path`, read as core reads every JSON config; with no
+    guideline_text, a guideline_file is read relative to it."""
     path = str(path)
     with _read_json(path) as obj:
-        _json_object(obj, _PROMPT_KEYS, "prompt config")
         try:
-            guideline = _json_value(obj.get("guideline_text"), str, "guideline_text", null=True)
-            if guideline is None and "guideline_file" in obj:
+            members = _json_members(obj, _PROMPT_MEMBERS, "prompt config")
+            if members.get("guideline_text") is None and "guideline_file" in obj:
                 gpath = os.path.join(os.path.dirname(os.path.abspath(path)),
                                      _json_value(obj["guideline_file"], str, "guideline_file"))
                 with _open_text(gpath) as fh:
-                    guideline = fh.read()
-            if guideline is None:
+                    members["guideline_text"] = fh.read()
+            if members.get("guideline_text") is None:
                 raise ValidationError("needs guideline_text or guideline_file")
-            return PromptConfig(
-                task=spec,
-                guideline_text=guideline,
-                strategy=Strategy(_json_value(obj.get("strategy", "base"), str, "strategy")),
-                placement=Placement(_json_value(obj.get("placement", "system"), str,
-                                                "placement")),
-                persona_text=_json_value(obj.get("persona_text"), str, "persona_text", null=True),
-                temperature=_json_value(obj.get("temperature", 1.0), float, "temperature"),
-                n_samples=_json_value(obj.get("n_samples", 5), int, "n_samples"),
-            )
+            return PromptConfig(task=spec, **members)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad prompt config: {exc}") from exc

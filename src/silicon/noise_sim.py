@@ -45,12 +45,12 @@ bit-identical to one simulate() per config.
 from __future__ import annotations
 
 import copy
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ValidationError, _json_object, _json_value, _read_json, _rng_from_seed
+from .core import ValidationError, _json_members, _read_json, _rng_from_seed
 
 __all__ = ["SimConfig", "SimResult", "ContrastReport", "simulate", "simulate_many", "contrast",
            "load_sim_config"]
@@ -112,30 +112,17 @@ class SimConfig:
     def from_json(cls, obj: Mapping) -> "SimConfig":
         """The keys of to_json(), plus an optional "name" that only labels the
         file and is ignored; read as core reads every JSON config."""
-        _json_object(obj, _CONFIG_KEYS, "sim config")
         try:
-            return cls(
-                n_classes=_json_value(obj["n_classes"], int, "n_classes"),
-                priors=_json_numbers(obj["priors"], "priors"),
-                error_rate=_json_value(obj["error_rate"], float, "error_rate"),
-                llm_confusion=tuple(_json_numbers(row, "llm_confusion")
-                                    for row in _json_value(obj["llm_confusion"], list,
-                                                           "llm_confusion")),
-                coupling=_json_value(obj.get("coupling", 0.0), float, "coupling"),
-                n_samples=_json_value(obj.get("n_samples", 100_000), int, "n_samples"),
-                seed=_json_value(obj.get("seed", 0), int, "seed"),
-            )
+            return cls(**_json_members(obj, _CONFIG_MEMBERS, "sim config",
+                                       ("n_classes", "priors", "error_rate", "llm_confusion")))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad sim config: {exc}") from exc
 
 
-def _json_numbers(value, name: str) -> tuple[float, ...]:
-    """A JSON list of numbers as a tuple of floats."""
-    return tuple(_json_value(x, float, name) for x in _json_value(value, list, name))
-
-
-# what a sim config file may hold: the SimConfig fields and an ignored "name"
-_CONFIG_KEYS = frozenset(f.name for f in fields(SimConfig)) | {"name"}
+# a sim config file's members (see core._json_members): SimConfig's fields and an unread "name"
+_CONFIG_MEMBERS = {"n_classes": int, "priors": [float], "error_rate": float,
+                   "llm_confusion": [[float]], "coupling": float, "n_samples": int,
+                   "seed": int, "name": None}
 
 
 def load_sim_config(path) -> SimConfig:

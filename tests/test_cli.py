@@ -301,6 +301,24 @@ class TestAnnotateReplay:
         # the replay run must never grow the cache
         assert cache.read_bytes() == (DATA / "replay_cache.jsonl").read_bytes()
 
+    def test_replay_by_environment_is_recorded_as_replay(self, tmp_path, monkeypatch):
+        """SILICON_REPLAY=1 without --replay writes what --replay writes, manifest
+        included: it records "replay": true and the same config digest."""
+        cache = tmp_path / "cache.jsonl"
+        cache.write_bytes((DATA / "replay_cache.jsonl").read_bytes())
+        out = tmp_path / "focal.jsonl"
+        runs = []
+        for flag in (True, False):
+            args = self.args(tmp_path, cache, out)
+            if not flag:
+                args.remove("--replay")
+                monkeypatch.setenv(REPLAY_ENV, "1")
+            assert cli.run(args) == 0
+            manifest = read_manifest(out)
+            runs.append((out.read_bytes(), manifest["replay"], manifest["config_digest"]))
+        assert runs[1] == runs[0] and runs[0][1] is True
+        assert cache.read_bytes() == (DATA / "replay_cache.jsonl").read_bytes()
+
     def test_rerun_without_failures_removes_the_earlier_failures_file(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         cache.write_bytes((DATA / "replay_cache.jsonl").read_bytes())

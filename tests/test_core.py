@@ -14,6 +14,7 @@ from silicon.core import (
     TaskSpec,
     TieRule,
     ValidationError,
+    _json_members,
     _json_value,
     atomic_open,
     load_dataset,
@@ -178,6 +179,18 @@ class TestJsonValue:
         assert _json_value(None, str, "x", null=True) is None
         with pytest.raises(TypeError, match="^x must be a list or null, not str$"):
             _json_value("ab", list, "x", null=True)
+
+
+def test_json_members_reads_by_kind_in_table_order():
+    kinds = {"a": int, "b": [[float]], "c": (str, None), "d": None, "e": bool}
+    assert _json_members({"b": [[1], []], "c": None, "d": object()}, kinds, "x") == {
+        "b": ((1.0,), ()), "c": None}
+    with pytest.raises(KeyError, match="'a'"):  # the first missing required member
+        _json_members({}, kinds, "x", required=("e", "a"))
+    with pytest.raises(TypeError, match="^p.b must be a number, not str$"):
+        _json_members({"b": [["1"]], "e": 1}, kinds, "x", prefix="p.")
+    with pytest.raises(ValidationError, match=r"^bad x: unknown keys \['f'\]"):
+        _json_members({"f": 1}, kinds, "x")
 
 
 class TestDatasetIO:
